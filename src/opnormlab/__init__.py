@@ -20,17 +20,15 @@ from .errors import (ConvergenceError, DivergenceError, DomainError,
                      IllConditionedError, NumericalError, PlanError)
 from .grids import (Grid, build_grid, extend_grid, grid_from_breakpoints,
                     integrate, nested_grids, parse_grid)
-from .kernels import (EnvelopeReport, FlattenedKernel, KernelSpec,
-                      envelope_check, flatten_weights, kernel_eval,
+from .kernels import (EnvelopeReport, KernelSpec, envelope_check, kernel_eval,
                       majorant_integral, parse_kernel, tail_bound)
 from .operators import (DiscretizedOperator, PqNormEstimate, apply_operator,
                         apply_operator_samples, assemble, empirical_ratio,
                         largest_singular_value, matrix_pq_norm,
                         operator_norm_22, operator_norm_pq)
-from .spaces import (ExponentPair, SampledFunction, SpaceSpec, bump,
-                     conjugate_exponent, function_from_spec, gauss, indicator,
-                     parse_space, powerlaw, sample, sample_spec, to_unweighted,
-                     weight_exponent, weighted_norm)
+from .spaces import (SampledFunction, SpaceSpec, bump, conjugate_exponent,
+                     function_from_spec, gauss, indicator, parse_space, powerlaw,
+                     sample, sample_spec, weight_exponent, weighted_norm)
 from .sweeps import (GridPolicy, HolderCheck, ProbeCell, QuerySummary,
                      SweepCell, SweepPlan, SweepResult, fit_growth_exponent,
                      run_boundedness_sweep, sharpness_probe, sweep_csv_text,

@@ -19,7 +19,8 @@ from .corner import CornerSystem, solve_corner
 from .errors import DomainError, NumericalError, PlanError
 from .grids import parse_grid
 from .kernels import majorant_integral, parse_kernel
-from .operators import assemble, apply_operator, operator_norm_pq
+from .operators import (POWER_MAX_ITER, POWER_TOL, assemble, apply_operator,
+                        operator_norm_pq)
 from .spaces import SpaceSpec, parse_space, sample_spec, weighted_norm
 from .sweeps import (DEFAULT_R_SCHEDULE, GridPolicy, SweepPlan,
                      run_boundedness_sweep, sweep_csv_text)
@@ -33,15 +34,15 @@ class UsageError(ValueError):
 class RunConfig:
     """Every default the CLI relies on, echoed as provenance in each report."""
 
-    grid: str = "grid(10000,40,1.3,8)"
+    grid: str = f"grid(10000,40,{GridPolicy.grading:g},{GridPolicy.panel_order})"
     r_schedule: tuple[float, ...] = DEFAULT_R_SCHEDULE
-    panels_per_side: int = 12
-    grading: float = 1.3
-    panel_order: int = 8
-    extra_panels: int = 2
-    max_nodes: int = 4000
-    power_tol: float = 1e-10
-    power_max_iter: int = 10000
+    panels_per_side: int = GridPolicy.panels_per_side
+    grading: float = GridPolicy.grading
+    panel_order: int = GridPolicy.panel_order
+    extra_panels: int = GridPolicy.extra_panels
+    max_nodes: int = GridPolicy.max_nodes
+    power_tol: float = POWER_TOL
+    power_max_iter: int = POWER_MAX_ITER
     seed: int = 0
 
     def to_dict(self) -> dict:

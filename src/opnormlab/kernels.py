@@ -98,36 +98,6 @@ def majorant_integral(x: float, a: float, R: float | None = None) -> float:
     return 2.0 * (base ** (1.0 - a) - (base + R) ** (1.0 - a)) / (a - 1.0)
 
 
-@dataclass(frozen=True)
-class FlattenedKernel:
-    """Kernel conjugated by the space weights.
-
-    Evaluates to (1+|x|)^exponent_x * K(x,y) * (1+|y|)^exponent_y; the
-    operator with this kernel between unweighted p-spaces has the same norm
-    as the base kernel between the weighted spaces.
-    """
-
-    base: KernelSpec
-    exponent_x: float
-    exponent_y: float
-
-    def evaluate(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return ((1.0 + np.abs(x)) ** self.exponent_x
-                * kernel_eval(self.base, x, y)
-                * (1.0 + np.abs(y)) ** self.exponent_y)
-
-
-def flatten_weights(k: KernelSpec, source: SpaceSpec, target: SpaceSpec) -> FlattenedKernel:
-    """Absorb the source/target weights into the kernel."""
-    return FlattenedKernel(
-        base=k,
-        exponent_x=weight_exponent(target) / target.p,
-        exponent_y=-weight_exponent(source) / source.p,
-    )
-
-
 def _inner_threshold(source: SpaceSpec) -> float:
     """Inner decay threshold of the family the source space belongs to."""
     if source.variant == "h":

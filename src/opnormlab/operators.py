@@ -1,9 +1,13 @@
 """Nystrom discretization between weighted spaces and operator-norm estimation.
 
-The kernel is conjugated by the space weights and the quadrature weights
-are split as w^(1/p2) on rows and w^(1/q1) on columns, so the weighted
-operator norm becomes a plain l^p1 -> l^p2 norm of a dense matrix.  That
-gives one norm-estimation code path for all three space families.
+Every discretized operator has the form diag(r) * K * diag(c): K is the
+bare kernel on the node grid, the row scaling r = w_out^(1/p2) *
+(1+|x|)^(w2/p2) carries the target quadrature and space weights, and the
+column scaling c = w_in^(1/q1) * (1+|y|)^(-w1/p1) the source ones.  The
+weighted operator norm then becomes a plain l^p1 -> l^p2 norm of a dense
+matrix, so all three space families share one nonlinear power method
+(Boyd, "The power method for l_p norms", 1974); p1 = p2 = 2 is its
+singular-value case.
 
 General p -> q matrix norms are NP-hard, so certification is restricted to
 entrywise-nonnegative matrices, where the nonlinear power method converges
@@ -19,8 +23,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
 from .grids import Grid
-from .kernels import KernelSpec, flatten_weights, kernel_eval
-from .spaces import SampledFunction, SpaceSpec, conjugate_exponent, weighted_norm
+from .kernels import KernelSpec, kernel_eval
+from .spaces import (SampledFunction, SpaceSpec, conjugate_exponent, weight_exponent,
+                     weighted_norm)
 
 DENSE_FALLBACK_DIM = 500
 POWER_TOL = 1e-10
@@ -33,11 +38,21 @@ def _check_finite_matrix(matrix: np.ndarray, what: str) -> None:
         raise NumericalError(f"non-finite {what} entry at ({int(i)}, {int(j)})")
 
 
+def _as_matrix(matrix) -> np.ndarray:
+    B = np.asarray(matrix, dtype=float)
+    if B.ndim != 2 or B.size == 0:
+        raise DomainError("need a non-empty 2-d matrix")
+    _check_finite_matrix(B, "matrix")
+    return B
+
+
 @dataclass(frozen=True, eq=False)
 class DiscretizedOperator:
-    """Weight-flattened Nystrom matrix tying two spaces and two grids together.
+    """Scaled Nystrom matrix diag(r) * K * diag(c) tying two spaces and two grids.
 
-    Entry (i, j) is (w_i^out)^(1/p2) * Kflat(x_i, y_j) * (w_j^in)^(1/q1); by
+    Entry (i, j) is r_i * K(x_i, y_j) * c_j with r_i = (w_i^out)^(1/p2) *
+    (1+|x_i|)^(w2/p2) and c_j = (w_j^in)^(1/q1) * (1+|y_j|)^(-w1/p1), where
+    w1, w2 are the weight exponents of the source and target spaces; by
     construction the l^p1 -> l^p2 norm of the matrix is the discretized
     weighted-operator norm.
     """
@@ -62,16 +77,16 @@ class DiscretizedOperator:
 
 def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
              source_grid: Grid, target_grid: Grid) -> DiscretizedOperator:
-    """Assemble the flattened Nystrom matrix of K between two weighted spaces."""
-    flat = flatten_weights(k, source, target)
-    q1 = conjugate_exponent(source.p)
-    x = target_grid.nodes[:, None]
-    y = source_grid.nodes[None, :]
+    """Assemble the scaled Nystrom matrix diag(r) * K * diag(c) between two spaces."""
+    x, y = target_grid.nodes, source_grid.nodes
     with np.errstate(over="ignore"):
-        core = flat.evaluate(x, y)
-        matrix = ((target_grid.weights ** (1.0 / target.p))[:, None]
-                  * core
-                  * (source_grid.weights ** (1.0 / q1))[None, :])
+        rows = (target_grid.weights ** (1.0 / target.p)
+                * (1.0 + np.abs(x)) ** (weight_exponent(target) / target.p))
+        cols = (source_grid.weights ** (1.0 / conjugate_exponent(source.p))
+                * (1.0 + np.abs(y)) ** (-weight_exponent(source) / source.p))
+        # one expression: a name would keep the n x n kernel values alive
+        # next to the scaled matrix and the operator's frozen copy of it
+        matrix = rows[:, None] * kernel_eval(k, x[:, None], y[None, :]) * cols[None, :]
     return DiscretizedOperator(matrix, source, target, source_grid, target_grid)
 
 
@@ -99,44 +114,66 @@ def apply_operator_samples(k: KernelSpec, f: SampledFunction, source_grid: Grid,
     return SampledFunction(target_grid, values, tag=None)
 
 
-def largest_singular_value(matrix, tol: float = POWER_TOL,
-                           max_iter: int = POWER_MAX_ITER) -> float:
-    """Largest singular value via power iteration on the Gram matrix.
+def _dual_map(u: np.ndarray, r: float) -> np.ndarray:
+    # J_r(u) = |u|^(r-1) sign(u) / ||u||_r^(r-1); unit vector in the dual norm.
+    norm = np.sum(np.abs(u) ** r) ** (1.0 / r)
+    return np.abs(u) ** (r - 1.0) * np.sign(u) / norm ** (r - 1.0)
 
-    Deterministic all-ones start; stops when the estimate changes by less
-    than ``tol`` (relative above 1).  On non-convergence falls back to a
-    dense decomposition when min(shape) <= 500, otherwise raises
-    ConvergenceError with iterate diagnostics.
+
+def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
+                  max_iter: int) -> tuple[float, bool, int, float]:
+    """Nonlinear power method for the l^p1 -> l^p2 norm of a nonzero matrix.
+
+    Alternates v <- dual map of B^T (dual map of B v) from the all-ones
+    start; at p1 = p2 = 2 this is power iteration on the Gram matrix.  Stops
+    when ||B v||_p2 changes by less than ``tol`` (relative above 1).  Returns
+    (best value, converged, iterations, last change); without convergence
+    the last change is the one that failed the stop test.
     """
-    B = np.asarray(matrix, dtype=float)
-    if B.ndim != 2 or B.size == 0:
-        raise DomainError("need a non-empty 2-d matrix")
-    _check_finite_matrix(B, "matrix")
-    if not B.any():
-        return 0.0
-    v = np.ones(B.shape[1])
-    v /= np.linalg.norm(v)
-    sigma_prev = -np.inf
-    sigma = 0.0
+    q1 = conjugate_exponent(p1)
+    n = B.shape[1]
+    v = np.full(n, n ** (-1.0 / p1))  # all-ones start, unit p1-norm
+    best = 0.0
+    gamma_prev = -np.inf
+    delta = np.inf
     for iteration in range(1, max_iter + 1):
         u = B @ v
-        sigma = float(np.linalg.norm(u))
-        if sigma == 0.0:
-            # all-ones start happened to lie in the nullspace; restart from
-            # the heaviest column
-            v = np.zeros(B.shape[1])
+        gamma = float(np.sum(np.abs(u) ** p2) ** (1.0 / p2))
+        if gamma == 0.0:
+            # the start happened to lie in the nullspace; restart from the
+            # heaviest column
+            v = np.zeros(n)
             v[int(np.argmax(np.sum(np.abs(B), axis=0)))] = 1.0
             continue
-        if abs(sigma - sigma_prev) <= tol * max(1.0, sigma):
-            return sigma
-        sigma_prev = sigma
-        z = B.T @ u
-        v = z / np.linalg.norm(z)
+        best = max(best, gamma)
+        delta = abs(gamma - gamma_prev)
+        if delta <= tol * max(1.0, gamma):
+            return best, True, iteration, delta
+        gamma_prev = gamma
+        z = B.T @ _dual_map(u, p2)
+        v = _dual_map(z, q1)
+    return best, False, max_iter, delta
+
+
+def largest_singular_value(matrix, tol: float = POWER_TOL,
+                           max_iter: int = POWER_MAX_ITER) -> float:
+    """Largest singular value: the p1 = p2 = 2 case of the power method.
+
+    On non-convergence falls back to a dense decomposition when
+    min(shape) <= 500, otherwise raises ConvergenceError with iterate
+    diagnostics.
+    """
+    B = _as_matrix(matrix)
+    if not B.any():
+        return 0.0
+    sigma, converged, iterations, delta = _power_method(B, 2.0, 2.0, tol, max_iter)
+    if converged:
+        return sigma
     if min(B.shape) <= DENSE_FALLBACK_DIM:
         return float(np.linalg.svd(B, compute_uv=False)[0])
     raise ConvergenceError(
         f"power iteration did not converge in {max_iter} iterations",
-        iterations=max_iter, last_value=sigma, last_delta=abs(sigma - sigma_prev),
+        iterations=iterations, last_value=sigma, last_delta=delta,
     )
 
 
@@ -155,50 +192,22 @@ class PqNormEstimate:
     iterations: int
 
 
-def _dual_map(u: np.ndarray, r: float) -> np.ndarray:
-    # J_r(u) = |u|^(r-1) sign(u) / ||u||_r^(r-1); unit vector in the dual norm.
-    norm = np.sum(np.abs(u) ** r) ** (1.0 / r)
-    return np.abs(u) ** (r - 1.0) * np.sign(u) / norm ** (r - 1.0)
-
-
 def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
                    max_iter: int = POWER_MAX_ITER) -> PqNormEstimate:
     """l^p1 -> l^p2 matrix norm via the nonlinear power method.
 
-    Alternates v <- dual map of B^T (dual map of B v); for entrywise
-    nonnegative matrices the estimates increase to the global maximum.  On
-    oscillation or non-convergence the best iterate is returned with
-    ``converged`` (and hence ``certified``) False.
+    For entrywise nonnegative matrices the estimates increase to the global
+    maximum.  On oscillation or non-convergence the best iterate is returned
+    with ``converged`` (and hence ``certified``) False.
     """
-    B = np.asarray(matrix, dtype=float)
-    if B.ndim != 2 or B.size == 0:
-        raise DomainError("need a non-empty 2-d matrix")
-    _check_finite_matrix(B, "matrix")
+    B = _as_matrix(matrix)
     if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
         raise DomainError("matrix norm exponents must lie in (1, inf)")
-    nonnegative = bool(np.all(B >= 0))
     if not B.any():
         return PqNormEstimate(0.0, certified=True, converged=True, iterations=0)
-    q1 = conjugate_exponent(p1)
-    n = B.shape[1]
-    v = np.full(n, n ** (-1.0 / p1))  # all-ones start, unit p1-norm
-    best = 0.0
-    gamma_prev = -np.inf
-    for iteration in range(1, max_iter + 1):
-        u = B @ v
-        gamma = float(np.sum(np.abs(u) ** p2) ** (1.0 / p2))
-        if gamma == 0.0:
-            v = np.zeros(n)
-            v[int(np.argmax(np.sum(np.abs(B), axis=0)))] = 1.0
-            continue
-        best = max(best, gamma)
-        if abs(gamma - gamma_prev) <= tol * max(1.0, gamma):
-            return PqNormEstimate(best, certified=nonnegative, converged=True,
-                                  iterations=iteration)
-        gamma_prev = gamma
-        z = B.T @ _dual_map(u, p2)
-        v = _dual_map(z, q1)
-    return PqNormEstimate(best, certified=False, converged=False, iterations=max_iter)
+    value, converged, iterations, _ = _power_method(B, p1, p2, tol, max_iter)
+    return PqNormEstimate(value, certified=converged and bool(np.all(B >= 0)),
+                          converged=converged, iterations=iterations)
 
 
 def operator_norm_22(op: DiscretizedOperator, tol: float = POWER_TOL,

@@ -39,24 +39,6 @@ def conjugate_exponent(p):
 
 
 @dataclass(frozen=True)
-class ExponentPair:
-    """Conjugate pair (p, q) with 1/p + 1/q = 1 to machine tolerance."""
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if not (1 < self.p < math.inf) or not (1 < self.q < math.inf):
-            raise DomainError("both exponents must lie in (1, inf)")
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-14:
-            raise DomainError(f"({self.p}, {self.q}) is not a conjugate pair")
-
-    @classmethod
-    def from_p(cls, p: float) -> "ExponentPair":
-        return cls(float(p), float(conjugate_exponent(p)))
-
-
-@dataclass(frozen=True)
 class SpaceSpec:
     """One of the three weighted families, with its exponents."""
 
@@ -144,16 +126,6 @@ def weighted_norm(f: SampledFunction, space: SpaceSpec) -> float:
     if not math.isfinite(total):
         raise NumericalError("weighted norm integrand overflowed")
     return total ** (1.0 / space.p)
-
-
-def to_unweighted(f: SampledFunction, space: SpaceSpec) -> SampledFunction:
-    """Multiply by (1+|x|)^(w/p): an isometry onto the unweighted p-norm.
-
-    Invert by multiplying with (1+|x|)^(-w/p).
-    """
-    w = weight_exponent(space)
-    factor = (1.0 + np.abs(f.grid.nodes)) ** (w / space.p)
-    return SampledFunction(f.grid, factor * f.values, tag=None)
 
 
 # --- function mini-language ---------------------------------------------

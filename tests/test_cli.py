@@ -1,11 +1,15 @@
 """CLI subcommands: outputs, exit codes, config handling, determinism."""
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from opnormlab.cli import RunConfig, run_cli
 from opnormlab.errors import DomainError
+from opnormlab.grids import parse_grid
+from opnormlab.operators import POWER_MAX_ITER, POWER_TOL
+from opnormlab.sweeps import GridPolicy
 
 
 def run_json(capsys, argv):
@@ -178,6 +182,15 @@ def test_runconfig_round_trip():
     assert RunConfig.from_dict(config.to_dict()) == config
     with pytest.raises(DomainError):
         RunConfig.from_dict({"nope": 1})
+
+
+def test_runconfig_defaults_match_library():
+    config, policy = RunConfig(), GridPolicy()
+    for field in fields(GridPolicy):
+        assert getattr(config, field.name) == getattr(policy, field.name)
+    grid = parse_grid(config.grid)
+    assert (grid.grading, grid.panel_order) == (policy.grading, policy.panel_order)
+    assert (config.power_tol, config.power_max_iter) == (POWER_TOL, POWER_MAX_ITER)
 
 
 def test_output_file_byte_identical(tmp_path):

@@ -1,12 +1,12 @@
-"""Kernel families, envelope checking, weight flattening and the majorant."""
+"""Kernel families, envelope checking, weight scaling and the majorant."""
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from opnormlab import (DivergenceError, DomainError, KernelSpec, NumericalError,
-                       SpaceSpec, build_grid, envelope_check, flatten_weights,
-                       integrate, kernel_eval, majorant_integral, parse_kernel,
-                       tail_bound)
+from opnormlab import (DivergenceError, DomainError, Grid, KernelSpec, NumericalError,
+                       SpaceSpec, assemble, build_grid, envelope_check,
+                       grid_from_breakpoints, integrate, kernel_eval,
+                       majorant_integral, parse_kernel, tail_bound)
 
 
 def test_kernel_eval_values():
@@ -93,27 +93,47 @@ def test_envelope_check_non_finite_kernel():
         envelope_check(kernel, kappa_claimed=0.0, sample_count=10, seed=0)
 
 
-# --- weight flattening -------------------------------------------------------
+# --- space weights scaled into the assembled matrix ---------------------------
+# On a unit-weight grid the quadrature factors are 1, so entry (i, j) is
+# (1+|x_i|)^(w2/p2) * K(x_i, y_j) * (1+|y_j|)^(-w1/p1).
+
+def unit_weight_grid(m: int) -> Grid:
+    # nodes +-1, ..., +-m, each carrying weight 1
+    nodes = np.concatenate([-np.arange(m, 0, -1.0), np.arange(1.0, m + 1)])
+    return Grid(R=float(m), nodes=nodes, weights=np.ones(2 * m), grading=1.0,
+                panel_order=2, breakpoints=np.arange(m + 1.0))
+
+
+def scaled_entries(x_power: float, y_power: float, k: KernelSpec, grid: Grid) -> np.ndarray:
+    x, y = grid.nodes[:, None], grid.nodes[None, :]
+    return ((1 + np.abs(x)) ** x_power
+            * k.c_upper * (1 + np.abs(x) + np.abs(y)) ** (-k.kappa)
+            * (1 + np.abs(y)) ** y_power)
+
 
 def test_flatten_weights_identity_at_s0():
     k = KernelSpec(kappa=2.0)
+    grid = unit_weight_grid(4)
     space = SpaceSpec.h(0.0)
-    flat = flatten_weights(k, space, space)
-    assert flat.exponent_x == 0.0 and flat.exponent_y == 0.0
-    assert flat.evaluate(1.0, 2.0) == kernel_eval(k, 1.0, 2.0)
+    op = assemble(k, space, space, grid, grid)
+    assert np.array_equal(op.matrix, kernel_eval(k, grid.nodes[:, None], grid.nodes[None, :]))
 
 
 def test_flatten_weights_classic_exponents():
     k = KernelSpec(kappa=2.0)
-    flat = flatten_weights(k, SpaceSpec.h(-1.0), SpaceSpec.h(0.5))
-    assert flat.exponent_x == 0.5  # s2
-    assert flat.exponent_y == 1.0  # -s1
+    grid = unit_weight_grid(4)
+    op = assemble(k, SpaceSpec.h(-1.0), SpaceSpec.h(0.5), grid, grid)
+    # target exponent s2 = 0.5, source exponent -s1 = 1
+    assert np.allclose(op.matrix, scaled_entries(0.5, 1.0, k, grid), rtol=1e-15, atol=0)
 
 
 def test_flatten_weights_fixed_weight_source():
     k = KernelSpec(kappa=2.0)
-    flat = flatten_weights(k, SpaceSpec.hps(4.0, -1.0), SpaceSpec.hps(4.0, -1.0))
-    assert flat.exponent_y == 0.5  # -2*s1/p1
+    grid = unit_weight_grid(4)
+    space = SpaceSpec.hps(4.0, -1.0)
+    op = assemble(k, space, space, grid, grid)
+    # target exponent 2*s2/p2 = -0.5, source exponent -2*s1/p1 = 0.5
+    assert np.allclose(op.matrix, scaled_entries(-0.5, 0.5, k, grid), rtol=1e-15, atol=0)
 
 
 def test_flatten_weights_pointwise_product():
@@ -121,11 +141,15 @@ def test_flatten_weights_pointwise_product():
     k = KernelSpec(kappa=1.3, c_upper=0.7, c_lower=0.7)
     source = SpaceSpec.hsp(-0.8, 3.0)
     target = SpaceSpec.hps(2.5, 0.4)
-    flat = flatten_weights(k, source, target)
-    x, y = rng.uniform(-100, 100, size=(2, 50))
-    expected = ((1 + np.abs(x)) ** flat.exponent_x * kernel_eval(k, x, y)
-                * (1 + np.abs(y)) ** flat.exponent_y)
-    assert np.allclose(flat.evaluate(x, y), expected, rtol=1e-14)
+    grid = grid_from_breakpoints(np.concatenate([[0.0], np.cumsum(rng.uniform(1, 20, 10))]),
+                                 panel_order=3)
+    op = assemble(k, source, target, grid, grid)
+    # rows: w^(1/p2) (1+|x|)^(2*s2/p2); columns: w^(1/q1) (1+|y|)^(-s1)
+    rows = grid.weights ** (1 / 2.5) * (1 + np.abs(grid.nodes)) ** (0.8 / 2.5)
+    cols = grid.weights ** (2 / 3) * (1 + np.abs(grid.nodes)) ** 0.8
+    x, y = grid.nodes[:, None], grid.nodes[None, :]
+    expected = rows[:, None] * 0.7 * (1 + np.abs(x) + np.abs(y)) ** (-1.3) * cols[None, :]
+    assert np.allclose(op.matrix, expected, rtol=1e-14, atol=0)
 
 
 # --- majorant integral -------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Nystrom assembly and the two norm estimators against dense oracles."""
+"""Nystrom assembly and the norm estimators against dense oracles."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from opnormlab import (ConvergenceError, DomainError, Grid, KernelSpec,
                        NumericalError, SpaceSpec, apply_operator,
                        apply_operator_samples, assemble, build_grid,
                        empirical_ratio, envelope_indicator_image, extend_grid,
-                       flatten_weights, largest_singular_value, matrix_pq_norm,
-                       operator_norm_22, operator_norm_pq, sample, sample_spec)
+                       largest_singular_value, matrix_pq_norm, operator_norm_22,
+                       operator_norm_pq, sample, sample_spec)
+from opnormlab.operators import POWER_TOL
 
 
 def single_node_grid(weight: float = 2.0) -> Grid:
@@ -35,13 +38,33 @@ def test_assemble_single_entry():
 
 def test_assemble_flattened_entry():
     grid = pair_grid()
-    k = KernelSpec(kappa=2.0)
-    source, target = SpaceSpec.h(-1.0), SpaceSpec.h(0.0)
-    op = assemble(k, source, target, grid, grid)
-    # entry at x = 1, y = 1 with unit weights: (1+2)^-2 * (1+1)^(-w1/p1) = 2/9
-    assert op.matrix[1, 1] == pytest.approx(2.0 / 9.0, rel=1e-15)
-    flat = flatten_weights(k, source, target)
-    assert op.matrix[1, 1] == pytest.approx(flat.evaluate(1.0, 1.0), rel=1e-15)
+    # entry at x = 1, y = 1 with unit weights:
+    # (1+1)^(w2/p2) * c * (1+2)^-2 * (1+1)^(-w1/p1)
+    cases = (
+        (KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(0.0), 2.0 / 9.0),
+        (KernelSpec(kappa=2.0, c_lower=0.5, c_upper=0.5), SpaceSpec.h(0.0),
+         SpaceSpec.h(0.0), 0.5 / 9.0),
+        (KernelSpec(kappa=2.0), SpaceSpec.hsp(-0.5, 4.0), SpaceSpec.hps(3.0, 0.5),
+         2.0 ** (1 / 3) / 9.0 * 2.0 ** 0.5),
+    )
+    for k, source, target, expected in cases:
+        op = assemble(k, source, target, grid, grid)
+        assert op.matrix[1, 1] == pytest.approx(expected, rel=1e-15)
+
+
+def test_assemble_peak_memory():
+    # at most the scaled matrix, the operator's frozen copy of it and a
+    # boolean finiteness mask are alive at once
+    grid = build_grid(640.0, 82, 1.3, 8)
+    n = grid.size
+    tracemalloc.start()
+    try:
+        assemble(KernelSpec(kappa=1.5), SpaceSpec.hps(4.0, -0.5), SpaceSpec.hps(2.0, 0.25),
+                 grid, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8
 
 
 def test_assemble_nonnegative_for_pure_envelope():
@@ -118,8 +141,13 @@ def test_singular_value_matches_dense_svd():
 def test_singular_value_nonconvergence_raises_beyond_fallback():
     rng = np.random.default_rng(5)
     matrix = rng.normal(size=(501, 502))
-    with pytest.raises(ConvergenceError):
-        largest_singular_value(matrix, max_iter=1)
+    for max_iter in (1, 3):
+        with pytest.raises(ConvergenceError) as info:
+            largest_singular_value(matrix, max_iter=max_iter)
+        error = info.value
+        assert error.iterations == max_iter
+        # the change that failed the stop test
+        assert error.last_delta > POWER_TOL * max(1.0, error.last_value)
 
 
 def test_singular_value_fallback_small_matrix():

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from opnormlab import (DomainError, ExponentPair, NumericalError, SampledFunction,
-                       SpaceSpec, build_grid, conjugate_exponent, function_from_spec,
-                       parse_space, sample, sample_spec, to_unweighted,
-                       weight_exponent, weighted_norm)
+from opnormlab import (DomainError, NumericalError, SampledFunction, SpaceSpec,
+                       build_grid, conjugate_exponent, function_from_spec,
+                       parse_space, sample, sample_spec, weight_exponent,
+                       weighted_norm)
 
 BIG_GRID = build_grid(1e4, 40, 1.3, 8)
 
@@ -22,13 +22,6 @@ def test_conjugate_exponent_values():
 def test_conjugate_exponent_domain(p):
     with pytest.raises(DomainError):
         conjugate_exponent(p)
-
-
-def test_exponent_pair_invariant():
-    pair = ExponentPair.from_p(3.0)
-    assert pair.q == pytest.approx(1.5, rel=1e-15)
-    with pytest.raises(DomainError):
-        ExponentPair(3.0, 2.0)
 
 
 def test_weight_exponents():
@@ -108,33 +101,6 @@ def test_homogeneity_and_triangle():
             abs(c) * weighted_norm(f, space), rel=1e-12, abs=1e-300)
         assert (weighted_norm(fg, space)
                 <= weighted_norm(f, space) + weighted_norm(g, space) + 1e-12)
-
-
-def test_to_unweighted_unit_weight():
-    grid = build_grid(5.0, 4, 1.3, 4)
-    f = sample(grid, lambda x: np.sin(x))
-    g = to_unweighted(f, SpaceSpec.h(0.0))
-    assert np.array_equal(g.values, f.values)
-
-
-def test_to_unweighted_factor():
-    grid = build_grid(5.0, 4, 1.3, 4)
-    f = sample(grid, lambda x: np.ones_like(x))
-    g = to_unweighted(f, SpaceSpec.h(1.0))  # w/p = 1
-    assert np.allclose(g.values, 1.0 + np.abs(grid.nodes), rtol=1e-15)
-
-
-def test_to_unweighted_isometry_and_round_trip():
-    rng = np.random.default_rng(3)
-    grid = build_grid(200.0, 14, 1.3, 8)
-    space = SpaceSpec.hsp(-0.7, 3.0)
-    f = SampledFunction(grid, rng.normal(size=grid.size))
-    g = to_unweighted(f, space)
-    unweighted = weighted_norm(g, SpaceSpec.hsp(0.0, 3.0))
-    assert unweighted == pytest.approx(weighted_norm(f, space), rel=1e-12)
-    w = weight_exponent(space)
-    back = g.values * (1.0 + np.abs(grid.nodes)) ** (-w / space.p)
-    assert np.allclose(back, f.values, rtol=1e-13)
 
 
 # --- sampled functions and the mini-language --------------------------------
