@@ -135,7 +135,9 @@ def build_parser() -> _Parser:
     p.add_argument("--extra-panels", dest="extra_panels", type=int)
     p.add_argument("--max-nodes", dest="max_nodes", type=int)
     p.add_argument("--timing", action="store_true",
-                   help="record wall-clock per cell (breaks byte reproducibility)")
+                   help="record wall-clock per cell: its restriction and norm, plus the "
+                        "query's one assembly at the largest radius (breaks byte "
+                        "reproducibility)")
     _add_common(p)
     p.set_defaults(handler=_cmd_sweep)
 

@@ -82,12 +82,9 @@ class Grid:
 def _panel_rule(breakpoints: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on each panel of [0, R]."""
     ref_x, ref_w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        half = (b - a) / 2.0
-        nodes.append((a + b) / 2.0 + ref_x * half)
-        weights.append(ref_w * half)
-    return np.concatenate(nodes), np.concatenate(weights)
+    a, b = breakpoints[:-1, None], breakpoints[1:, None]  # one row per panel
+    half = (b - a) / 2.0
+    return ((a + b) / 2.0 + ref_x * half).ravel(), (ref_w * half).ravel()
 
 
 def grid_from_breakpoints(breakpoints, grading: float = 1.0,

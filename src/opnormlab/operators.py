@@ -33,8 +33,14 @@ POWER_MAX_ITER = 10000
 
 
 def _check_finite_matrix(matrix: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(matrix)):
-        i, j = np.argwhere(~np.isfinite(matrix))[0]
+    # A finite sum has only finite terms, so one pass accepts almost every
+    # matrix; a non-finite sum is rescanned, since finite entries can overflow it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(matrix.sum()):
+            return
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        i, j = bad[0]
         raise NumericalError(f"non-finite {what} entry at ({int(i)}, {int(j)})")
 
 
@@ -73,6 +79,35 @@ class DiscretizedOperator:
                 f"({self.target_grid.size}, {self.source_grid.size})"
             )
         _check_finite_matrix(mat, "operator")
+
+    def restrict(self, source_grid: Grid, target_grid: Grid) -> DiscretizedOperator:
+        """The operator on grids nested in this one's, as a view of its matrix.
+
+        Each grid must equal the centred slice of the matching grid of this
+        operator, node for node and weight for weight, as the grids of one
+        ``nested_grids`` family do.  Every entry depends only on its own row
+        and column, so the centred block is exactly the matrix ``assemble``
+        builds on the smaller grids.  It is neither copied nor re-checked:
+        this operator's matrix is already validated and read-only.
+        """
+        rows = _centred_block(self.target_grid, target_grid)
+        cols = _centred_block(self.source_grid, source_grid)
+        view = object.__new__(DiscretizedOperator)  # skips __post_init__'s copy and scan
+        vars(view).update(matrix=self.matrix[rows, cols], source_space=self.source_space,
+                          target_space=self.target_space, source_grid=source_grid,
+                          target_grid=target_grid)
+        return view
+
+
+def _centred_block(outer: Grid, inner: Grid) -> slice:
+    """Index range of ``inner`` inside ``outer``; DomainError unless nested."""
+    start, odd = divmod(outer.size - inner.size, 2)
+    block = slice(start, start + inner.size)
+    if (start < 0 or odd
+            or not np.array_equal(outer.nodes[block], inner.nodes)
+            or not np.array_equal(outer.weights[block], inner.weights)):
+        raise DomainError("grid is not the centred slice of the operator's grid")
+    return block
 
 
 def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
@@ -122,13 +157,14 @@ def _dual_map(u: np.ndarray, r: float) -> np.ndarray:
 
 def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
                   max_iter: int) -> tuple[float, bool, int, float]:
-    """Nonlinear power method for the l^p1 -> l^p2 norm of a nonzero matrix.
+    """Nonlinear power method for the l^p1 -> l^p2 norm of a finite matrix.
 
     Alternates v <- dual map of B^T (dual map of B v) from the all-ones
     start; at p1 = p2 = 2 this is power iteration on the Gram matrix.  Stops
     when ||B v||_p2 changes by less than ``tol`` (relative above 1).  Returns
     (best value, converged, iterations, last change); without convergence
-    the last change is the one that failed the stop test.
+    the last change is the one that failed the stop test.  The zero matrix
+    gives (0, True, 0, 0).
     """
     q1 = conjugate_exponent(p1)
     n = B.shape[1]
@@ -141,9 +177,12 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
         gamma = float(np.sum(np.abs(u) ** p2) ** (1.0 / p2))
         if gamma == 0.0:
             # the start happened to lie in the nullspace; restart from the
-            # heaviest column
+            # heaviest column, unless there is none
+            column_sums = np.sum(np.abs(B), axis=0)
+            if not column_sums.any():
+                return 0.0, True, 0, 0.0
             v = np.zeros(n)
-            v[int(np.argmax(np.sum(np.abs(B), axis=0)))] = 1.0
+            v[int(np.argmax(column_sums))] = 1.0
             continue
         best = max(best, gamma)
         delta = abs(gamma - gamma_prev)
@@ -163,9 +202,10 @@ def largest_singular_value(matrix, tol: float = POWER_TOL,
     min(shape) <= 500, otherwise raises ConvergenceError with iterate
     diagnostics.
     """
-    B = _as_matrix(matrix)
-    if not B.any():
-        return 0.0
+    return _largest_singular_value(_as_matrix(matrix), tol, max_iter)
+
+
+def _largest_singular_value(B: np.ndarray, tol: float, max_iter: int) -> float:
     sigma, converged, iterations, delta = _power_method(B, 2.0, 2.0, tol, max_iter)
     if converged:
         return sigma
@@ -200,13 +240,15 @@ def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
     maximum.  On oscillation or non-convergence the best iterate is returned
     with ``converged`` (and hence ``certified``) False.
     """
-    B = _as_matrix(matrix)
+    return _pq_norm(_as_matrix(matrix), p1, p2, tol, max_iter)
+
+
+def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float,
+             max_iter: int) -> PqNormEstimate:
     if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
         raise DomainError("matrix norm exponents must lie in (1, inf)")
-    if not B.any():
-        return PqNormEstimate(0.0, certified=True, converged=True, iterations=0)
     value, converged, iterations, _ = _power_method(B, p1, p2, tol, max_iter)
-    return PqNormEstimate(value, certified=converged and bool(np.all(B >= 0)),
+    return PqNormEstimate(value, certified=converged and bool(B.min() >= 0),
                           converged=converged, iterations=iterations)
 
 
@@ -215,14 +257,14 @@ def operator_norm_22(op: DiscretizedOperator, tol: float = POWER_TOL,
     """Discretized weighted-operator norm in the p1 = p2 = 2 case."""
     if op.source_space.p != 2.0 or op.target_space.p != 2.0:
         raise DomainError("operator_norm_22 requires p = 2 on both sides")
-    return largest_singular_value(op.matrix, tol=tol, max_iter=max_iter)
+    # the operator's matrix is validated once, when the operator is built
+    return _largest_singular_value(op.matrix, tol, max_iter)
 
 
 def operator_norm_pq(op: DiscretizedOperator, tol: float = POWER_TOL,
                      max_iter: int = POWER_MAX_ITER) -> PqNormEstimate:
     """Discretized weighted-operator norm for general (p1, p2)."""
-    return matrix_pq_norm(op.matrix, op.source_space.p, op.target_space.p,
-                          tol=tol, max_iter=max_iter)
+    return _pq_norm(op.matrix, op.source_space.p, op.target_space.p, tol, max_iter)
 
 
 def empirical_ratio(k: KernelSpec, f: SampledFunction, source: SpaceSpec,

@@ -90,6 +90,22 @@ def test_nested_grids_family():
         assert np.array_equal(large.weights[inner], small.weights)
 
 
+def test_panel_rule_matches_per_panel_loop():
+    # the eight radii of a long nested sweep, and two low orders
+    families = [nested_grids([10.0 * 4.0 ** k for k in range(8)], 40, 1.3, 8, 6),
+                nested_grids((1.0, 3.0), 3, 1.0, 2), [build_grid(7.0, 5, 1.7, 5)]]
+    for grid in (g for family in families for g in family):
+        ref_x, ref_w = np.polynomial.legendre.leggauss(grid.panel_order)
+        nodes, weights = [], []
+        for a, b in zip(grid.breakpoints[:-1], grid.breakpoints[1:]):
+            half = (b - a) / 2.0
+            nodes.append((a + b) / 2.0 + ref_x * half)
+            weights.append(ref_w * half)
+        positive = slice(grid.size // 2, None)
+        assert np.array_equal(grid.nodes[positive], np.concatenate(nodes))
+        assert np.array_equal(grid.weights[positive], np.concatenate(weights))
+
+
 def test_extended_grid_still_accurate():
     grids = nested_grids((10.0, 40.0, 160.0, 640.0), 12, 1.3, 8)
     got = integrate(grids[-1], lambda x: (1.0 + np.abs(x)) ** -2.0)

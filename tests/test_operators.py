@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opnormlab import (ConvergenceError, DomainError, Grid, KernelSpec,
-                       NumericalError, SpaceSpec, apply_operator,
+from opnormlab import (ConvergenceError, DiscretizedOperator, DomainError, Grid,
+                       KernelSpec, NumericalError, SpaceSpec, apply_operator,
                        apply_operator_samples, assemble, build_grid,
                        empirical_ratio, envelope_indicator_image, extend_grid,
-                       largest_singular_value, matrix_pq_norm, operator_norm_22,
-                       operator_norm_pq, sample, sample_spec)
+                       largest_singular_value, matrix_pq_norm, nested_grids,
+                       operator_norm_22, operator_norm_pq, sample, sample_spec)
 from opnormlab.operators import POWER_TOL
 
 
@@ -53,8 +53,8 @@ def test_assemble_flattened_entry():
 
 
 def test_assemble_peak_memory():
-    # at most the scaled matrix, the operator's frozen copy of it and a
-    # boolean finiteness mask are alive at once
+    # at most the scaled matrix and the operator's frozen copy of it are
+    # alive at once; the finiteness check is a sum, with no n x n mask
     grid = build_grid(640.0, 82, 1.3, 8)
     n = grid.size
     tracemalloc.start()
@@ -86,6 +86,75 @@ def test_assemble_overflow_names_entry():
     with pytest.raises(NumericalError, match=r"\(\d+, \d+\)"):
         assemble(KernelSpec(kappa=-400.0), SpaceSpec.h(0.0), SpaceSpec.h(0.0),
                  grid, grid)
+
+
+def test_finite_entries_with_overflowing_sum_accepted():
+    space = SpaceSpec.h(0.0)
+    op = DiscretizedOperator(np.array([[1e308, 1e308]]), space, space,
+                             pair_grid(), single_node_grid())
+    assert np.array_equal(op.matrix, [[1e308, 1e308]])
+
+
+@pytest.mark.parametrize("matrix, entry", [
+    ([[np.inf, -np.inf]], r"\(0, 0\)"),  # the sum is NaN, not infinite
+    ([[1.0, 2.0], [3.0, np.nan]], r"\(1, 1\)"),
+])
+def test_non_finite_entry_named(matrix, entry):
+    with pytest.raises(NumericalError, match=entry):
+        matrix_pq_norm(matrix, 2.0, 2.0)
+
+
+# --- restriction to nested grids -----------------------------------------------
+
+NESTED = nested_grids((10.0, 40.0, 160.0), 6, 1.3, 4, extra_panels=2)
+
+
+@pytest.mark.parametrize("kernel, source, target", [
+    (KernelSpec(kappa=1.5), SpaceSpec.h(-0.25), SpaceSpec.h(-0.25)),
+    (KernelSpec(kappa=2.0, modulation="cosine", omega=1.5), SpaceSpec.h(-1.0),
+     SpaceSpec.h(-0.5)),
+    (KernelSpec(kappa=2.0, modulation="alternating"), SpaceSpec.hps(4.0, -0.5),
+     SpaceSpec.hps(4.0, -0.5)),
+    (KernelSpec(kappa=2.5), SpaceSpec.hsp(-0.5, 3.0), SpaceSpec.hps(2.0, 0.0)),
+])
+def test_restrict_equals_assembly_on_nested_grid(kernel, source, target):
+    full = assemble(kernel, source, target, NESTED[-1], NESTED[-1])
+    for grid in NESTED:
+        block = full.restrict(grid, grid)
+        assert block.source_grid is grid and block.target_grid is grid
+        assert block.source_space == source and block.target_space == target
+        assert np.array_equal(block.matrix,
+                              assemble(kernel, source, target, grid, grid).matrix)
+
+
+def test_restrict_distinct_source_and_target_grids():
+    full = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-0.5),
+                    NESTED[-1], NESTED[-1])
+    block = full.restrict(NESTED[0], NESTED[1])
+    assert block.matrix.shape == (NESTED[1].size, NESTED[0].size)
+    assert np.array_equal(block.matrix, assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0),
+                                                 SpaceSpec.h(-0.5), NESTED[0],
+                                                 NESTED[1]).matrix)
+
+
+def test_restrict_is_a_read_only_view():
+    full = assemble(KernelSpec(kappa=1.5), SpaceSpec.h(-0.25), SpaceSpec.h(-0.25),
+                    NESTED[-1], NESTED[-1])
+    block = full.restrict(NESTED[0], NESTED[0])
+    assert np.shares_memory(block.matrix, full.matrix)
+    assert not block.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        block.matrix[0, 0] = 1.0
+
+
+def test_restrict_rejects_grid_outside_the_family():
+    full = assemble(KernelSpec(kappa=1.5), SpaceSpec.h(-0.25), SpaceSpec.h(-0.25),
+                    NESTED[1], NESTED[1])
+    other = build_grid(10.0, 6, 1.5, 4)  # same size as NESTED[0], other grading
+    assert other.size == NESTED[0].size
+    for source, target in ((other, NESTED[0]), (NESTED[0], other), (NESTED[2], NESTED[2])):
+        with pytest.raises(DomainError):
+            full.restrict(source, target)
 
 
 # --- apply_operator ----------------------------------------------------------
@@ -190,6 +259,13 @@ def test_pq_norm_rank_one_holder_equality():
 def test_pq_norm_zero_matrix():
     estimate = matrix_pq_norm(np.zeros((3, 3)), 2.5, 1.5)
     assert estimate.value == 0.0 and estimate.certified
+
+
+def test_pq_norm_start_in_nullspace():
+    # the all-ones start is mapped to zero; the restart finds the norm
+    estimate = matrix_pq_norm([[1.0, -1.0]], 2.0, 2.0)
+    assert estimate.value == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert estimate.converged and not estimate.certified
 
 
 def test_pq_norm_sign_changing_not_certified():

@@ -1,14 +1,16 @@
 """Sweep machinery: growth fits, verdicts, proof-step checks, probes, CSV."""
 import math
+import time
 
 import numpy as np
 import pytest
 
+import opnormlab.sweeps
 from opnormlab import (BoundednessQuery, DivergenceError, DomainError, GridPolicy,
-                       KernelSpec, PlanError, SweepPlan, build_grid,
-                       fit_growth_exponent, run_boundedness_sweep, sample,
-                       sample_spec, sharpness_probe, sweep_csv_text,
-                       verify_holder_step)
+                       KernelSpec, PlanError, SweepPlan, assemble, build_grid,
+                       fit_growth_exponent, operator_norm_pq, query_spaces,
+                       run_boundedness_sweep, sample, sample_spec, sharpness_probe,
+                       sweep_csv_text, verify_holder_step)
 from opnormlab.sweeps import SWEEP_CSV_COLUMNS, verdict_for
 
 FAST_GRID = GridPolicy(panels_per_side=8, panel_order=6)
@@ -125,6 +127,45 @@ def test_sweep_timing_fills_elapsed():
     plan = SweepPlan(queries=(query_thm1(),), R_schedule=(10.0, 40.0), grid=FAST_GRID)
     result = run_boundedness_sweep(plan, timing=True)
     assert all(cell.elapsed_ms is not None and cell.elapsed_ms >= 0 for cell in result.cells)
+
+
+@pytest.mark.parametrize("kernel", [None, KernelSpec(kappa=2.0, modulation="cosine",
+                                                     omega=1.5)])
+def test_sweep_assembles_once_per_query(monkeypatch, kernel):
+    queries = (query_thm1(1.5), BoundednessQuery("hps", -1.0, -1.0, 2.0, 2.0, 4.0),
+               BoundednessQuery("hsp", -0.5, 0.0, 2.5, 3.0, 2.0))
+    plan = SweepPlan(queries=queries, kernel=kernel, R_schedule=(10.0, 40.0, 160.0),
+                     grid=FAST_GRID)
+    calls = []
+
+    def counting_assemble(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(opnormlab.sweeps, "assemble", counting_assemble)
+    result = run_boundedness_sweep(plan)
+    grids = FAST_GRID.build(plan.R_schedule)
+    assert len(calls) == len(queries)
+    assert all(args[3].size == args[4].size == grids[-1].size for args in calls)
+    for cell in result.cells:
+        query = queries[cell.query_index]
+        grid = grids[plan.R_schedule.index(cell.R)]
+        source, target = query_spaces(query)
+        k = kernel if kernel is not None else KernelSpec(kappa=query.kappa)
+        reference = operator_norm_pq(assemble(k, source, target, grid, grid))
+        assert cell.value == reference.value
+        assert (cell.certified, cell.converged) == (reference.certified, reference.converged)
+
+
+def test_sweep_timing_charges_assembly_to_largest_radius(monkeypatch):
+    def slow_assemble(*args):
+        time.sleep(0.05)
+        return assemble(*args)
+
+    monkeypatch.setattr(opnormlab.sweeps, "assemble", slow_assemble)
+    plan = SweepPlan(queries=(query_thm1(),), R_schedule=(10.0, 40.0), grid=FAST_GRID)
+    cells = run_boundedness_sweep(plan, timing=True).cells
+    assert cells[-1].elapsed_ms >= 50.0
 
 
 def test_sweep_doubly_critical_margin_is_boundary_behavior():
