@@ -9,6 +9,7 @@ seed produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -77,6 +78,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="seed recorded in provenance")
 
 
+@functools.cache  # parsing keeps no state in the parser, so one serves every call
 def build_parser() -> _Parser:
     parser = _Parser(prog="opnormlab",
                      description="weighted-space integral operator laboratory",

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import DomainError, IllConditionedError
 from .grids import Grid
@@ -105,7 +104,18 @@ def manufactured_case(c_star: SampledFunction, d_star: SampledFunction,
     return SampledFunction(grid2, f_vals), SampledFunction(grid1, g_vals)
 
 
+def lu_factor(matrix: np.ndarray):
+    """LU factorization with partial pivoting, as ``scipy.linalg.lu_factor``.
+
+    scipy.linalg is imported by the corner solve only, never at module
+    level: importing it takes longer than the rest of the package's start-up.
+    """
+    from scipy.linalg import lu_factor as factor
+    return factor(matrix)
+
+
 def _condition_estimate_1norm(matrix: np.ndarray, lu: np.ndarray) -> float:
+    from scipy.linalg import get_lapack_funcs
     gecon = get_lapack_funcs(("gecon",), (matrix,))[0]
     anorm = float(np.linalg.norm(matrix, 1))
     rcond, info = gecon(lu, anorm, norm="1")
@@ -133,6 +143,7 @@ def solve_corner(system: CornerSystem, grid1: Grid, grid2: Grid) -> CornerSoluti
         raise IllConditionedError(
             f"stacked system condition estimate {condition:.3e} exceeds "
             f"{CONDITION_LIMIT:.0e}", estimate=condition)
+    from scipy.linalg import lu_solve
     solution = lu_solve((lu, piv), rhs)
     c = SampledFunction(grid1, solution[:n1])
     d = SampledFunction(grid2, solution[n1:])

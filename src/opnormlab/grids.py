@@ -9,6 +9,7 @@ that nesting.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +80,15 @@ class Grid:
         return int(self.breakpoints.size - 1)
 
 
+@functools.cache
+def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only (shared by every call)."""
+    return tuple(_frozen_array(values) for values in np.polynomial.legendre.leggauss(order))
+
+
 def _panel_rule(breakpoints: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on each panel of [0, R]."""
-    ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+    ref_x, ref_w = _reference_rule(order)
     a, b = breakpoints[:-1, None], breakpoints[1:, None]  # one row per panel
     half = (b - a) / 2.0
     return ((a + b) / 2.0 + ref_x * half).ravel(), (ref_w * half).ravel()

@@ -47,6 +47,11 @@ class KernelSpec:
         if self.modulation == "cosine" and not math.isfinite(self.omega):
             raise DomainError("cosine modulation needs a finite frequency")
 
+    @property
+    def even(self) -> bool:
+        """K(-x, y) = K(x, -y) = K(x, y): the envelope and its cosine modulation."""
+        return self.modulation != "alternating"
+
     @classmethod
     def zero(cls) -> "KernelSpec":
         return cls(kappa=0.0, c_lower=0.0, c_upper=0.0)

@@ -9,6 +9,19 @@ matrix, so all three space families share one nonlinear power method
 (Boyd, "The power method for l_p norms", 1974); p1 = p2 = 2 is its
 singular-value case.
 
+Even kernels on mirrored grids are assembled and normed through one
+quadrant.  The envelope and its cosine modulation are even in each variable,
+the scalings r and c depend only on |x| and the quadrature weights, and
+every graded grid is a bitwise mirror about 0.  The matrix is then
+[J; I] B [J, I], with J the reversal and B its [0, R] x [0, R] quadrant, and
+its l^p1 -> l^p2 norm is exactly 2^(1/p2 + 1/q1) ||B||.  ``assemble``
+evaluates the kernel on B only and fills the other three quadrants by
+reversed copies; the norm functions run the power method on B, scaling each
+iterate's value by that factor, so the stop test, the iteration count and,
+up to rounding, the value are those of the full matrix.  The alternating
+modulation, which is not even, and grids that are not bitwise mirrors keep
+the full path.
+
 General p -> q matrix norms are NP-hard, so certification is restricted to
 entrywise-nonnegative matrices, where the nonlinear power method converges
 to the global maximizer; for sign-changing matrices the estimate is an
@@ -32,15 +45,16 @@ POWER_TOL = 1e-10
 POWER_MAX_ITER = 10000
 
 
-def _check_finite_matrix(matrix: np.ndarray, what: str) -> None:
+def _check_finite_matrix(matrix: np.ndarray, what: str, offset: tuple[int, int] = (0, 0)) -> None:
     # A finite sum has only finite terms, so one pass accepts almost every
     # matrix; a non-finite sum is rescanned, since finite entries can overflow it.
+    # ``offset`` is the position of ``matrix`` in the matrix the message names.
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isfinite(matrix.sum()):
             return
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
-        i, j = bad[0]
+        i, j = bad[0] + offset
         raise NumericalError(f"non-finite {what} entry at ({int(i)}, {int(j)})")
 
 
@@ -62,6 +76,10 @@ class DiscretizedOperator:
     construction the l^p1 -> l^p2 norm of the matrix is the discretized
     weighted-operator norm.
     """
+
+    # True when ``assemble`` built the matrix as four mirror copies of its
+    # lower-right quadrant; set only by ``_frozen_operator``, never by callers
+    _mirrored = False
 
     matrix: np.ndarray
     source_space: SpaceSpec
@@ -88,15 +106,24 @@ class DiscretizedOperator:
         ``nested_grids`` family do.  Every entry depends only on its own row
         and column, so the centred block is exactly the matrix ``assemble``
         builds on the smaller grids.  It is neither copied nor re-checked:
-        this operator's matrix is already validated and read-only.
+        this operator's matrix is already validated and read-only.  The
+        centred block of a mirrored matrix is mirrored too, so the view keeps
+        the one-quadrant norm path.
         """
         rows = _centred_block(self.target_grid, target_grid)
         cols = _centred_block(self.source_grid, source_grid)
-        view = object.__new__(DiscretizedOperator)  # skips __post_init__'s copy and scan
-        vars(view).update(matrix=self.matrix[rows, cols], source_space=self.source_space,
-                          target_space=self.target_space, source_grid=source_grid,
-                          target_grid=target_grid)
-        return view
+        return _frozen_operator(self.matrix[rows, cols], self.source_space, self.target_space,
+                                source_grid, target_grid, self._mirrored)
+
+
+def _frozen_operator(matrix: np.ndarray, source: SpaceSpec, target: SpaceSpec,
+                     source_grid: Grid, target_grid: Grid,
+                     mirrored: bool) -> DiscretizedOperator:
+    """An operator around a validated, read-only matrix: no copy, no re-scan."""
+    op = object.__new__(DiscretizedOperator)  # skips __post_init__
+    vars(op).update(matrix=matrix, source_space=source, target_space=target,
+                    source_grid=source_grid, target_grid=target_grid, _mirrored=mirrored)
+    return op
 
 
 def _centred_block(outer: Grid, inner: Grid) -> slice:
@@ -110,19 +137,44 @@ def _centred_block(outer: Grid, inner: Grid) -> slice:
     return block
 
 
+def _is_mirror(grid: Grid) -> bool:
+    """Even size, nodes[:h] == -nodes[h:][::-1] and palindromic weights, bitwise."""
+    h, odd = divmod(grid.size, 2)
+    return (not odd
+            and np.array_equal(grid.nodes[:h], -grid.nodes[h:][::-1])
+            and np.array_equal(grid.weights[:h], grid.weights[h:][::-1]))
+
+
 def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
              source_grid: Grid, target_grid: Grid) -> DiscretizedOperator:
-    """Assemble the scaled Nystrom matrix diag(r) * K * diag(c) between two spaces."""
+    """Assemble the scaled Nystrom matrix diag(r) * K * diag(c) between two spaces.
+
+    An even kernel on two mirrored grids is evaluated on the lower-right
+    quadrant only; the other three are its reversed copies (see the module
+    docstring).  The matrix is the same either way.
+    """
     x, y = target_grid.nodes, source_grid.nodes
     with np.errstate(over="ignore"):
         rows = (target_grid.weights ** (1.0 / target.p)
                 * (1.0 + np.abs(x)) ** (weight_exponent(target) / target.p))
         cols = (source_grid.weights ** (1.0 / conjugate_exponent(source.p))
                 * (1.0 + np.abs(y)) ** (-weight_exponent(source) / source.p))
-        # one expression: a name would keep the n x n kernel values alive
-        # next to the scaled matrix and the operator's frozen copy of it
-        matrix = rows[:, None] * kernel_eval(k, x[:, None], y[None, :]) * cols[None, :]
-    return DiscretizedOperator(matrix, source, target, source_grid, target_grid)
+        if not (k.even and _is_mirror(target_grid) and _is_mirror(source_grid)):
+            # one expression: a name would keep the n x n kernel values alive
+            # next to the scaled matrix and the operator's frozen copy of it
+            matrix = rows[:, None] * kernel_eval(k, x[:, None], y[None, :]) * cols[None, :]
+            return DiscretizedOperator(matrix, source, target, source_grid, target_grid)
+        h, w = target_grid.size // 2, source_grid.size // 2
+        quadrant = (rows[h:, None] * kernel_eval(k, x[h:, None], y[None, w:])
+                    * cols[None, w:])
+    _check_finite_matrix(quadrant, "operator", offset=(h, w))
+    matrix = np.empty((2 * h, 2 * w))
+    matrix[h:, w:] = quadrant
+    matrix[h:, :w] = quadrant[:, ::-1]
+    matrix[:h, w:] = quadrant[::-1]
+    matrix[:h, :w] = quadrant[::-1, ::-1]
+    matrix.flags.writeable = False
+    return _frozen_operator(matrix, source, target, source_grid, target_grid, mirrored=True)
 
 
 def _require_on_grid(f: SampledFunction, grid: Grid) -> None:
@@ -149,22 +201,27 @@ def apply_operator_samples(k: KernelSpec, f: SampledFunction, source_grid: Grid,
     return SampledFunction(target_grid, values, tag=None)
 
 
-def _dual_map(u: np.ndarray, r: float) -> np.ndarray:
+def _lp_norm(u: np.ndarray, r: float) -> float:
+    return float(np.sum(np.abs(u) ** r) ** (1.0 / r))
+
+
+def _dual_map(u: np.ndarray, r: float, norm: float) -> np.ndarray:
     # J_r(u) = |u|^(r-1) sign(u) / ||u||_r^(r-1); unit vector in the dual norm.
-    norm = np.sum(np.abs(u) ** r) ** (1.0 / r)
     return np.abs(u) ** (r - 1.0) * np.sign(u) / norm ** (r - 1.0)
 
 
 def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
-                  max_iter: int) -> tuple[float, bool, int, float]:
+                  max_iter: int, scale: float = 1.0) -> tuple[float, bool, int, float]:
     """Nonlinear power method for the l^p1 -> l^p2 norm of a finite matrix.
 
     Alternates v <- dual map of B^T (dual map of B v) from the all-ones
     start; at p1 = p2 = 2 this is power iteration on the Gram matrix.  Stops
-    when ||B v||_p2 changes by less than ``tol`` (relative above 1).  Returns
-    (best value, converged, iterations, last change); without convergence
-    the last change is the one that failed the stop test.  The zero matrix
-    gives (0, True, 0, 0).
+    when ``scale`` * ||B v||_p2 changes by less than ``tol`` (relative above
+    1).  Returns (best value, converged, iterations, last change), all
+    values times ``scale``; without convergence the last change is the one
+    that failed the stop test.  The zero matrix gives (0, True, 0, 0).
+    ``scale`` = 2^(1/p2 + 1/q1) on the quadrant of a mirrored matrix makes
+    the run that of the full matrix.
     """
     q1 = conjugate_exponent(p1)
     n = B.shape[1]
@@ -174,7 +231,8 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
     delta = np.inf
     for iteration in range(1, max_iter + 1):
         u = B @ v
-        gamma = float(np.sum(np.abs(u) ** p2) ** (1.0 / p2))
+        u_norm = _lp_norm(u, p2)
+        gamma = scale * u_norm
         if gamma == 0.0:
             # the start happened to lie in the nullspace; restart from the
             # heaviest column, unless there is none
@@ -189,8 +247,8 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
         if delta <= tol * max(1.0, gamma):
             return best, True, iteration, delta
         gamma_prev = gamma
-        z = B.T @ _dual_map(u, p2)
-        v = _dual_map(z, q1)
+        z = B.T @ _dual_map(u, p2, u_norm)
+        v = _dual_map(z, q1, _lp_norm(z, q1))
     return best, False, max_iter, delta
 
 
@@ -205,12 +263,16 @@ def largest_singular_value(matrix, tol: float = POWER_TOL,
     return _largest_singular_value(_as_matrix(matrix), tol, max_iter)
 
 
-def _largest_singular_value(B: np.ndarray, tol: float, max_iter: int) -> float:
-    sigma, converged, iterations, delta = _power_method(B, 2.0, 2.0, tol, max_iter)
+def _largest_singular_value(B: np.ndarray, tol: float, max_iter: int,
+                            mirrored: bool = False) -> float:
+    # the mirrored matrix [J; I] B [J, I] has twice B's size and singular values
+    factor = 2 if mirrored else 1
+    sigma, converged, iterations, delta = _power_method(B, 2.0, 2.0, tol, max_iter,
+                                                        scale=float(factor))
     if converged:
         return sigma
-    if min(B.shape) <= DENSE_FALLBACK_DIM:
-        return float(np.linalg.svd(B, compute_uv=False)[0])
+    if factor * min(B.shape) <= DENSE_FALLBACK_DIM:
+        return factor * float(np.linalg.svd(B, compute_uv=False)[0])
     raise ConvergenceError(
         f"power iteration did not converge in {max_iter} iterations",
         iterations=iterations, last_value=sigma, last_delta=delta,
@@ -243,11 +305,12 @@ def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
     return _pq_norm(_as_matrix(matrix), p1, p2, tol, max_iter)
 
 
-def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float,
-             max_iter: int) -> PqNormEstimate:
+def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
+             mirrored: bool = False) -> PqNormEstimate:
     if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
         raise DomainError("matrix norm exponents must lie in (1, inf)")
-    value, converged, iterations, _ = _power_method(B, p1, p2, tol, max_iter)
+    scale = 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1)) if mirrored else 1.0
+    value, converged, iterations, _ = _power_method(B, p1, p2, tol, max_iter, scale)
     return PqNormEstimate(value, certified=converged and bool(B.min() >= 0),
                           converged=converged, iterations=iterations)
 
@@ -258,13 +321,22 @@ def operator_norm_22(op: DiscretizedOperator, tol: float = POWER_TOL,
     if op.source_space.p != 2.0 or op.target_space.p != 2.0:
         raise DomainError("operator_norm_22 requires p = 2 on both sides")
     # the operator's matrix is validated once, when the operator is built
-    return _largest_singular_value(op.matrix, tol, max_iter)
+    return _largest_singular_value(_norm_matrix(op), tol, max_iter, op._mirrored)
 
 
 def operator_norm_pq(op: DiscretizedOperator, tol: float = POWER_TOL,
                      max_iter: int = POWER_MAX_ITER) -> PqNormEstimate:
     """Discretized weighted-operator norm for general (p1, p2)."""
-    return _pq_norm(op.matrix, op.source_space.p, op.target_space.p, tol, max_iter)
+    return _pq_norm(_norm_matrix(op), op.source_space.p, op.target_space.p, tol, max_iter,
+                    op._mirrored)
+
+
+def _norm_matrix(op: DiscretizedOperator) -> np.ndarray:
+    """The matrix the power method runs on: the lower-right quadrant when mirrored."""
+    if not op._mirrored:
+        return op.matrix
+    rows, cols = op.matrix.shape
+    return op.matrix[rows // 2:, cols // 2:]
 
 
 def empirical_ratio(k: KernelSpec, f: SampledFunction, source: SpaceSpec,

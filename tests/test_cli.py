@@ -1,11 +1,16 @@
 """CLI subcommands: outputs, exit codes, config handling, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from opnormlab.cli import RunConfig, run_cli
+import opnormlab
+from opnormlab.cli import RunConfig, build_parser, run_cli
 from opnormlab.errors import DomainError
 from opnormlab.grids import parse_grid
 from opnormlab.operators import POWER_MAX_ITER, POWER_TOL
@@ -141,6 +146,35 @@ def test_corner_roundtrip(capsys, tmp_path):
         name, node, value = line.split(",")
         assert name in ("C", "D")
         float(node), float(value)  # plain parseable numbers, no scalar wrappers
+
+
+def test_consecutive_calls_share_one_parser(capsys):
+    assert build_parser() is build_parser()
+    code, payload = run_json(capsys, ["check", "--thm", "3", "--s1", "-1", "--s2", "-1",
+                                      "--p1", "4", "--p2", "2", "--kappa", "2", "--seed", "7"])
+    assert code == 0 and payload["p1"] == 4.0 and payload["provenance"]["seed"] == 7
+    assert run_cli(["check", "--thm", "1", "--nope", "1"]) == 1
+    assert "error: usage" in capsys.readouterr().err
+    code, payload = run_json(capsys, ["oracle", "majorant", "--x", "0", "--a", "2"])
+    assert code == 0 and payload["kind"] == "majorant"
+    # nothing carries over from the earlier calls: defaults are back
+    code, payload = run_json(capsys, ["check", "--thm", "1", "--s1", "-0.25",
+                                      "--s2", "-0.25", "--kappa", "1.5"])
+    assert code == 0 and payload["p1"] == 2.0 and payload["provenance"]["seed"] == 0
+    assert run_cli(["oracle", "majorant", "--x", "0", "--a", "1"]) == 2
+
+
+def test_sweep_does_not_import_scipy():
+    # scipy.linalg is loaded by the corner solve only
+    script = ("import sys, opnormlab.cli\n"
+              "code = opnormlab.cli.run_cli(['sweep', '--query', "
+              "'thm=1,s1=-0.25,s2=-0.25,kappa=1.5', '--r-schedule', '10,40', "
+              "'--panels', '4', '--order', '4', '--out', sys.argv[1]])\n"
+              "sys.exit(code if code else 'scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(opnormlab.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", script, os.devnull], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 def test_unknown_flag_exit_1(capsys):

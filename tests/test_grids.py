@@ -5,6 +5,7 @@ import pytest
 from opnormlab import (DomainError, NumericalError, build_grid, extend_grid,
                        grid_from_breakpoints, integrate, nested_grids, parse_grid)
 from opnormlab.closed_forms import powerlaw_integral
+from opnormlab.grids import _reference_rule
 
 
 def test_minimal_grid_structure():
@@ -104,6 +105,15 @@ def test_panel_rule_matches_per_panel_loop():
         positive = slice(grid.size // 2, None)
         assert np.array_equal(grid.nodes[positive], np.concatenate(nodes))
         assert np.array_equal(grid.weights[positive], np.concatenate(weights))
+
+
+def test_reference_rule_is_built_once_per_order():
+    for order in (2, 5, 8):
+        nodes, weights = _reference_rule(order)
+        assert _reference_rule(order)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        expected = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(nodes, expected[0]) and np.array_equal(weights, expected[1])
 
 
 def test_extended_grid_still_accurate():

@@ -8,9 +8,12 @@ from opnormlab import (ConvergenceError, DiscretizedOperator, DomainError, Grid,
                        KernelSpec, NumericalError, SpaceSpec, apply_operator,
                        apply_operator_samples, assemble, build_grid,
                        empirical_ratio, envelope_indicator_image, extend_grid,
-                       largest_singular_value, matrix_pq_norm, nested_grids,
-                       operator_norm_22, operator_norm_pq, sample, sample_spec)
-from opnormlab.operators import POWER_TOL
+                       kernel_eval, largest_singular_value, matrix_pq_norm,
+                       nested_grids, operator_norm_22, operator_norm_pq, sample,
+                       sample_spec)
+from opnormlab.conditions import BoundednessQuery, query_spaces
+from opnormlab.operators import POWER_MAX_ITER, POWER_TOL, _power_method
+from opnormlab.spaces import conjugate_exponent, weight_exponent
 
 
 def single_node_grid(weight: float = 2.0) -> Grid:
@@ -65,6 +68,21 @@ def test_assemble_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * n * n * 8
+
+
+def test_assemble_mirrored_peak_memory():
+    # one quadrant of kernel values and its scaled copy, then the full matrix
+    # filled from the quadrant: well below the 2.1 n^2 of a full evaluation
+    grid = build_grid(640.0, 82, 1.3, 8)
+    n = grid.size
+    tracemalloc.start()
+    try:
+        assemble(KernelSpec(kappa=1.5), SpaceSpec.hps(4.0, -0.5), SpaceSpec.hps(2.0, 0.25),
+                 grid, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * n * n * 8
 
 
 def test_assemble_nonnegative_for_pure_envelope():
@@ -385,3 +403,152 @@ def test_apply_operator_samples_matches_pointwise():
     for i in (0, 7, target.size - 1):
         assert image.values[i] == pytest.approx(
             apply_operator(k, f, grid, float(target.nodes[i])), rel=1e-14)
+
+
+# --- mirror symmetry ---------------------------------------------------------
+
+def direct_matrix(k, source, target, source_grid, target_grid):
+    # diag(r) K diag(c) written out on the full grids, without assemble
+    x, y = target_grid.nodes, source_grid.nodes
+    rows = (target_grid.weights ** (1.0 / target.p)
+            * (1.0 + np.abs(x)) ** (weight_exponent(target) / target.p))
+    cols = (source_grid.weights ** (1.0 / conjugate_exponent(source.p))
+            * (1.0 + np.abs(y)) ** (-weight_exponent(source) / source.p))
+    return rows[:, None] * kernel_eval(k, x[:, None], y[None, :]) * cols[None, :]
+
+
+def full_path(op):
+    # the public constructor carries no mirror marker: the power method runs
+    # on the whole matrix
+    return DiscretizedOperator(op.matrix, op.source_space, op.target_space,
+                               op.source_grid, op.target_grid)
+
+
+# the nine query sets of acceptance criterion 6, with their decay exponents
+CRITERION_6 = (
+    BoundednessQuery("h", -0.25, -0.25, 1.5), BoundednessQuery("h", -1.0, -1.0, 2.25),
+    BoundednessQuery("h", -0.5, 0.5, 2.5),
+    BoundednessQuery("hsp", -1.0, -1.0, 2.0, 1.5, 1.5),
+    BoundednessQuery("hsp", -0.5, 0.0, 2.25, 3.0, 2.0),
+    BoundednessQuery("hsp", -0.3, 0.2, 2.0, 3.0, 3.0),
+    BoundednessQuery("hps", -0.5, -0.5, 1.75, 4.0, 4.0),
+    BoundednessQuery("hps", -1.0, -1.0, 2.0, 2.0, 4.0),
+    BoundednessQuery("hps", -1.0, 0.0, 2.5, 2.0, 2.0),
+)
+SPACE_PAIRS = tuple(query_spaces(query) for query in CRITERION_6) + (
+    (SpaceSpec.hps(1.5, -0.5), SpaceSpec.hps(3.0, -0.25)),
+    (SpaceSpec.hsp(-0.5, 3.0), SpaceSpec.hsp(-0.25, 1.5)),
+)
+COSMOD = KernelSpec(kappa=2.0, modulation="cosine", omega=1.5)
+
+
+@pytest.mark.parametrize("kernel, exact", [(KernelSpec(kappa=2.5), True), (COSMOD, False)])
+@pytest.mark.parametrize("source_grid, target_grid", [(NESTED[-1], NESTED[-1]),
+                                                      (NESTED[0], NESTED[1])])
+def test_mirrored_assembly_equals_direct_formula(kernel, exact, source_grid, target_grid):
+    for source, target in SPACE_PAIRS:
+        op = assemble(kernel, source, target, source_grid, target_grid)
+        assert op._mirrored
+        assert not op.matrix.flags.writeable
+        expected = direct_matrix(kernel, source, target, source_grid, target_grid)
+        if exact:
+            assert np.array_equal(op.matrix, expected)
+        else:
+            assert np.max(np.abs(op.matrix - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec(kappa=2.5), COSMOD])
+def test_mirrored_norm_matches_full_matrix_run(kernel):
+    for source, target in SPACE_PAIRS:
+        for source_grid, target_grid in ((NESTED[-1], NESTED[-1]), (NESTED[0], NESTED[1])):
+            op = assemble(kernel, source, target, source_grid, target_grid)
+            got, want = operator_norm_pq(op), operator_norm_pq(full_path(op))
+            assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
+            assert (got.iterations, got.converged, got.certified) == (
+                want.iterations, want.converged, want.certified)
+            if source.p == target.p == 2.0:
+                assert operator_norm_22(op) == pytest.approx(operator_norm_22(full_path(op)),
+                                                             rel=1e-14, abs=0.0)
+
+
+def test_mirrored_restriction_keeps_the_quadrant_path():
+    source, target = SPACE_PAIRS[7]  # hps 2 -> 4
+    full = assemble(KernelSpec(kappa=2.0), source, target, NESTED[-1], NESTED[-1])
+    for grid in NESTED:
+        block = full.restrict(grid, grid)
+        assert block._mirrored
+        assert np.shares_memory(block.matrix, full.matrix)
+        assert not block.matrix.flags.writeable
+        got, want = operator_norm_pq(block), operator_norm_pq(full_path(block))
+        assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
+        assert got.iterations == want.iterations
+
+
+def test_mirrored_dense_fallback_scales():
+    grid = NESTED[0]
+    op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-0.5), grid, grid)
+    assert op._mirrored and op.matrix.shape[0] <= 500
+    expected = float(np.linalg.svd(op.matrix, compute_uv=False)[0])
+    assert operator_norm_22(op, max_iter=1) == pytest.approx(expected, rel=1e-14)
+
+
+def odd_grid() -> Grid:
+    # Gauss-Legendre order 5 on [-1, 1]: a node at 0, so no even split
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    return Grid(R=1.0, nodes=nodes, weights=weights, grading=1.0, panel_order=5,
+                breakpoints=np.array([0.0, 1.0]))
+
+
+def lopsided_grid() -> Grid:
+    # mirrored nodes, weights that are not a palindrome
+    return Grid(R=2.0, nodes=np.array([-1.5, -0.5, 0.5, 1.5]),
+                weights=np.array([0.9, 1.1, 1.0, 1.0]), grading=1.0, panel_order=2,
+                breakpoints=np.array([0.0, 2.0]))
+
+
+@pytest.mark.parametrize("kernel, grid", [
+    (KernelSpec(kappa=2.0, modulation="alternating"), NESTED[1]),
+    (KernelSpec(kappa=2.0), odd_grid()),
+    (KernelSpec(kappa=2.0), lopsided_grid()),
+    (COSMOD, lopsided_grid()),
+])
+def test_full_path_when_not_mirror_symmetric(kernel, grid):
+    source, target = SpaceSpec.hsp(-0.5, 3.0), SpaceSpec.hsp(-0.25, 1.5)
+    op = assemble(kernel, source, target, grid, grid)
+    assert not op._mirrored
+    assert np.array_equal(op.matrix, direct_matrix(kernel, source, target, grid, grid))
+    mixed = assemble(kernel, source, target, grid, NESTED[0])  # one side mirrored
+    assert not mixed._mirrored
+
+
+def _power_method_two_norms(B, p1, p2, tol, max_iter):
+    # the loop before the norm of u was passed to the dual map: ||u||_p2
+    # computed once for the value and again inside the dual map
+    def dual_map(u, r):
+        norm = np.sum(np.abs(u) ** r) ** (1.0 / r)
+        return np.abs(u) ** (r - 1.0) * np.sign(u) / norm ** (r - 1.0)
+
+    q1 = p1 / (p1 - 1.0)
+    n = B.shape[1]
+    v = np.full(n, n ** (-1.0 / p1))
+    best, gamma_prev, delta = 0.0, -np.inf, np.inf
+    for iteration in range(1, max_iter + 1):
+        u = B @ v
+        gamma = float(np.sum(np.abs(u) ** p2) ** (1.0 / p2))
+        best = max(best, gamma)
+        delta = abs(gamma - gamma_prev)
+        if delta <= tol * max(1.0, gamma):
+            return best, True, iteration, delta
+        gamma_prev = gamma
+        v = dual_map(B.T @ dual_map(u, p2), q1)
+    return best, False, max_iter, delta
+
+
+@pytest.mark.parametrize("p1, p2", [(2.0, 2.0), (1.5, 3.0), (3.0, 1.5), (4.0, 4.0)])
+def test_power_method_one_norm_per_iteration_is_bitwise(p1, p2):
+    rng = np.random.default_rng(41)
+    for shape in ((30, 40), (64, 64)):
+        for matrix in (rng.uniform(0.0, 1.0, size=shape), rng.normal(size=shape)):
+            for max_iter in (7, POWER_MAX_ITER):
+                assert _power_method(matrix, p1, p2, POWER_TOL, max_iter) == \
+                    _power_method_two_norms(matrix, p1, p2, POWER_TOL, max_iter)
