@@ -16,29 +16,28 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .spaces import SpaceSpec, conjugate_exponent
-
-FAMILIES = ("h", "hsp", "hps")
+from .spaces import VARIANTS, SpaceSpec, conjugate_exponent
 
 # The inner bound for the hps family is derived from the source-side
 # Holder factor (1+|y|)^(-2*s1/p1); it involves p1, not p2.
 HPS_INNER_NOTE = "hps inner threshold uses the source exponent 2*s1/p1"
 
 
-def family_from_index(index: int) -> str:
+def family_from_index(index) -> str:
     """Map the CLI's numeric mapping-variant index (1, 2, 3) to a family tag."""
-    mapping = {1: "h", 2: "hsp", 3: "hps"}
     try:
-        return mapping[int(index)]
-    except (KeyError, ValueError):
-        raise DomainError(f"unknown mapping variant {index!r}; expected 1, 2 or 3") from None
+        position = int(index)
+    except (TypeError, ValueError):
+        position = 0
+    if not 1 <= position <= len(VARIANTS):
+        raise DomainError(f"unknown mapping variant {index}; expected 1, 2 or 3")
+    return VARIANTS[position - 1]
 
 
 def index_from_family(family: str) -> int:
-    try:
-        return {"h": 1, "hsp": 2, "hps": 3}[family]
-    except KeyError:
-        raise DomainError(f"unknown family {family!r}") from None
+    if family not in VARIANTS:
+        raise DomainError(f"unknown family {family!r}")
+    return VARIANTS.index(family) + 1
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class BoundednessQuery:
     p2: float = 2.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in VARIANTS:
             raise DomainError(f"unknown family {self.family!r}")
         for name in ("s1", "s2", "kappa"):
             if not math.isfinite(getattr(self, name)):
@@ -132,13 +131,18 @@ def threshold_hps(s1, s2, p1, p2):
     return inner, outer
 
 
+def family_thresholds(family: str, s1, s2, p1, p2):
+    """Dispatch to the threshold formula of one family."""
+    if family == "h":
+        return threshold_h(s1, s2)
+    if family == "hsp":
+        return threshold_hsp(s1, s2, p1, p2)
+    return threshold_hps(s1, s2, p1, p2)
+
+
 def thresholds_for(query: BoundednessQuery):
-    """Dispatch to the family-matching threshold formula."""
-    if query.family == "h":
-        return threshold_h(query.s1, query.s2)
-    if query.family == "hsp":
-        return threshold_hsp(query.s1, query.s2, query.p1, query.p2)
-    return threshold_hps(query.s1, query.s2, query.p1, query.p2)
+    """Inner/outer thresholds of the query's family."""
+    return family_thresholds(query.family, query.s1, query.s2, query.p1, query.p2)
 
 
 def check_boundedness(query: BoundednessQuery) -> ConditionReport:
@@ -166,8 +170,5 @@ def check_boundedness(query: BoundednessQuery) -> ConditionReport:
 
 def query_spaces(query: BoundednessQuery) -> tuple[SpaceSpec, SpaceSpec]:
     """Source and target spaces of the mapping the query asks about."""
-    if query.family == "h":
-        return SpaceSpec.h(query.s1), SpaceSpec.h(query.s2)
-    if query.family == "hsp":
-        return SpaceSpec.hsp(query.s1, query.p1), SpaceSpec.hsp(query.s2, query.p2)
-    return SpaceSpec.hps(query.p1, query.s1), SpaceSpec.hps(query.p2, query.s2)
+    return (SpaceSpec(query.family, float(query.s1), float(query.p1)),
+            SpaceSpec(query.family, float(query.s2), float(query.p2)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parse import parse_call
-from .conditions import threshold_h, threshold_hps, threshold_hsp
+from .conditions import family_thresholds
 from .errors import DivergenceError, DomainError, NumericalError
 from .spaces import SpaceSpec, conjugate_exponent, weight_exponent
 
@@ -105,11 +105,7 @@ def majorant_integral(x: float, a: float, R: float | None = None) -> float:
 
 def _inner_threshold(source: SpaceSpec) -> float:
     """Inner decay threshold of the family the source space belongs to."""
-    if source.variant == "h":
-        return threshold_h(source.s, source.s)[0]
-    if source.variant == "hsp":
-        return threshold_hsp(source.s, source.s, source.p, source.p)[0]
-    return threshold_hps(source.s, source.s, source.p, source.p)[0]
+    return family_thresholds(source.variant, source.s, source.s, source.p, source.p)[0]
 
 
 def tail_bound(k: KernelSpec, source: SpaceSpec, R: float) -> float:

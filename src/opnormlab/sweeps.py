@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -135,13 +135,12 @@ def fit_growth_exponent(points) -> float:
     return float(np.polyfit(np.log(radii), np.log(values), 1)[0])
 
 
-def verdict_for(gamma: float | None, saturating_tol: float = GAMMA_SATURATING,
-                growing_tol: float = GAMMA_GROWING) -> str:
+def verdict_for(gamma: float | None) -> str:
     if gamma is None:
         return "inconclusive"
-    if abs(gamma) < saturating_tol:
+    if abs(gamma) < GAMMA_SATURATING:
         return "saturating"
-    if gamma > growing_tol:
+    if gamma > GAMMA_GROWING:
         return "growing"
     return "inconclusive"
 
@@ -281,11 +280,7 @@ def write_sweep_csv(result: SweepResult, stream, provenance: dict | None = None)
         "queries": len(plan.queries),
         "kernel": plan.kernel.spec_string() if plan.kernel is not None else "envelope(per-query-kappa)",
         "R_schedule": ":".join(repr(R) for R in plan.R_schedule),
-        "panels_per_side": plan.grid.panels_per_side,
-        "grading": repr(plan.grid.grading),
-        "panel_order": plan.grid.panel_order,
-        "extra_panels": plan.grid.extra_panels,
-        "max_nodes": plan.grid.max_nodes,
+        **{f.name: getattr(plan.grid, f.name) for f in fields(GridPolicy)},
         "gamma_saturating": repr(GAMMA_SATURATING),
         "gamma_growing": repr(GAMMA_GROWING),
         "seed": plan.seed,

@@ -1,15 +1,17 @@
 """CLI subcommands: outputs, exit codes, config handling, determinism."""
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import opnormlab
+import opnormlab.cli
 from opnormlab.cli import RunConfig, build_parser, run_cli
 from opnormlab.errors import DomainError
 from opnormlab.grids import parse_grid
@@ -216,6 +218,9 @@ def test_runconfig_round_trip():
     assert RunConfig.from_dict(config.to_dict()) == config
     with pytest.raises(DomainError):
         RunConfig.from_dict({"nope": 1})
+    # values of the field's type pass through unchanged: an int grading is echoed as 1
+    out = RunConfig.from_dict({"grading": 1, "r_schedule": [10, 40.0]}).to_dict()
+    assert type(out["grading"]) is int and out["r_schedule"] == [10.0, 40.0]
 
 
 def test_runconfig_defaults_match_library():
@@ -234,3 +239,71 @@ def test_output_file_byte_identical(tmp_path):
     assert run_cli(base + [str(first)]) == 0
     assert run_cli(base + [str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+QUERY = "thm=1,s1=-0.25,s2=-0.25,kappa=1.5"
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["sweep", "--query", "thm=x,s1=-0.25,s2=-0.25,kappa=1.5"], None),
+    (["sweep", "--query", "thm=1,s1=abc,s2=-0.25,kappa=1.5"], None),
+    (["sweep", "--query", QUERY, "--r-schedule", "10,x"], None),
+    (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"r_schedule": ["a"]}),
+    (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"seed": "x"}),
+    (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"seed": True}),
+    (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"panels_per_side": 9.0}),
+    (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"grid": 3}),
+    (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"grading": "1.3"}),
+])
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: usage: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_corner_condition_estimate_is_reproducible(monkeypatch, tmp_path):
+    # LAPACK's estimate varied in its last digit between identical calls
+    real = opnormlab.cli.solve_corner
+    estimates = iter((47.04614851892391, 47.046148518923914))
+    monkeypatch.setattr(opnormlab.cli, "solve_corner", lambda *args: replace(
+        real(*args), condition_estimate=next(estimates)))
+    outputs = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        assert run_cli(["corner", "--kernel1", "envelope(2)", "--kernel2", "envelope(2)",
+                        "--f", "gauss(1)", "--g", "powerlaw(1.5)",
+                        "--grid1", "grid(20,10,1.3,5)", "--grid2", "grid(20,10,1.3,5)",
+                        "--out", str(path)]) == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["condition_estimate"] == 47.0461
+
+
+def test_sweep_flags_set_runconfig_fields(tmp_path):
+    config_fields = {f.name for f in fields(RunConfig)}
+    not_config = {"help", "query", "kernel", "timing", "config", "out"}
+    subcommands, = (a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subcommands.choices["sweep"]._actions} - not_config
+    assert dests <= config_fields
+    assert {"panels_per_side", "panel_order", "r_schedule"} <= dests
+    # the same setting as a flag or as a --config key gives the same report
+    settings = [("--panels", "6", "panels_per_side", 6), ("--order", "5", "panel_order", 5),
+                ("--r-schedule", "10,40", "r_schedule", [10, 40]),
+                ("--grading", "1.4", "grading", 1.4), ("--extra-panels", "3", "extra_panels", 3),
+                ("--max-nodes", "3000", "max_nodes", 3000), ("--seed", "9", "seed", 9)]
+    flags = [token for flag, text, _, _ in settings for token in (flag, text)]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value for _, _, key, value in settings}))
+    by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+    assert run_cli(["sweep", "--query", QUERY, *flags, "--out", str(by_flag)]) == 0
+    assert run_cli(["sweep", "--query", QUERY, "--config", str(config),
+                    "--out", str(by_config)]) == 0
+    assert by_flag.read_bytes() == by_config.read_bytes()
+    assert "# panels_per_side=6\n" in by_flag.read_text()

@@ -127,8 +127,12 @@ def test_query_validation():
 def test_family_index_round_trip():
     for index in (1, 2, 3):
         assert index_from_family(family_from_index(index)) == index
+        assert family_from_index(str(index)) == family_from_index(index)  # a CLI string
+    for bad in (0, 4, -1, "x", None):
+        with pytest.raises(DomainError):
+            family_from_index(bad)
     with pytest.raises(DomainError):
-        family_from_index(4)
+        index_from_family("nope")
 
 
 def test_query_spaces():
