@@ -13,6 +13,7 @@ that for exact rational cross-checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -24,12 +25,12 @@ HPS_INNER_NOTE = "hps inner threshold uses the source exponent 2*s1/p1"
 
 
 def family_from_index(index) -> str:
-    """Map the CLI's numeric mapping-variant index (1, 2, 3) to a family tag."""
+    """Map the CLI's mapping-variant index (1, 2, 3, or its string) to a family tag."""
     try:
-        position = int(index)
+        position = int(index) if isinstance(index, str) else operator.index(index)
     except (TypeError, ValueError):
         position = 0
-    if not 1 <= position <= len(VARIANTS):
+    if isinstance(index, bool) or not 1 <= position <= len(VARIANTS):
         raise DomainError(f"unknown mapping variant {index}; expected 1, 2 or 3")
     return VARIANTS[position - 1]
 

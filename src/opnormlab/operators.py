@@ -9,18 +9,19 @@ matrix, so all three space families share one nonlinear power method
 (Boyd, "The power method for l_p norms", 1974); p1 = p2 = 2 is its
 singular-value case.
 
-Even kernels on mirrored grids are assembled and normed through one
-quadrant.  The envelope and its cosine modulation are even in each variable,
-the scalings r and c depend only on |x| and the quadrature weights, and
-every graded grid is a bitwise mirror about 0.  The matrix is then
-[J; I] B [J, I], with J the reversal and B its [0, R] x [0, R] quadrant, and
-its l^p1 -> l^p2 norm is exactly 2^(1/p2 + 1/q1) ||B||.  ``assemble``
-evaluates the kernel on B only and fills the other three quadrants by
-reversed copies; the norm functions run the power method on B, scaling each
-iterate's value by that factor, so the stop test, the iteration count and,
-up to rounding, the value are those of the full matrix.  The alternating
-modulation, which is not even, and grids that are not bitwise mirrors keep
-the full path.
+Even kernels on mirrored grids are stored and normed as one quadrant.  The
+envelope and its cosine modulation are even in each variable, the scalings
+r and c depend only on |x| and the quadrature weights, and every graded
+grid is a bitwise mirror about 0.  The matrix is then [J; I] B [J, I], with
+J the reversal and B its [0, R] x [0, R] quadrant, and its l^p1 -> l^p2 norm
+is exactly 2^(1/p2 + 1/q1) ||B||.  ``assemble`` evaluates the kernel on B
+only and the operator keeps B as its ``core`` (``mirrored`` is then true);
+``restrict`` slices the leading block of B; the norm functions run the power
+method on B, scaling each iterate's value by that factor, so the stop test,
+the iteration count and, up to rounding, the value are those of the full
+matrix.  The full matrix is built from four reversed copies of B only when
+``.matrix`` is read.  The alternating modulation, which is not even, and
+grids that are not bitwise mirrors keep the full matrix as the core.
 
 General p -> q matrix norms are NP-hard, so certification is restricted to
 entrywise-nonnegative matrices, where the nonlinear power method converges
@@ -29,8 +30,9 @@ honest lower bound.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,55 +76,70 @@ class DiscretizedOperator:
     (1+|x_i|)^(w2/p2) and c_j = (w_j^in)^(1/q1) * (1+|y_j|)^(-w1/p1), where
     w1, w2 are the weight exponents of the source and target spaces; by
     construction the l^p1 -> l^p2 norm of the matrix is the discretized
-    weighted-operator norm.
+    weighted-operator norm.  ``core`` is the read-only array the power method
+    runs on: the [0, R]^2 quadrant of a mirrored operator, else the full
+    matrix, which is all the constructor takes (and copies and checks).
     """
 
-    # True when ``assemble`` built the matrix as four mirror copies of its
-    # lower-right quadrant; set only by ``_frozen_operator``, never by callers
-    _mirrored = False
-
-    matrix: np.ndarray
+    core: np.ndarray
     source_space: SpaceSpec
     target_space: SpaceSpec
     source_grid: Grid
     target_grid: Grid
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        if mat.shape != (self.target_grid.size, self.source_grid.size):
+        core = np.array(self.core, dtype=float)
+        core.flags.writeable = False
+        object.__setattr__(self, "core", core)
+        if core.shape != (self.target_grid.size, self.source_grid.size):
             raise DomainError(
-                f"matrix shape {mat.shape} does not match grids "
+                f"matrix shape {core.shape} does not match grids "
                 f"({self.target_grid.size}, {self.source_grid.size})"
             )
-        _check_finite_matrix(mat, "operator")
+        _check_finite_matrix(core, "operator")
+
+    @property
+    def mirrored(self) -> bool:
+        """True when ``core`` is the quadrant: half the grid sizes on each side."""
+        return self.core.shape == (self.target_grid.size // 2, self.source_grid.size // 2)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The full read-only matrix; a mirrored core is unfolded on first read."""
+        B = self.core
+        if not self.mirrored:
+            return B
+        matrix = np.block([[B[::-1, ::-1], B[::-1]], [B[:, ::-1], B]])
+        matrix.flags.writeable = False
+        return matrix
 
     def restrict(self, source_grid: Grid, target_grid: Grid) -> DiscretizedOperator:
-        """The operator on grids nested in this one's, as a view of its matrix.
+        """The operator on grids nested in this one's, as a view of its core.
 
         Each grid must equal the centred slice of the matching grid of this
         operator, node for node and weight for weight, as the grids of one
         ``nested_grids`` family do.  Every entry depends only on its own row
         and column, so the centred block is exactly the matrix ``assemble``
-        builds on the smaller grids.  It is neither copied nor re-checked:
-        this operator's matrix is already validated and read-only.  The
-        centred block of a mirrored matrix is mirrored too, so the view keeps
-        the one-quadrant norm path.
+        builds on the smaller grids.  The half-line nodes of the smaller grid
+        are the leading ones of the larger, so a mirrored core restricts to
+        its leading block.  The view is neither copied nor re-checked: this
+        operator's core is already validated and read-only.
         """
         rows = _centred_block(self.target_grid, target_grid)
         cols = _centred_block(self.source_grid, source_grid)
-        return _frozen_operator(self.matrix[rows, cols], self.source_space, self.target_space,
-                                source_grid, target_grid, self._mirrored)
+        if self.mirrored:
+            rows, cols = slice(target_grid.size // 2), slice(source_grid.size // 2)
+        return _trusted_operator(self.core[rows, cols], self.source_space, self.target_space,
+                                 source_grid, target_grid)
 
 
-def _frozen_operator(matrix: np.ndarray, source: SpaceSpec, target: SpaceSpec,
-                     source_grid: Grid, target_grid: Grid,
-                     mirrored: bool) -> DiscretizedOperator:
-    """An operator around a validated, read-only matrix: no copy, no re-scan."""
-    op = object.__new__(DiscretizedOperator)  # skips __post_init__
-    vars(op).update(matrix=matrix, source_space=source, target_space=target,
-                    source_grid=source_grid, target_grid=target_grid, _mirrored=mirrored)
+def _trusted_operator(core: np.ndarray, source: SpaceSpec, target: SpaceSpec,
+                      source_grid: Grid, target_grid: Grid) -> DiscretizedOperator:
+    """An operator around a read-only core that is already checked: no copy, no re-scan."""
+    op = object.__new__(DiscretizedOperator)  # skips __init__ and its checks
+    for field, value in zip(fields(DiscretizedOperator),
+                            (core, source, target, source_grid, target_grid)):
+        object.__setattr__(op, field.name, value)
     return op
 
 
@@ -150,31 +167,24 @@ def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
     """Assemble the scaled Nystrom matrix diag(r) * K * diag(c) between two spaces.
 
     An even kernel on two mirrored grids is evaluated on the lower-right
-    quadrant only; the other three are its reversed copies (see the module
-    docstring).  The matrix is the same either way.
+    quadrant only, which becomes the operator's core (see the module
+    docstring); otherwise the core is the full matrix.
     """
-    x, y = target_grid.nodes, source_grid.nodes
-    with np.errstate(over="ignore"):
-        rows = (target_grid.weights ** (1.0 / target.p)
-                * (1.0 + np.abs(x)) ** (weight_exponent(target) / target.p))
-        cols = (source_grid.weights ** (1.0 / conjugate_exponent(source.p))
-                * (1.0 + np.abs(y)) ** (-weight_exponent(source) / source.p))
-        if not (k.even and _is_mirror(target_grid) and _is_mirror(source_grid)):
-            # one expression: a name would keep the n x n kernel values alive
-            # next to the scaled matrix and the operator's frozen copy of it
-            matrix = rows[:, None] * kernel_eval(k, x[:, None], y[None, :]) * cols[None, :]
-            return DiscretizedOperator(matrix, source, target, source_grid, target_grid)
+    h = w = 0
+    if k.even and _is_mirror(target_grid) and _is_mirror(source_grid):
         h, w = target_grid.size // 2, source_grid.size // 2
-        quadrant = (rows[h:, None] * kernel_eval(k, x[h:, None], y[None, w:])
-                    * cols[None, w:])
-    _check_finite_matrix(quadrant, "operator", offset=(h, w))
-    matrix = np.empty((2 * h, 2 * w))
-    matrix[h:, w:] = quadrant
-    matrix[h:, :w] = quadrant[:, ::-1]
-    matrix[:h, w:] = quadrant[::-1]
-    matrix[:h, :w] = quadrant[::-1, ::-1]
-    matrix.flags.writeable = False
-    return _frozen_operator(matrix, source, target, source_grid, target_grid, mirrored=True)
+    x, y = target_grid.nodes[h:], source_grid.nodes[w:]
+    with np.errstate(over="ignore"):
+        rows = (target_grid.weights[h:] ** (1.0 / target.p)
+                * (1.0 + np.abs(x)) ** (weight_exponent(target) / target.p))
+        cols = (source_grid.weights[w:] ** (1.0 / conjugate_exponent(source.p))
+                * (1.0 + np.abs(y)) ** (-weight_exponent(source) / source.p))
+        # one expression: a name would keep the kernel values alive next to
+        # the scaled core
+        core = rows[:, None] * kernel_eval(k, x[:, None], y[None, :]) * cols[None, :]
+    _check_finite_matrix(core, "operator", offset=(h, w))
+    core.flags.writeable = False
+    return _trusted_operator(core, source, target, source_grid, target_grid)
 
 
 def _require_on_grid(f: SampledFunction, grid: Grid) -> None:
@@ -260,23 +270,8 @@ def largest_singular_value(matrix, tol: float = POWER_TOL,
     min(shape) <= 500, otherwise raises ConvergenceError with iterate
     diagnostics.
     """
-    return _largest_singular_value(_as_matrix(matrix), tol, max_iter)
-
-
-def _largest_singular_value(B: np.ndarray, tol: float, max_iter: int,
-                            mirrored: bool = False) -> float:
-    # the mirrored matrix [J; I] B [J, I] has twice B's size and singular values
-    factor = 2 if mirrored else 1
-    sigma, converged, iterations, delta = _power_method(B, 2.0, 2.0, tol, max_iter,
-                                                        scale=float(factor))
-    if converged:
-        return sigma
-    if factor * min(B.shape) <= DENSE_FALLBACK_DIM:
-        return factor * float(np.linalg.svd(B, compute_uv=False)[0])
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        iterations=iterations, last_value=sigma, last_delta=delta,
-    )
+    B = _as_matrix(matrix)
+    return _pq_norm(B, 2.0, 2.0, tol, max_iter, fallback_dim=min(B.shape)).value
 
 
 @dataclass(frozen=True)
@@ -306,11 +301,20 @@ def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
 
 
 def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
-             mirrored: bool = False) -> PqNormEstimate:
+             mirrored: bool = False, fallback_dim: int | None = None) -> PqNormEstimate:
+    # ``fallback_dim`` (the full matrix's smaller side) asks for the largest
+    # singular value, which is computed densely or raises when unconverged
     if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
         raise DomainError("matrix norm exponents must lie in (1, inf)")
     scale = 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1)) if mirrored else 1.0
-    value, converged, iterations, _ = _power_method(B, p1, p2, tol, max_iter, scale)
+    value, converged, iterations, delta = _power_method(B, p1, p2, tol, max_iter, scale)
+    if not converged and fallback_dim is not None:
+        if fallback_dim > DENSE_FALLBACK_DIM:
+            raise ConvergenceError(
+                f"power iteration did not converge in {max_iter} iterations",
+                iterations=iterations, last_value=value, last_delta=delta,
+            )
+        value = scale * float(np.linalg.svd(B, compute_uv=False)[0])
     return PqNormEstimate(value, certified=converged and bool(B.min() >= 0),
                           converged=converged, iterations=iterations)
 
@@ -320,23 +324,16 @@ def operator_norm_22(op: DiscretizedOperator, tol: float = POWER_TOL,
     """Discretized weighted-operator norm in the p1 = p2 = 2 case."""
     if op.source_space.p != 2.0 or op.target_space.p != 2.0:
         raise DomainError("operator_norm_22 requires p = 2 on both sides")
-    # the operator's matrix is validated once, when the operator is built
-    return _largest_singular_value(_norm_matrix(op), tol, max_iter, op._mirrored)
+    # the operator's core is validated once, when the operator is built
+    return _pq_norm(op.core, 2.0, 2.0, tol, max_iter, op.mirrored,
+                    fallback_dim=min(op.target_grid.size, op.source_grid.size)).value
 
 
 def operator_norm_pq(op: DiscretizedOperator, tol: float = POWER_TOL,
                      max_iter: int = POWER_MAX_ITER) -> PqNormEstimate:
     """Discretized weighted-operator norm for general (p1, p2)."""
-    return _pq_norm(_norm_matrix(op), op.source_space.p, op.target_space.p, tol, max_iter,
-                    op._mirrored)
-
-
-def _norm_matrix(op: DiscretizedOperator) -> np.ndarray:
-    """The matrix the power method runs on: the lower-right quadrant when mirrored."""
-    if not op._mirrored:
-        return op.matrix
-    rows, cols = op.matrix.shape
-    return op.matrix[rows // 2:, cols // 2:]
+    return _pq_norm(op.core, op.source_space.p, op.target_space.p, tol, max_iter,
+                    op.mirrored)
 
 
 def empirical_ratio(k: KernelSpec, f: SampledFunction, source: SpaceSpec,

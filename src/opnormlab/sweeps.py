@@ -22,7 +22,8 @@ from .conditions import BoundednessQuery, ConditionReport, check_boundedness, qu
 from .errors import DomainError, PlanError
 from .grids import DEFAULT_GRADING, DEFAULT_PANEL_ORDER, Grid, nested_grids
 from .kernels import KernelSpec, kernel_eval, majorant_integral
-from .operators import POWER_MAX_ITER, POWER_TOL, assemble, empirical_ratio, operator_norm_pq
+from .operators import (POWER_MAX_ITER, POWER_TOL, _require_on_grid, assemble, empirical_ratio,
+                        operator_norm_pq)
 from .spaces import SampledFunction, conjugate_exponent, sample, weight_exponent, weighted_norm
 
 DEFAULT_R_SCHEDULE = (10.0, 40.0, 160.0, 640.0)
@@ -210,8 +211,7 @@ def verify_holder_step(k: KernelSpec, f: SampledFunction, query: BoundednessQuer
         raise DomainError("the proof-step check requires c_upper = 1")
     if k.kappa != query.kappa:
         raise DomainError("kernel decay and query decay disagree")
-    if f.grid is not grid and not np.array_equal(f.grid.nodes, grid.nodes):
-        raise DomainError("function is not sampled on the given grid")
+    _require_on_grid(f, grid)
     source, _ = query_spaces(query)
     q1 = conjugate_exponent(query.p1)
     a1 = weight_exponent(source) / source.p

@@ -128,7 +128,7 @@ def test_family_index_round_trip():
     for index in (1, 2, 3):
         assert index_from_family(family_from_index(index)) == index
         assert family_from_index(str(index)) == family_from_index(index)  # a CLI string
-    for bad in (0, 4, -1, "x", None):
+    for bad in (0, 4, -1, "x", None, 2.9, 2.0, True):
         with pytest.raises(DomainError):
             family_from_index(bad)
     with pytest.raises(DomainError):

@@ -71,8 +71,8 @@ def test_assemble_peak_memory():
 
 
 def test_assemble_mirrored_peak_memory():
-    # one quadrant of kernel values and its scaled copy, then the full matrix
-    # filled from the quadrant: well below the 2.1 n^2 of a full evaluation
+    # one quadrant of kernel values and its scaled copy, and no n x n array:
+    # the operator keeps the quadrant and builds the full matrix only on read
     grid = build_grid(640.0, 82, 1.3, 8)
     n = grid.size
     tracemalloc.start()
@@ -82,7 +82,7 @@ def test_assemble_mirrored_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.75 * n * n * 8
+    assert peak < 0.75 * n * n * 8
 
 
 def test_assemble_nonnegative_for_pure_envelope():
@@ -111,6 +111,19 @@ def test_finite_entries_with_overflowing_sum_accepted():
     op = DiscretizedOperator(np.array([[1e308, 1e308]]), space, space,
                              pair_grid(), single_node_grid())
     assert np.array_equal(op.matrix, [[1e308, 1e308]])
+
+
+def test_constructor_rejects_shape_mismatch():
+    # the public constructor takes only the full matrix, never a quadrant
+    space = SpaceSpec.h(0.0)
+    grid = NESTED[0]
+    full = assemble(KernelSpec(kappa=2.0), space, space, grid, grid)
+    assert full.mirrored
+    for matrix in (full.core, full.matrix[:, :-1], np.ones(grid.size)):
+        with pytest.raises(DomainError, match="does not match grids"):
+            DiscretizedOperator(matrix, space, space, grid, grid)
+    with pytest.raises(DomainError, match="does not match grids"):
+        DiscretizedOperator(full.matrix, space, space, grid, NESTED[1])
 
 
 @pytest.mark.parametrize("matrix, entry", [
@@ -159,10 +172,11 @@ def test_restrict_is_a_read_only_view():
     full = assemble(KernelSpec(kappa=1.5), SpaceSpec.h(-0.25), SpaceSpec.h(-0.25),
                     NESTED[-1], NESTED[-1])
     block = full.restrict(NESTED[0], NESTED[0])
-    assert np.shares_memory(block.matrix, full.matrix)
-    assert not block.matrix.flags.writeable
-    with pytest.raises(ValueError):
-        block.matrix[0, 0] = 1.0
+    assert np.shares_memory(block.core, full.core)
+    for array in (block.core, block.matrix):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
 
 
 def test_restrict_rejects_grid_outside_the_family():
@@ -418,8 +432,8 @@ def direct_matrix(k, source, target, source_grid, target_grid):
 
 
 def full_path(op):
-    # the public constructor carries no mirror marker: the power method runs
-    # on the whole matrix
+    # the public constructor keeps the whole matrix as the core: the power
+    # method runs on all of it
     return DiscretizedOperator(op.matrix, op.source_space, op.target_space,
                                op.source_grid, op.target_grid)
 
@@ -448,13 +462,29 @@ COSMOD = KernelSpec(kappa=2.0, modulation="cosine", omega=1.5)
 def test_mirrored_assembly_equals_direct_formula(kernel, exact, source_grid, target_grid):
     for source, target in SPACE_PAIRS:
         op = assemble(kernel, source, target, source_grid, target_grid)
-        assert op._mirrored
+        assert op.mirrored
         assert not op.matrix.flags.writeable
         expected = direct_matrix(kernel, source, target, source_grid, target_grid)
         if exact:
             assert np.array_equal(op.matrix, expected)
         else:
             assert np.max(np.abs(op.matrix - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+def test_mirrored_matrix_built_on_first_read():
+    op = assemble(KernelSpec(kappa=2.5), *SPACE_PAIRS[4], NESTED[0], NESTED[1])
+    assert op.mirrored
+    assert op.core.shape == (NESTED[1].size // 2, NESTED[0].size // 2)
+    assert "matrix" not in vars(op)
+    first = op.matrix
+    assert op.matrix is first
+    assert first.shape == (NESTED[1].size, NESTED[0].size)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    h, w = op.core.shape
+    assert np.array_equal(first[h:, w:], op.core)
+    assert np.array_equal(first, first[::-1, ::-1])
 
 
 @pytest.mark.parametrize("kernel", [KernelSpec(kappa=2.5), COSMOD])
@@ -476,9 +506,10 @@ def test_mirrored_restriction_keeps_the_quadrant_path():
     full = assemble(KernelSpec(kappa=2.0), source, target, NESTED[-1], NESTED[-1])
     for grid in NESTED:
         block = full.restrict(grid, grid)
-        assert block._mirrored
-        assert np.shares_memory(block.matrix, full.matrix)
-        assert not block.matrix.flags.writeable
+        assert block.mirrored
+        assert block.core.shape == (grid.size // 2, grid.size // 2)
+        assert np.shares_memory(block.core, full.core)
+        assert not block.core.flags.writeable and not block.matrix.flags.writeable
         got, want = operator_norm_pq(block), operator_norm_pq(full_path(block))
         assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
         assert got.iterations == want.iterations
@@ -487,7 +518,7 @@ def test_mirrored_restriction_keeps_the_quadrant_path():
 def test_mirrored_dense_fallback_scales():
     grid = NESTED[0]
     op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-0.5), grid, grid)
-    assert op._mirrored and op.matrix.shape[0] <= 500
+    assert op.mirrored and op.matrix.shape[0] <= 500
     expected = float(np.linalg.svd(op.matrix, compute_uv=False)[0])
     assert operator_norm_22(op, max_iter=1) == pytest.approx(expected, rel=1e-14)
 
@@ -515,10 +546,10 @@ def lopsided_grid() -> Grid:
 def test_full_path_when_not_mirror_symmetric(kernel, grid):
     source, target = SpaceSpec.hsp(-0.5, 3.0), SpaceSpec.hsp(-0.25, 1.5)
     op = assemble(kernel, source, target, grid, grid)
-    assert not op._mirrored
+    assert not op.mirrored and op.core is op.matrix
     assert np.array_equal(op.matrix, direct_matrix(kernel, source, target, grid, grid))
     mixed = assemble(kernel, source, target, grid, NESTED[0])  # one side mirrored
-    assert not mixed._mirrored
+    assert not mixed.mirrored
 
 
 def _power_method_two_norms(B, p1, p2, tol, max_iter):
