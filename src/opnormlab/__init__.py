@@ -9,8 +9,9 @@ boundedness empirically, and solves the coupled two-unknown integral
 system the kernels come from.
 """
 
-from .closed_forms import (envelope_indicator_image, powerlaw_integral,
-                           powerlaw_tail, powerlaw_weighted_norm)
+from .closed_forms import (envelope_indicator_image, majorant_exponent,
+                           majorant_integral, powerlaw_integral, powerlaw_tail,
+                           powerlaw_weighted_norm, tail_bound)
 from .conditions import (BoundednessQuery, ConditionReport, check_boundedness,
                          family_from_index, index_from_family, query_spaces,
                          threshold_h, threshold_hps, threshold_hsp)
@@ -20,8 +21,7 @@ from .errors import (ConvergenceError, DivergenceError, DomainError,
                      IllConditionedError, NumericalError, PlanError)
 from .grids import (Grid, build_grid, extend_grid, grid_from_breakpoints,
                     integrate, nested_grids, parse_grid)
-from .kernels import (EnvelopeReport, KernelSpec, envelope_check, kernel_eval,
-                      majorant_integral, parse_kernel, tail_bound)
+from .kernels import EnvelopeReport, KernelSpec, envelope_check, kernel_eval, parse_kernel
 from .operators import (DiscretizedOperator, PqNormEstimate, apply_operator,
                         apply_operator_samples, assemble, empirical_ratio,
                         largest_singular_value, matrix_pq_norm,

@@ -11,15 +11,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
-from .closed_forms import envelope_indicator_image, powerlaw_weighted_norm
+from .closed_forms import envelope_indicator_image, majorant_integral, powerlaw_weighted_norm
 from .conditions import BoundednessQuery, check_boundedness, family_from_index
 from .corner import CornerSystem, solve_corner
 from .errors import DomainError, NumericalError, PlanError
 from .grids import parse_grid
-from .kernels import majorant_integral, parse_kernel
+from .kernels import parse_kernel
 from .operators import (POWER_MAX_ITER, POWER_TOL, assemble, apply_operator,
                         operator_norm_pq)
 from .spaces import SpaceSpec, parse_space, sample_spec, weighted_norm
@@ -195,13 +196,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number of the config file; NaN, Infinity and overflowing literals are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise UsageError(f"config file holds a non-finite number: {text}")
+    return value
+
+
 def _load_config(args) -> RunConfig:
     """The --config file (or the defaults), overridden by flags named after its fields."""
     config = RunConfig()
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as handle:
-                data = json.load(handle)
+                data = json.load(handle, parse_float=_finite_number,
+                                 parse_constant=_finite_number)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -1,37 +1,69 @@
 """Closed-form antiderivative values used as quadrature-independent oracles.
 
-Everything here is evaluated from explicit antiderivatives; no grids or
-quadrature rules are involved, so these values can legitimately check the
-quadrature code paths.  The `oracle` CLI subcommand exposes them.
+Every value here is one antiderivative of (base + y)^(-a), evaluated by
+:func:`_power_integral`; no grids or quadrature rules are involved, so these
+values can legitimately check the quadrature code paths.  The same integral
+closes the Holder factor split behind the sufficient boundedness conditions.
+The `oracle` CLI subcommand exposes them.
 """
 from __future__ import annotations
 
 import math
 
-from .errors import DivergenceError, DomainError
-from .spaces import SpaceSpec, weight_exponent
+from .conditions import family_thresholds
+from .errors import DivergenceError, DomainError, NumericalError
+from .spaces import SpaceSpec, conjugate_exponent, weight_exponent
+
+
+def _power_integral(base: float, a: float, lo: float, hi: float | None,
+                    scale: float = 1.0) -> float:
+    """``scale`` times the integral of (base + y)^(-a) dy over [lo, hi] (base + lo > 0).
+
+    ``hi`` = None means [lo, inf), which needs a > 1.  a = 1 is the log1p
+    form, accurate on short intervals.  Non-finite arguments raise
+    DomainError, an overflowing value NumericalError.
+    """
+    finite = (base, a, lo, scale) if hi is None else (base, a, lo, hi, scale)
+    if not all(map(math.isfinite, finite)):
+        raise DomainError("closed forms need finite arguments")
+    if hi is None and a <= 1:
+        raise DivergenceError(f"integral of ({base!r} + y)^(-{a!r}) over [{lo!r}, inf) diverges")
+    try:
+        if a == 1.0:
+            value = scale * math.log1p((hi - lo) / (base + lo))
+        else:
+            far = 0.0 if hi is None else (base + hi) ** (1.0 - a)
+            value = scale * ((base + lo) ** (1.0 - a) - far) / (a - 1.0)
+    except OverflowError:  # float ** raises where * and / return inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"closed form overflows for a = {a!r}")
+    return value
+
+
+def _radius(R: float) -> float:
+    if not R > 0:
+        raise DomainError("truncation radius must be positive")
+    return R
+
+
+def majorant_integral(x: float, a: float, R: float | None = None) -> float:
+    """Closed-form integral of (1+|x|+|y|)^(-a) in y.
+
+    ``R`` = None integrates over the whole line, which requires a > 1; a
+    finite ``R`` truncates to [-R, R] and is defined for every a.
+    """
+    return _power_integral(1.0 + abs(x), a, 0.0, None if R is None else _radius(R), 2.0)
 
 
 def powerlaw_integral(a: float, R: float | None = None) -> float:
     """Integral of (1+|x|)^(-a) over [-R, R], or over the line when R is None."""
-    if R is None:
-        if a <= 1:
-            raise DivergenceError(f"integral of (1+|x|)^(-a) diverges for a = {a!r} <= 1")
-        return 2.0 / (a - 1.0)
-    if R <= 0:
-        raise DomainError("truncation radius must be positive")
-    if a == 1.0:
-        return 2.0 * math.log1p(R)
-    return 2.0 * (1.0 - (1.0 + R) ** (1.0 - a)) / (a - 1.0)
+    return majorant_integral(0.0, a, R)
 
 
 def powerlaw_tail(a: float, R: float) -> float:
     """Integral of (1+|x|)^(-a) over |x| > R; requires a > 1."""
-    if R <= 0:
-        raise DomainError("truncation radius must be positive")
-    if a <= 1:
-        raise DivergenceError(f"tail of (1+|x|)^(-a) diverges for a = {a!r} <= 1")
-    return 2.0 * (1.0 + R) ** (1.0 - a) / (a - 1.0)
+    return _power_integral(1.0, a, _radius(R), None, 2.0)
 
 
 def powerlaw_weighted_norm(t: float, space: SpaceSpec, R: float | None = None) -> float:
@@ -53,7 +85,24 @@ def envelope_indicator_image(kappa: float, x: float, lo: float = 0.0,
     """
     if not (0 <= lo <= hi):
         raise DomainError("indicator endpoints must satisfy 0 <= lo <= hi")
-    base = 1.0 + abs(x)
-    if kappa == 1.0:
-        return c_upper * math.log((base + hi) / (base + lo))
-    return c_upper * ((base + lo) ** (1.0 - kappa) - (base + hi) ** (1.0 - kappa)) / (kappa - 1.0)
+    return _power_integral(1.0 + abs(x), kappa, lo, hi, c_upper)
+
+
+def majorant_exponent(source: SpaceSpec, kappa: float) -> float:
+    """Exponent a = q1*(w1/p1 + kappa) of the dual-exponent majorant (1+|x|+|y|)^(-a)."""
+    return conjugate_exponent(source.p) * (weight_exponent(source) / source.p + kappa)
+
+
+def tail_bound(k, source: SpaceSpec, R: float) -> float:
+    """Bound on the |y| > R remainder of the dual-exponent majorant integral.
+
+    The tail beyond R of (1+|y|)^(-a), a from :func:`majorant_exponent`,
+    times c_upper^q1 of the KernelSpec ``k``.  Kappa at or below the inner
+    threshold diverges; it is checked by itself since a = 1 there can round
+    to either side.
+    """
+    inner = family_thresholds(source.variant, source.s, source.s, source.p, source.p)[0]
+    if k.kappa <= inner:
+        raise DivergenceError(f"tail not integrable: kappa = {k.kappa!r} <= inner threshold")
+    scale = k.c_upper ** conjugate_exponent(source.p) * 2.0
+    return _power_integral(1.0, majorant_exponent(source, k.kappa), _radius(R), None, scale)

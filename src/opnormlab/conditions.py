@@ -141,18 +141,13 @@ def family_thresholds(family: str, s1, s2, p1, p2):
     return threshold_hps(s1, s2, p1, p2)
 
 
-def thresholds_for(query: BoundednessQuery):
-    """Inner/outer thresholds of the query's family."""
-    return family_thresholds(query.family, query.s1, query.s2, query.p1, query.p2)
-
-
 def check_boundedness(query: BoundednessQuery) -> ConditionReport:
     """Evaluate the sufficient condition for a query.
 
     Inapplicability (s1 >= 0) is reported, not raised.  The condition is a
     strict inequality, so a zero margin is not satisfied.
     """
-    inner, outer = thresholds_for(query)
+    inner, outer = family_thresholds(query.family, query.s1, query.s2, query.p1, query.p2)
     threshold = max(inner, outer)
     margin = query.kappa - threshold
     applicable = query.s1 < 0

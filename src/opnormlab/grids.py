@@ -49,26 +49,27 @@ class Grid:
         object.__setattr__(self, "breakpoints", _frozen_array(self.breakpoints))
         if not (np.isfinite(self.R) and self.R > 0):
             raise DomainError("truncation radius must be positive and finite")
-        if self.grading < 1:
-            raise DomainError("panel grading must be >= 1")
+        if not (1 <= self.grading < np.inf):
+            raise DomainError("panel grading must be finite and >= 1")
         if self.panel_order < 2:
             raise DomainError("panel order must be >= 2")
         if self.nodes.ndim != 1 or self.nodes.size == 0:
             raise DomainError("grid needs a non-empty 1-d node array")
         if self.weights.shape != self.nodes.shape:
             raise DomainError("one weight per node required")
-        if np.any(np.diff(self.nodes) <= 0):
+        # every check is written so that a NaN fails it
+        if not np.all(np.diff(self.nodes) > 0):
             raise DomainError("grid nodes must be strictly increasing")
-        if np.any(np.abs(self.nodes) > self.R):
+        if not np.all(np.abs(self.nodes) <= self.R):
             raise DomainError("grid nodes must lie in [-R, R]")
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):
             raise DomainError("grid weights must be positive")
         total = float(np.sum(self.weights))
-        if abs(total - 2.0 * self.R) > 1e-10 * 2.0 * self.R:
+        if not abs(total - 2.0 * self.R) <= 1e-10 * 2.0 * self.R:
             raise DomainError(
                 f"weights sum to {total!r}, expected 2R = {2.0 * self.R!r}"
             )
-        if float(np.max(np.abs(self.nodes + self.nodes[::-1]))) > 1e-14 * max(1.0, self.R):
+        if not float(np.max(np.abs(self.nodes + self.nodes[::-1]))) <= 1e-14 * max(1.0, self.R):
             raise DomainError("grid nodes must be symmetric about zero")
 
     @property
@@ -108,7 +109,7 @@ def grid_from_breakpoints(breakpoints, grading: float = 1.0,
         raise DomainError("need at least two panel edges")
     if edges[0] != 0.0:
         raise DomainError("first panel edge must be 0")
-    if np.any(np.diff(edges) <= 0):
+    if not np.all(np.diff(edges) > 0):
         raise DomainError("panel edges must be strictly increasing")
     pos_nodes, pos_weights = _panel_rule(edges, panel_order)
     nodes = np.concatenate([-pos_nodes[::-1], pos_nodes])
@@ -126,10 +127,10 @@ def half_line_breakpoints(R: float, panels: int, grading: float) -> np.ndarray:
     """
     if not (np.isfinite(R) and R > 0):
         raise DomainError("truncation radius must be positive and finite")
-    if panels < 1:
+    if not panels >= 1:
         raise DomainError("need at least one panel per side")
-    if grading < 1:
-        raise DomainError("panel grading must be >= 1")
+    if not (1 <= grading < np.inf):
+        raise DomainError("panel grading must be finite and >= 1")
     if grading == 1.0:
         first = R / panels
     else:
@@ -156,7 +157,7 @@ def extend_grid(grid: Grid, R_new: float, extra_panels: int = 2) -> Grid:
     """
     if not (np.isfinite(R_new) and R_new > grid.R):
         raise DomainError("extension radius must exceed the current radius")
-    if extra_panels < 1:
+    if not extra_panels >= 1:
         raise DomainError("need at least one extension panel")
     g = grid.grading
     span = R_new - grid.R
@@ -201,6 +202,6 @@ def parse_grid(spec: str) -> Grid:
     if name != "grid" or len(args) != 4:
         raise DomainError(f"unknown grid spec {spec!r}; expected grid(R,panels,grading,order)")
     R, panels, grading, order = args
-    if panels != int(panels) or order != int(order):
+    if not (float(panels).is_integer() and float(order).is_integer()):
         raise DomainError("panel count and order must be integers")
     return build_grid(R, int(panels), grading, int(order))

@@ -1,4 +1,4 @@
-"""Power-envelope kernel families and the closed-form majorant integral.
+"""Power-envelope kernel families: specs, evaluation, envelope checks, parsing.
 
 A kernel here is dominated by c_upper * (1+|x|+|y|)^(-kappa); unmodulated
 kernels equal that envelope (so they are positive and also satisfy the
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parse import parse_call
-from .conditions import family_thresholds
-from .errors import DivergenceError, DomainError, NumericalError
-from .spaces import SpaceSpec, conjugate_exponent, weight_exponent
+from .errors import DomainError, NumericalError
 
 MODULATIONS = ("none", "cosine", "alternating")
 
@@ -81,51 +79,6 @@ def kernel_eval(k: KernelSpec, x, y):
         elif k.modulation == "alternating":
             value = value * np.sign(np.sin(x + y))
     return float(value) if value.ndim == 0 else value
-
-
-def majorant_integral(x: float, a: float, R: float | None = None) -> float:
-    """Closed-form integral of (1+|x|+|y|)^(-a) in y.
-
-    ``R`` = None integrates over the whole line, which requires a > 1 and
-    equals 2(1+|x|)^(1-a)/(a-1); a finite ``R`` truncates to [-R, R] and is
-    defined for every a (a = 1 gives the logarithmic form).  No quadrature
-    is involved: this is the antiderivative evaluated exactly.
-    """
-    base = 1.0 + abs(x)
-    if R is None:
-        if a <= 1:
-            raise DivergenceError(f"majorant integral diverges for a = {a!r} <= 1")
-        return 2.0 * base ** (1.0 - a) / (a - 1.0)
-    if R <= 0:
-        raise DomainError("truncation radius must be positive")
-    if a == 1.0:
-        return 2.0 * math.log((base + R) / base)
-    return 2.0 * (base ** (1.0 - a) - (base + R) ** (1.0 - a)) / (a - 1.0)
-
-
-def _inner_threshold(source: SpaceSpec) -> float:
-    """Inner decay threshold of the family the source space belongs to."""
-    return family_thresholds(source.variant, source.s, source.s, source.p, source.p)[0]
-
-
-def tail_bound(k: KernelSpec, source: SpaceSpec, R: float) -> float:
-    """Bound on the |y| > R remainder of the dual-exponent majorant integral.
-
-    The remainder of integral (1+|y|)^(-q1*(a1+kappa)) dy beyond R, where a1
-    is the source Holder exponent w/p and q1 the source dual exponent,
-    scaled by c_upper^q1.  Divergence (kappa at or below the inner
-    threshold) signals the experiment is outside the sufficient condition.
-    """
-    if R <= 0:
-        raise DomainError("truncation radius must be positive")
-    q1 = conjugate_exponent(source.p)
-    a1 = weight_exponent(source) / source.p
-    a = q1 * (a1 + k.kappa)
-    if k.kappa <= _inner_threshold(source) or a <= 1:
-        raise DivergenceError(
-            f"tail not integrable: kappa = {k.kappa!r} at or below the inner threshold"
-        )
-    return k.c_upper ** q1 * 2.0 * (1.0 + R) ** (1.0 - a) / (a - 1.0)
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,8 @@ def _require_on_grid(f: SampledFunction, grid: Grid) -> None:
 
 def apply_operator(k: KernelSpec, f: SampledFunction, source_grid: Grid, x: float) -> float:
     """Quadrature approximation of (Kf)(x) at a single point."""
+    if not math.isfinite(x):
+        raise DomainError(f"evaluation point must be finite, got {x!r}")
     _require_on_grid(f, source_grid)
     row = kernel_eval(k, float(x), source_grid.nodes)
     value = float(np.dot(source_grid.weights * row, f.values))
@@ -306,6 +308,9 @@ def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
     # singular value, which is computed densely or raises when unconverged
     if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
         raise DomainError("matrix norm exponents must lie in (1, inf)")
+    if not (max_iter >= 1 and 0 <= tol < math.inf):
+        raise DomainError(f"power method needs max_iter >= 1 and a finite tol >= 0, "
+                          f"got max_iter = {max_iter!r}, tol = {tol!r}")
     scale = 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1)) if mirrored else 1.0
     value, converged, iterations, delta = _power_method(B, p1, p2, tol, max_iter, scale)
     if not converged and fallback_dim is not None:

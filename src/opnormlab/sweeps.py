@@ -18,13 +18,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .closed_forms import majorant_exponent, majorant_integral
 from .conditions import BoundednessQuery, ConditionReport, check_boundedness, query_spaces
 from .errors import DomainError, PlanError
 from .grids import DEFAULT_GRADING, DEFAULT_PANEL_ORDER, Grid, nested_grids
-from .kernels import KernelSpec, kernel_eval, majorant_integral
+from .kernels import KernelSpec, kernel_eval
 from .operators import (POWER_MAX_ITER, POWER_TOL, _require_on_grid, assemble, empirical_ratio,
                         operator_norm_pq)
-from .spaces import SampledFunction, conjugate_exponent, sample, weight_exponent, weighted_norm
+from .spaces import SampledFunction, conjugate_exponent, sample, weighted_norm
 
 DEFAULT_R_SCHEDULE = (10.0, 40.0, 160.0, 640.0)
 GAMMA_SATURATING = 0.05
@@ -213,12 +214,10 @@ def verify_holder_step(k: KernelSpec, f: SampledFunction, query: BoundednessQuer
         raise DomainError("kernel decay and query decay disagree")
     _require_on_grid(f, grid)
     source, _ = query_spaces(query)
-    q1 = conjugate_exponent(query.p1)
-    a1 = weight_exponent(source) / source.p
     envelope_row = kernel_eval(k, float(x), grid.nodes)
     lhs = float(np.dot(grid.weights, envelope_row * np.abs(f.values)))
-    majorant = majorant_integral(float(x), q1 * (a1 + query.kappa))
-    rhs = weighted_norm(f, source) * majorant ** (1.0 / q1)
+    majorant = majorant_integral(float(x), majorant_exponent(source, query.kappa))
+    rhs = weighted_norm(f, source) * majorant ** (1.0 / conjugate_exponent(source.p))
     return HolderCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1.0 + 1e-8)))
 
 

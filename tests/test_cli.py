@@ -307,3 +307,46 @@ def test_sweep_flags_set_runconfig_fields(tmp_path):
                     "--out", str(by_config)]) == 0
     assert by_flag.read_bytes() == by_config.read_bytes()
     assert "# panels_per_side=6\n" in by_flag.read_text()
+
+
+SMALL_GRID = ["--grid", "grid(10,4,1.3,4)"]
+OPNORM = ["opnorm", "--kernel", "envelope(2)", "--source", "H(-0.25)",
+          "--target", "H(-0.25)", *SMALL_GRID]
+APPLY = ["apply", "--kernel", "envelope(2)", "--function", "gauss(1)", *SMALL_GRID]
+
+
+@pytest.mark.parametrize("argv, config_text, code", [
+    (["oracle", "majorant", "--x", "0", "--a", "0.5", "--R", "inf"], None, 1),
+    (["oracle", "majorant", "--x", "nan", "--a", "2"], None, 1),
+    (["oracle", "indicator-image", "--kappa", "nan", "--x", "1"], None, 1),
+    (["oracle", "powerlaw-norm", "--t", "nan", "--space", "H(-1)"], None, 1),
+    (["oracle", "majorant", "--x", "0", "--a", "-400", "--R", "1e300"], None, 2),
+    (APPLY + ["--x", "inf"], None, 1),
+    (APPLY + ["--x", "nan"], None, 1),
+    (OPNORM, '{"power_tol": NaN}', 1),
+    (OPNORM, '{"power_tol": Infinity}', 1),
+    (OPNORM, '{"grading": -Infinity}', 1),
+    (OPNORM, '{"power_tol": 1e999}', 1),
+    (OPNORM, '{"power_max_iter": 0}', 1),
+    (OPNORM, '{"power_tol": -0.001}', 1),
+    (["norm", "--function", "gauss(1)", "--space", "H(-0.5)", "--grid", "grid(10,4,nan,4)"],
+     None, 1),
+    (["norm", "--function", "gauss(1)", "--space", "H(-0.5)", "--grid", "grid(10,nan,1.3,4)"],
+     None, 1),
+    (["sweep", "--query", QUERY, "--grading", "nan"], None, 1),
+], ids=["majorant-R-inf", "majorant-x-nan", "indicator-kappa-nan", "powerlaw-norm-t-nan",
+        "majorant-overflow", "apply-x-inf", "apply-x-nan", "config-nan", "config-infinity",
+        "config-minus-infinity", "config-overflowing-literal", "config-max-iter-0",
+        "config-negative-tol", "norm-grading-nan", "norm-panels-nan", "sweep-grading-nan"])
+def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, config_text, code):
+    # no NaN or Infinity reaches a report, and nothing escapes as a traceback
+    if config_text is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config_text)
+        argv = argv + ["--config", str(path)]
+    assert run_cli(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    prefix = "error: usage: " if code == 1 else "error: numerical: "
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert captured.out == ""

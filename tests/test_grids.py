@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from opnormlab import (DomainError, NumericalError, build_grid, extend_grid,
+from opnormlab import (DomainError, Grid, NumericalError, build_grid, extend_grid,
                        grid_from_breakpoints, integrate, nested_grids, parse_grid)
 from opnormlab.closed_forms import powerlaw_integral
 from opnormlab.grids import _reference_rule
@@ -141,6 +141,51 @@ def test_breakpoint_alignment_constructor():
     lambda: extend_grid(build_grid(5.0, 3), 4.0),
 ])
 def test_invalid_parameters_raise(bad):
+    with pytest.raises(DomainError):
+        bad()
+
+
+def _with(grid, **changes):
+    # the grid's fields, some replaced, through the public constructor
+    fields = dict(R=grid.R, nodes=grid.nodes, weights=grid.weights, grading=grid.grading,
+                  panel_order=grid.panel_order, breakpoints=grid.breakpoints)
+    return Grid(**{**fields, **changes})
+
+
+def _poisoned(values, index=0, value=np.nan):
+    out = np.array(values)
+    out[index] = value
+    return out
+
+
+NAN, INF = float("nan"), float("inf")
+BASE = build_grid(5.0, 3, 1.3, 4)
+
+
+NON_FINITE_GRIDS = {
+    "spec-grading-nan": lambda: parse_grid("grid(10,4,nan,4)"),
+    "spec-grading-inf": lambda: parse_grid("grid(10,4,inf,4)"),
+    "spec-panels-nan": lambda: parse_grid("grid(10,nan,1.3,4)"),
+    "spec-panels-inf": lambda: parse_grid("grid(10,inf,1.3,4)"),
+    "spec-order-nan": lambda: parse_grid("grid(10,4,1.3,nan)"),
+    "build-grading-nan": lambda: build_grid(5.0, 3, NAN, 8),
+    "inner-edge-nan": lambda: grid_from_breakpoints([0.0, NAN, 1.0]),
+    "outer-edge-nan": lambda: grid_from_breakpoints([0.0, 1.0, NAN]),
+    "extend-radius-nan": lambda: extend_grid(BASE, NAN),
+    "extend-panels-nan": lambda: extend_grid(BASE, 10.0, extra_panels=NAN),
+    "grading-nan": lambda: _with(BASE, grading=NAN),
+    "grading-inf": lambda: _with(BASE, grading=INF),
+    "first-node-nan": lambda: _with(BASE, nodes=_poisoned(BASE.nodes)),
+    "last-node-nan": lambda: _with(BASE, nodes=_poisoned(BASE.nodes, -1)),
+    "weight-nan": lambda: _with(BASE, weights=_poisoned(BASE.weights)),
+    "weight-inf": lambda: _with(BASE, weights=_poisoned(BASE.weights, value=INF)),
+}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_GRIDS.values(), ids=NON_FINITE_GRIDS.keys())
+def test_nan_fails_every_grid_check(bad):
+    # each check is a comparison that a NaN makes False, so it must be
+    # written to fail rather than pass on NaN
     with pytest.raises(DomainError):
         bad()
 

@@ -85,6 +85,32 @@ def test_assemble_mirrored_peak_memory():
     assert peak < 0.75 * n * n * 8
 
 
+def test_assemble_full_path_peak_memory():
+    # graded nodes with two weights swapped: not a bitwise mirror, so the
+    # full matrix is assembled.  The envelope keeps two n x n arrays alive at
+    # once (kernel values and their scaled copy); a modulation adds its
+    # factor as a third
+    grid = build_grid(640.0, 82, 1.3, 8)
+    weights = grid.weights.copy()
+    weights[[0, 1]] = weights[[1, 0]]
+    grid = Grid(R=grid.R, nodes=grid.nodes, weights=weights, grading=grid.grading,
+                panel_order=grid.panel_order, breakpoints=grid.breakpoints)
+    n = grid.size
+    assert n == 1312
+    for kernel, bound in ((KernelSpec(kappa=1.5), 2.25), (COSMOD, 3.25),
+                          (KernelSpec(kappa=1.5, modulation="alternating"), 3.25)):
+        tracemalloc.start()
+        try:
+            op = assemble(kernel, SpaceSpec.hps(4.0, -0.5), SpaceSpec.hps(2.0, 0.25),
+                          grid, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not op.mirrored
+        assert peak < bound * n * n * 8, kernel
+        del op
+
+
 def test_assemble_nonnegative_for_pure_envelope():
     grid = build_grid(20.0, 6, 1.3, 6)
     op = assemble(KernelSpec(kappa=1.5), SpaceSpec.h(-1.0), SpaceSpec.h(-0.5),
@@ -211,6 +237,14 @@ def test_apply_indicator_closed_form(x, expected):
     assert expected == pytest.approx(envelope_indicator_image(2.0, x), rel=1e-15)
 
 
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+def test_apply_rejects_non_finite_point(x):
+    grid = build_grid(5.0, 4, 1.3, 6)
+    f = sample(grid, lambda y: np.ones_like(y))
+    with pytest.raises(DomainError, match="finite"):
+        apply_operator(KernelSpec(kappa=2.0), f, grid, x)
+
+
 def test_apply_requires_matching_grid():
     grid = build_grid(5.0, 4, 1.3, 6)
     other = build_grid(6.0, 4, 1.3, 6)
@@ -291,6 +325,24 @@ def test_pq_norm_rank_one_holder_equality():
 def test_pq_norm_zero_matrix():
     estimate = matrix_pq_norm(np.zeros((3, 3)), 2.5, 1.5)
     assert estimate.value == 0.0 and estimate.certified
+
+
+@pytest.mark.parametrize("tol, max_iter", [
+    (POWER_TOL, 0), (POWER_TOL, -1), (-1e-3, POWER_MAX_ITER),
+    (np.nan, POWER_MAX_ITER), (np.inf, POWER_MAX_ITER),
+])
+def test_pq_norm_rejects_bad_iteration_limits(tol, max_iter):
+    # with no iteration the value would be a bare 0.0, and a negative
+    # tolerance would spend the whole budget on every call
+    with pytest.raises(DomainError):
+        matrix_pq_norm(np.eye(2), 2.0, 3.0, tol=tol, max_iter=max_iter)
+    with pytest.raises(DomainError):
+        largest_singular_value(np.eye(2), tol=tol, max_iter=max_iter)
+
+
+def test_pq_norm_accepts_zero_tolerance_and_one_iteration():
+    estimate = matrix_pq_norm(np.eye(2), 2.0, 2.0, tol=0.0, max_iter=1)
+    assert estimate.iterations == 1 and not estimate.converged
 
 
 def test_pq_norm_start_in_nullspace():
