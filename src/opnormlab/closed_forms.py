@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .conditions import family_thresholds
+from .conditions import space_thresholds
 from .errors import DivergenceError, DomainError, NumericalError
 from .spaces import SpaceSpec, conjugate_exponent, weight_exponent
 
@@ -93,16 +93,23 @@ def majorant_exponent(source: SpaceSpec, kappa: float) -> float:
     return conjugate_exponent(source.p) * (weight_exponent(source) / source.p + kappa)
 
 
+def _integrable_exponent(source: SpaceSpec, kappa: float) -> float:
+    """:func:`majorant_exponent`, or DivergenceError unless kappa exceeds the inner threshold.
+
+    The threshold is checked itself since a = 1 there can round to either side.
+    """
+    if not kappa > space_thresholds(source, source)[0]:
+        raise DivergenceError(f"majorant not integrable: kappa = {kappa!r} <= inner threshold")
+    return majorant_exponent(source, kappa)
+
+
 def tail_bound(k, source: SpaceSpec, R: float) -> float:
     """Bound on the |y| > R remainder of the dual-exponent majorant integral.
 
     The tail beyond R of (1+|y|)^(-a), a from :func:`majorant_exponent`,
     times c_upper^q1 of the KernelSpec ``k``.  Kappa at or below the inner
-    threshold diverges; it is checked by itself since a = 1 there can round
-    to either side.
+    threshold diverges.
     """
-    inner = family_thresholds(source.variant, source.s, source.s, source.p, source.p)[0]
-    if k.kappa <= inner:
-        raise DivergenceError(f"tail not integrable: kappa = {k.kappa!r} <= inner threshold")
+    a = _integrable_exponent(source, k.kappa)
     scale = k.c_upper ** conjugate_exponent(source.p) * 2.0
-    return _power_integral(1.0, majorant_exponent(source, k.kappa), _radius(R), None, scale)
+    return _power_integral(1.0, a, _radius(R), None, scale)

@@ -1,13 +1,13 @@
 """Sufficient boundedness thresholds for power-envelope kernels.
 
-For each mapping family the kernel decay exponent kappa must strictly
-exceed two lower bounds: an *inner* one that makes the dual-exponent
-majorant integral in y converge, and an *outer* one that makes the
-weighted x-integral converge.  The binding threshold is the larger of the
-two, and applicability additionally requires s1 < 0.
+The kernel decay exponent kappa must strictly exceed two lower bounds,
+both one formula in the spaces' weight exponents: an *inner* one that makes
+the dual-exponent majorant integral in y converge, and an *outer* one that
+makes the weighted x-integral converge.  The binding threshold is the
+larger of the two, and applicability additionally requires s1 < 0.
 
 Threshold arithmetic is plain Python, so exact inputs (e.g.
-``fractions.Fraction``) pass through all formulas unchanged; tests use
+``fractions.Fraction``) pass through the formula unchanged; tests use
 that for exact rational cross-checks.
 """
 from __future__ import annotations
@@ -16,8 +16,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .spaces import VARIANTS, SpaceSpec, conjugate_exponent
+from .errors import DomainError, NumericalError
+from .spaces import VARIANTS, SpaceSpec, conjugate_exponent, weight_exponent
 
 # The inner bound for the hps family is derived from the source-side
 # Holder factor (1+|y|)^(-2*s1/p1); it involves p1, not p2.
@@ -103,42 +103,38 @@ class ConditionReport:
         return out
 
 
+def space_thresholds(source: SpaceSpec, target: SpaceSpec):
+    """Inner and outer decay thresholds of a mapping from ``source`` to ``target``.
+
+    inner = 1/q1 - w1/p1 (source only), outer = 1/p2 + 1/q1 + w2/p2 - w1/p1,
+    with w each space's weight exponent.
+    """
+    q1 = conjugate_exponent(source.p)
+    source_decay = weight_exponent(source) / source.p
+    inner = 1 / q1 - source_decay
+    outer = 1 / target.p + 1 / q1 + weight_exponent(target) / target.p - source_decay
+    return inner, outer
+
+
 def threshold_h(s1, s2):
     """Inner/outer decay thresholds for the classic p = 2 family."""
-    inner = 1 / 2 - s1
-    outer = 1 + s2 - s1
-    return inner, outer
+    return space_thresholds(SpaceSpec("h", s1, 2.0), SpaceSpec("h", s2, 2.0))
 
 
 def threshold_hsp(s1, s2, p1, p2):
     """Inner/outer decay thresholds for the p-scaled-weight family."""
-    q1 = conjugate_exponent(p1)
-    conjugate_exponent(p2)  # validates p2
-    inner = 1 / q1 - s1
-    outer = 1 / p2 + 1 / q1 + s2 - s1
-    return inner, outer
+    return space_thresholds(SpaceSpec("hsp", s1, p1), SpaceSpec("hsp", s2, p2))
 
 
 def threshold_hps(s1, s2, p1, p2):
-    """Inner/outer decay thresholds for the fixed-weight family.
-
-    The inner bound comes from convergence of the dual-exponent majorant
-    integral with the source factor 2*s1/p1 (see HPS_INNER_NOTE).
-    """
-    q1 = conjugate_exponent(p1)
-    conjugate_exponent(p2)  # validates p2
-    inner = 1 / q1 - 2 * s1 / p1
-    outer = 1 / p2 + 1 / q1 + 2 * s2 / p2 - 2 * s1 / p1
-    return inner, outer
+    """Inner/outer decay thresholds for the fixed-weight family (see HPS_INNER_NOTE)."""
+    return space_thresholds(SpaceSpec("hps", s1, p1), SpaceSpec("hps", s2, p2))
 
 
-def family_thresholds(family: str, s1, s2, p1, p2):
-    """Dispatch to the threshold formula of one family."""
-    if family == "h":
-        return threshold_h(s1, s2)
-    if family == "hsp":
-        return threshold_hsp(s1, s2, p1, p2)
-    return threshold_hps(s1, s2, p1, p2)
+def query_spaces(query: BoundednessQuery) -> tuple[SpaceSpec, SpaceSpec]:
+    """Source and target spaces of the mapping the query asks about."""
+    return (SpaceSpec(query.family, float(query.s1), float(query.p1)),
+            SpaceSpec(query.family, float(query.s2), float(query.p2)))
 
 
 def check_boundedness(query: BoundednessQuery) -> ConditionReport:
@@ -147,9 +143,11 @@ def check_boundedness(query: BoundednessQuery) -> ConditionReport:
     Inapplicability (s1 >= 0) is reported, not raised.  The condition is a
     strict inequality, so a zero margin is not satisfied.
     """
-    inner, outer = family_thresholds(query.family, query.s1, query.s2, query.p1, query.p2)
+    inner, outer = space_thresholds(*query_spaces(query))
     threshold = max(inner, outer)
     margin = query.kappa - threshold
+    if not all(map(math.isfinite, (inner, outer, margin))):
+        raise NumericalError(f"threshold {threshold!r} or margin {margin!r} overflows")
     applicable = query.s1 < 0
     return ConditionReport(
         query=query,
@@ -163,8 +161,3 @@ def check_boundedness(query: BoundednessQuery) -> ConditionReport:
         note=HPS_INNER_NOTE if query.family == "hps" else None,
     )
 
-
-def query_spaces(query: BoundednessQuery) -> tuple[SpaceSpec, SpaceSpec]:
-    """Source and target spaces of the mapping the query asks about."""
-    return (SpaceSpec(query.family, float(query.s1), float(query.p1)),
-            SpaceSpec(query.family, float(query.s2), float(query.p2)))

@@ -119,25 +119,33 @@ def grid_from_breakpoints(breakpoints, grading: float = 1.0,
                 breakpoints=edges)
 
 
-def half_line_breakpoints(R: float, panels: int, grading: float) -> np.ndarray:
-    """Geometric panel edges on [0, R] with growth ratio ``grading``.
+def _geometric_fill(lo: float, hi: float, panels: int, grading: float) -> np.ndarray:
+    """Right edges of m = ``panels`` panels of ratio g = ``grading`` filling (lo, hi].
 
-    The first panel has width R(g-1)/(g^m - 1), so m panels of ratio g fill
-    [0, R] exactly; g = 1 degenerates to the uniform mesh.
+    The first panel has width (hi-lo)(g-1)/(g^m - 1); g = 1 is uniform.
     """
+    span = hi - lo
+    if grading == 1.0:
+        first = span / panels
+    else:
+        try:
+            first = span * (grading - 1.0) / (grading ** panels - 1.0)
+        except OverflowError:  # float ** raises where numpy would warn
+            raise DomainError(f"panel grading {grading!r} overflows over {panels} panels") from None
+    edges = lo + np.cumsum(first * grading ** np.arange(panels))
+    edges[-1] = hi
+    return edges
+
+
+def half_line_breakpoints(R: float, panels: int, grading: float) -> np.ndarray:
+    """Geometric panel edges on [0, R] with growth ratio ``grading``."""
     if not (np.isfinite(R) and R > 0):
         raise DomainError("truncation radius must be positive and finite")
     if not panels >= 1:
         raise DomainError("need at least one panel per side")
     if not (1 <= grading < np.inf):
         raise DomainError("panel grading must be finite and >= 1")
-    if grading == 1.0:
-        first = R / panels
-    else:
-        first = R * (grading - 1.0) / (grading ** panels - 1.0)
-    edges = np.concatenate([[0.0], np.cumsum(first * grading ** np.arange(panels))])
-    edges[-1] = R
-    return edges
+    return np.concatenate([[0.0], _geometric_fill(0.0, R, panels, grading)])
 
 
 def build_grid(R: float, panels_per_side: int, grading: float = DEFAULT_GRADING,
@@ -159,16 +167,9 @@ def extend_grid(grid: Grid, R_new: float, extra_panels: int = 2) -> Grid:
         raise DomainError("extension radius must exceed the current radius")
     if not extra_panels >= 1:
         raise DomainError("need at least one extension panel")
-    g = grid.grading
-    span = R_new - grid.R
-    if g == 1.0:
-        first = span / extra_panels
-    else:
-        first = span * (g - 1.0) / (g ** extra_panels - 1.0)
-    new_edges = grid.R + np.cumsum(first * g ** np.arange(extra_panels))
-    new_edges[-1] = R_new
+    new_edges = _geometric_fill(grid.R, R_new, extra_panels, grid.grading)
     edges = np.concatenate([grid.breakpoints, new_edges])
-    return grid_from_breakpoints(edges, grading=g, panel_order=grid.panel_order)
+    return grid_from_breakpoints(edges, grading=grid.grading, panel_order=grid.panel_order)
 
 
 def nested_grids(R_schedule, panels_per_side: int, grading: float = DEFAULT_GRADING,

@@ -36,10 +36,8 @@ class KernelSpec:
     def __post_init__(self):
         if not math.isfinite(self.kappa):
             raise DomainError("decay exponent must be finite")
-        if self.c_lower < 0 or self.c_upper < 0:
-            raise DomainError("envelope constants cannot be negative")
-        if self.c_lower > self.c_upper:
-            raise DomainError("lower envelope constant cannot exceed the upper one")
+        if not (0 <= self.c_lower <= self.c_upper < math.inf):  # NaN fails too
+            raise DomainError("envelope constants must satisfy 0 <= c_lower <= c_upper < inf")
         if self.modulation not in MODULATIONS:
             raise DomainError(f"unknown modulation {self.modulation!r}")
         if self.modulation == "cosine" and not math.isfinite(self.omega):

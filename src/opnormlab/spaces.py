@@ -80,10 +80,10 @@ class SpaceSpec:
 
 
 def weight_exponent(space: SpaceSpec) -> float:
-    """Exponent w of the weight (1+|x|)^w inside the p-th power integral."""
+    """Exponent w of the weight (1+|x|)^w in the p-th power integral; exact types stay exact."""
     if space.variant == "hsp":
         return space.p * space.s
-    return 2.0 * space.s
+    return 2 * space.s
 
 
 @dataclass(frozen=True, eq=False)

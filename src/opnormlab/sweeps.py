@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .closed_forms import majorant_exponent, majorant_integral
+from .closed_forms import _integrable_exponent, majorant_integral
 from .conditions import BoundednessQuery, ConditionReport, check_boundedness, query_spaces
 from .errors import DomainError, PlanError
 from .grids import DEFAULT_GRADING, DEFAULT_PANEL_ORDER, Grid, nested_grids
@@ -204,7 +204,7 @@ def verify_holder_step(k: KernelSpec, f: SampledFunction, query: BoundednessQuer
     Left side: quadrature of envelope(x, y)*|f(y)|.  Right side: the source
     norm of f times the dual-exponent majorant integral raised to 1/q1.
     Requires the pure envelope kernel with c_upper = 1 and a query whose
-    inner condition holds (otherwise the majorant integral diverges).
+    inner condition holds (otherwise the majorant diverges: DivergenceError).
     """
     if k.modulation != "none":
         raise DomainError("the proof-step check requires an unmodulated kernel")
@@ -216,7 +216,7 @@ def verify_holder_step(k: KernelSpec, f: SampledFunction, query: BoundednessQuer
     source, _ = query_spaces(query)
     envelope_row = kernel_eval(k, float(x), grid.nodes)
     lhs = float(np.dot(grid.weights, envelope_row * np.abs(f.values)))
-    majorant = majorant_integral(float(x), majorant_exponent(source, query.kappa))
+    majorant = majorant_integral(float(x), _integrable_exponent(source, query.kappa))
     rhs = weighted_norm(f, source) * majorant ** (1.0 / conjugate_exponent(source.p))
     return HolderCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1.0 + 1e-8)))
 

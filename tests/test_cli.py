@@ -334,10 +334,21 @@ APPLY = ["apply", "--kernel", "envelope(2)", "--function", "gauss(1)", *SMALL_GR
     (["norm", "--function", "gauss(1)", "--space", "H(-0.5)", "--grid", "grid(10,nan,1.3,4)"],
      None, 1),
     (["sweep", "--query", QUERY, "--grading", "nan"], None, 1),
+    (["norm", "--function", "gauss(1)", "--space", "H(-1)", "--grid", "grid(10,4,1e300,4)"],
+     None, 1),
+    (["check", "--thm", "1", "--s1=-1e308", "--s2", "1e308", "--kappa", "1"], None, 2),
+    # 2*s1 stays finite here, so only kappa - threshold overflows
+    (["check", "--thm", "1", "--s1=-8e307", "--s2=-8e307", "--kappa=-1.7e308"], None, 2),
+    (["apply", "--kernel", "envelope(2,nan)", "--function", "gauss(1)", *SMALL_GRID,
+      "--x", "0"], None, 1),
+    (["apply", "--kernel", "envelope(2,inf)", "--function", "gauss(1)", *SMALL_GRID,
+      "--x", "0"], None, 1),
 ], ids=["majorant-R-inf", "majorant-x-nan", "indicator-kappa-nan", "powerlaw-norm-t-nan",
         "majorant-overflow", "apply-x-inf", "apply-x-nan", "config-nan", "config-infinity",
         "config-minus-infinity", "config-overflowing-literal", "config-max-iter-0",
-        "config-negative-tol", "norm-grading-nan", "norm-panels-nan", "sweep-grading-nan"])
+        "config-negative-tol", "norm-grading-nan", "norm-panels-nan", "sweep-grading-nan",
+        "norm-grading-overflow", "check-threshold-overflow", "check-margin-overflow",
+        "kernel-c-nan", "kernel-c-inf"])
 def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, config_text, code):
     # no NaN or Infinity reaches a report, and nothing escapes as a traceback
     if config_text is not None:

@@ -1,12 +1,17 @@
 """Threshold formulas, reduction identities and condition reports."""
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opnormlab import (BoundednessQuery, DomainError, SpaceSpec, check_boundedness,
-                       family_from_index, index_from_family, query_spaces,
-                       threshold_h, threshold_hps, threshold_hsp)
+from opnormlab import (BoundednessQuery, DomainError, NumericalError, SpaceSpec,
+                       check_boundedness, family_from_index, index_from_family,
+                       majorant_exponent, query_spaces, threshold_h, threshold_hps,
+                       threshold_hsp)
+from opnormlab.conditions import space_thresholds
 
 
 def test_threshold_h_values():
@@ -142,3 +147,73 @@ def test_query_spaces():
     assert src == SpaceSpec.hsp(-1.0, 3.0) and tgt == SpaceSpec.hsp(-0.5, 4.0)
     src, tgt = query_spaces(BoundednessQuery("hps", -1.0, -0.5, 2.0, 3.0, 4.0))
     assert src == SpaceSpec.hps(3.0, -1.0) and tgt == SpaceSpec.hps(4.0, -0.5)
+
+
+def test_check_boundedness_rejects_an_overflowing_margin():
+    # the thresholds are finite, only kappa - threshold overflows
+    source, target = SpaceSpec.h(-8e307), SpaceSpec.h(-8e307)
+    assert all(map(math.isfinite, space_thresholds(source, target)))
+    with pytest.raises(NumericalError):
+        check_boundedness(BoundednessQuery("h", -8e307, -8e307, -1.7e308))
+
+
+# --- the one formula against the three per-family formulas ----------------------
+# Written out per family, as in the paper: classic (p = 2, w = 2s), p-scaled
+# weight (w = p*s) and fixed weight (w = 2s).
+
+def _h_formula(s1, s2):
+    return 1 / 2 - s1, 1 + s2 - s1
+
+
+def _hsp_formula(s1, s2, p1, p2):
+    q1 = p1 / (p1 - 1)
+    return 1 / q1 - s1, 1 / p2 + 1 / q1 + s2 - s1
+
+
+def _hps_formula(s1, s2, p1, p2):
+    q1 = p1 / (p1 - 1)
+    return 1 / q1 - 2 * s1 / p1, 1 / p2 + 1 / q1 + 2 * s2 / p2 - 2 * s1 / p1
+
+
+PROPERTY = settings(max_examples=300, derandomize=True)
+SMOOTHNESS = st.floats(-1e6, 1e6, allow_nan=False)
+EXPONENT = st.floats(1.0, 1e3, exclude_min=True, allow_nan=False)
+RATIONAL_S = st.fractions(-20, 20, max_denominator=60)
+RATIONAL_P = st.fractions(Fraction(61, 60), 20, max_denominator=60)
+
+
+@PROPERTY
+@given(SMOOTHNESS, SMOOTHNESS)
+def test_one_formula_is_the_classic_formula_bitwise(s1, s2):
+    assert threshold_h(s1, s2) == _h_formula(s1, s2)
+
+
+@PROPERTY
+@given(SMOOTHNESS, SMOOTHNESS, EXPONENT, EXPONENT)
+def test_one_formula_is_the_fixed_weight_formula_bitwise(s1, s2, p1, p2):
+    assert threshold_hps(s1, s2, p1, p2) == _hps_formula(s1, s2, p1, p2)
+
+
+@PROPERTY
+@given(SMOOTHNESS, SMOOTHNESS, EXPONENT, EXPONENT)
+def test_one_formula_is_the_scaled_weight_formula_to_a_few_ulps(s1, s2, p1, p2):
+    # (p*s)/p stands in for s, which may move the last bit of each term
+    scale = math.ulp(2.0 + abs(s1) + abs(s2))
+    for got, want in zip(threshold_hsp(s1, s2, p1, p2), _hsp_formula(s1, s2, p1, p2)):
+        assert abs(got - want) <= 8 * scale
+
+
+@PROPERTY
+@given(RATIONAL_S, RATIONAL_S, RATIONAL_P, RATIONAL_P)
+def test_one_formula_is_exact_on_rationals(s1, s2, p1, p2):
+    assert threshold_hsp(s1, s2, p1, p2) == _hsp_formula(s1, s2, p1, p2)
+    assert threshold_hps(s1, s2, p1, p2) == _hps_formula(s1, s2, p1, p2)
+
+
+@PROPERTY
+@given(st.sampled_from(("h", "hsp", "hps")), st.floats(-10.0, 10.0),
+       st.floats(1.1, 10.0))
+def test_majorant_exponent_is_one_at_the_inner_threshold(family, s, p):
+    source = SpaceSpec(family, s, 2.0 if family == "h" else p)
+    inner, _ = space_thresholds(source, source)
+    assert majorant_exponent(source, inner) == pytest.approx(1.0, abs=1e-12)

@@ -139,6 +139,9 @@ def test_breakpoint_alignment_constructor():
     lambda: grid_from_breakpoints([0.5, 1.0]),
     lambda: grid_from_breakpoints([0.0, 1.0, 1.0]),
     lambda: extend_grid(build_grid(5.0, 3), 4.0),
+    # grading ** panels overflows a float
+    lambda: build_grid(10.0, 4, 1e300, 4),
+    lambda: extend_grid(build_grid(10.0, 1, 1e300, 4), 20.0),
 ])
 def test_invalid_parameters_raise(bad):
     with pytest.raises(DomainError):

@@ -41,6 +41,11 @@ def test_kernel_validation():
         KernelSpec(kappa=1.0, c_lower=-1.0)
     with pytest.raises(DomainError):
         KernelSpec(kappa=1.0, c_lower=2.0, c_upper=1.0)
+    for bad in (float("nan"), float("inf")):  # a NaN must fail the check, not slip past it
+        with pytest.raises(DomainError):
+            KernelSpec(kappa=1.0, c_upper=bad)
+        with pytest.raises(DomainError):
+            KernelSpec(kappa=1.0, c_lower=bad, c_upper=bad)
     with pytest.raises(DomainError):
         KernelSpec(kappa=1.0, modulation="square")
 

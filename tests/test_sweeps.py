@@ -252,6 +252,17 @@ def test_holder_step_inner_violation_diverges():
         verify_holder_step(KernelSpec(kappa=1.5), f, query, 0.0, grid)
 
 
+def test_holder_step_at_the_inner_threshold_diverges():
+    # h(-0.6), kappa = 1.1 sits on the inner threshold 1/2 - s1, where the
+    # dual exponent rounds to just above 1; the threshold check must refuse
+    # it, as tail_bound does, rather than report a huge finite majorant
+    grid = build_grid(10.0, 8, 1.3, 6)
+    f = sample_spec(grid, "gauss(1)")
+    query = BoundednessQuery("h", -0.6, -0.6, 1.1)
+    with pytest.raises(DivergenceError):
+        verify_holder_step(KernelSpec(kappa=1.1), f, query, 0.0, grid)
+
+
 # --- sharpness probe -----------------------------------------------------------
 
 def test_probe_bounded_above_threshold():
