@@ -32,6 +32,6 @@ from .spaces import (SampledFunction, SpaceSpec, bump, conjugate_exponent,
 from .sweeps import (GridPolicy, HolderCheck, ProbeCell, QuerySummary,
                      SweepCell, SweepPlan, SweepResult, fit_growth_exponent,
                      run_boundedness_sweep, sharpness_probe, sweep_csv_text,
-                     verify_holder_step, write_sweep_csv)
+                     verify_holder_step)
 
 __version__ = "0.1.0"

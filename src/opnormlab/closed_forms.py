@@ -111,5 +111,10 @@ def tail_bound(k, source: SpaceSpec, R: float) -> float:
     threshold diverges.
     """
     a = _integrable_exponent(source, k.kappa)
-    scale = k.c_upper ** conjugate_exponent(source.p) * 2.0
+    try:  # float ** raises where * returns inf; _power_integral takes a finite scale only
+        scale = k.c_upper ** conjugate_exponent(source.p) * 2.0
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise NumericalError(f"tail bound overflows for c_upper = {k.c_upper!r}")
     return _power_integral(1.0, a, _radius(R), None, scale)

@@ -53,17 +53,9 @@ class BoundednessQuery:
     p2: float = 2.0
 
     def __post_init__(self):
-        if self.family not in VARIANTS:
-            raise DomainError(f"unknown family {self.family!r}")
-        for name in ("s1", "s2", "kappa"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-        for name in ("p1", "p2"):
-            value = getattr(self, name)
-            if not (1 < value < math.inf):
-                raise DomainError(f"{name} must lie in (1, inf)")
-        if self.family == "h" and (self.p1 != 2.0 or self.p2 != 2.0):
-            raise DomainError("the classic family fixes p1 = p2 = 2")
+        if not math.isfinite(self.kappa):
+            raise DomainError("kappa must be finite")
+        query_spaces(self)  # the two SpaceSpecs check family, s and p
 
 
 @dataclass(frozen=True)

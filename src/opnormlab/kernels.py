@@ -106,36 +106,38 @@ def _sample_points(sample_count: int, seed: int) -> tuple[np.ndarray, np.ndarray
     return (np.concatenate([xs, lx.ravel()]), np.concatenate([ys, ly.ravel()]))
 
 
-def envelope_check(kernel, kappa_claimed: float, c_lower: float = 1.0,
-                   c_upper: float = 1.0, sample_count: int = 2000,
+def envelope_check(kernel, kappa_claimed: float, c_lower: float | None = None,
+                   c_upper: float | None = None, sample_count: int = 2000,
                    seed: int = 0) -> EnvelopeReport:
     """Check |K| against both sides of the claimed power envelope by sampling.
 
-    ``kernel`` is a KernelSpec or a callable (x, y) -> value.  Ratios are
-    |K| / (c * envelope); the upper bound asks for ratios <= 1 against
-    c_upper, the lower bound for ratios >= 1 against c_lower, both with a
-    1e-9 slack so exact-equality kernels pass.
+    ``kernel`` is a KernelSpec or a callable (x, y) -> value, called once per
+    sample; constants not given are the KernelSpec's own, or 1.  Ratios are
+    |K| / (c * envelope), 1 where both are 0; the upper bound asks for ratios
+    <= 1 against c_upper, the lower bound for ratios >= 1 against c_lower,
+    both with a 1e-9 slack so exact-equality kernels pass.
     """
     if sample_count < 1:
         raise DomainError("need at least one sample")
     xs, ys = _sample_points(sample_count, seed)
     if isinstance(kernel, KernelSpec):
         values = kernel_eval(kernel, xs, ys)
+        c_lower = kernel.c_lower if c_lower is None else c_lower
+        c_upper = kernel.c_upper if c_upper is None else c_upper
     else:
-        try:
-            values = np.asarray(kernel(xs, ys), dtype=float)
-            if values.shape != xs.shape:
-                raise TypeError
-        except Exception:
-            values = np.array([float(kernel(x, y)) for x, y in zip(xs, ys)])
+        values = np.vectorize(kernel, otypes=[float])(xs, ys)
+        c_lower = 1.0 if c_lower is None else c_lower
+        c_upper = 1.0 if c_upper is None else c_upper
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NumericalError(
             f"non-finite kernel value at ({xs[bad]!r}, {ys[bad]!r})"
         )
     envelope = (1.0 + np.abs(xs) + np.abs(ys)) ** (-kappa_claimed)
-    upper_ratio = np.abs(values) / (c_upper * envelope)
-    lower_ratio = np.abs(values) / (c_lower * envelope)
+    magnitude = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 = inf; 0 / 0 is replaced
+        upper_ratio, lower_ratio = (np.where(magnitude == bound, 1.0, magnitude / bound)
+                                    for bound in (c_upper * envelope, c_lower * envelope))
     hi = int(np.argmax(upper_ratio))
     lo = int(np.argmin(lower_ratio))
     return EnvelopeReport(

@@ -213,13 +213,20 @@ def apply_operator_samples(k: KernelSpec, f: SampledFunction, source_grid: Grid,
     return SampledFunction(target_grid, values, tag=None)
 
 
-def _lp_norm(u: np.ndarray, r: float) -> float:
-    return float(np.sum(np.abs(u) ** r) ** (1.0 / r))
-
-
-def _dual_map(u: np.ndarray, r: float, norm: float) -> np.ndarray:
-    # J_r(u) = |u|^(r-1) sign(u) / ||u||_r^(r-1); unit vector in the dual norm.
-    return np.abs(u) ** (r - 1.0) * np.sign(u) / norm ** (r - 1.0)
+def _norm_and_dual(u: np.ndarray, r: float) -> tuple[float, np.ndarray | None]:
+    """(||u||_r, J_r(u)), with J_r(u) = |u|^(r-1) sign(u) / ||u||_r^(r-1) the unit
+    vector in the dual norm, or (0, None).  Where |u|^r overflows for a finite u,
+    both come from u / max|u|: the norm is homogeneous of degree 1, J_r of degree 0.
+    """
+    magnitude = np.abs(u)
+    total = np.sum(magnitude ** r)
+    if total == math.inf and (peak := float(magnitude.max())) < math.inf:
+        norm, dual = _norm_and_dual(u / peak, r)
+        return peak * norm, dual
+    norm = float(total ** (1.0 / r))
+    if norm == 0.0:
+        return 0.0, None
+    return norm, magnitude ** (r - 1.0) * np.sign(u) / norm ** (r - 1.0)
 
 
 def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
@@ -233,7 +240,8 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
     values times ``scale``; without convergence the last change is the one
     that failed the stop test.  The zero matrix gives (0, True, 0, 0).
     ``scale`` = 2^(1/p2 + 1/q1) on the quadrant of a mirrored matrix makes
-    the run that of the full matrix.
+    the run that of the full matrix.  A value that is not finite raises
+    NumericalError; run it with numpy's overflow and invalid warnings off.
     """
     q1 = conjugate_exponent(p1)
     n = B.shape[1]
@@ -242,9 +250,10 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
     gamma_prev = -np.inf
     delta = np.inf
     for iteration in range(1, max_iter + 1):
-        u = B @ v
-        u_norm = _lp_norm(u, p2)
+        u_norm, u_dual = _norm_and_dual(B @ v, p2)
         gamma = scale * u_norm
+        if not math.isfinite(gamma):
+            raise NumericalError(f"operator norm overflows at iteration {iteration}")
         if gamma == 0.0:
             # the start happened to lie in the nullspace; restart from the
             # heaviest column, unless there is none
@@ -259,8 +268,7 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
         if delta <= tol * max(1.0, gamma):
             return best, True, iteration, delta
         gamma_prev = gamma
-        z = B.T @ _dual_map(u, p2, u_norm)
-        v = _dual_map(z, q1, _lp_norm(z, q1))
+        _, v = _norm_and_dual(B.T @ u_dual, q1)
     return best, False, max_iter, delta
 
 
@@ -312,7 +320,8 @@ def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
         raise DomainError(f"power method needs max_iter >= 1 and a finite tol >= 0, "
                           f"got max_iter = {max_iter!r}, tol = {tol!r}")
     scale = 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1)) if mirrored else 1.0
-    value, converged, iterations, delta = _power_method(B, p1, p2, tol, max_iter, scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises
+        value, converged, iterations, delta = _power_method(B, p1, p2, tol, max_iter, scale)
     if not converged and fallback_dim is not None:
         if fallback_dim > DENSE_FALLBACK_DIM:
             raise ConvergenceError(

@@ -71,13 +71,6 @@ class SpaceSpec:
         """General-p family with weight (1+|x|)^(2s)."""
         return cls("hps", float(s), float(p))
 
-    def spec_string(self) -> str:
-        if self.variant == "h":
-            return f"H({self.s:g})"
-        if self.variant == "hsp":
-            return f"Hsp({self.s:g},{self.p:g})"
-        return f"Hps({self.p:g},{self.s:g})"
-
 
 def weight_exponent(space: SpaceSpec) -> float:
     """Exponent w of the weight (1+|x|)^w in the p-th power integral; exact types stay exact."""

@@ -11,7 +11,6 @@ necessary.
 """
 from __future__ import annotations
 
-import io
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -235,13 +234,13 @@ def sharpness_probe(query: BoundednessQuery, kernel: KernelSpec,
 
     Used to exhibit growth when the sufficient conditions fail; bounded
     ratios prove nothing.  A single radius yields a single ratio and no fit.
+    The schedule and grid policy obey the sweep's rules (see ``SweepPlan``),
+    else PlanError.
     """
-    policy = grid if grid is not None else GridPolicy()
-    schedule = [float(R) for R in R_schedule]
-    grids = policy.build(schedule)
+    plan = SweepPlan((query,), kernel, R_schedule, grid if grid is not None else GridPolicy())
     source, target = query_spaces(query)
     cells: list[ProbeCell] = []
-    for R, g in zip(schedule, grids):
+    for R, g in zip(plan.R_schedule, plan.grid.build(plan.R_schedule)):
         witness = sample(g, lambda x: (1.0 + np.abs(x)) ** (-witness_exponent),
                          tag=f"powerlaw({witness_exponent:g})")
         try:
@@ -265,8 +264,8 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-def write_sweep_csv(result: SweepResult, stream, provenance: dict | None = None) -> None:
-    """Serialize a sweep result as CSV.
+def sweep_csv_text(result: SweepResult, provenance: dict | None = None) -> str:
+    """Serialize a sweep result as CSV text.
 
     Column order is fixed (see SWEEP_CSV_COLUMNS): cell rows fill the
     R/nodes/norm/certified/converged/elapsed_ms columns, and each query's
@@ -274,7 +273,7 @@ def write_sweep_csv(result: SweepResult, stream, provenance: dict | None = None)
     the provenance of every default that shaped the run.
     """
     plan = result.plan
-    stream.write("# opnormlab sweep report\n")
+    lines = ["# opnormlab sweep report"]
     header = {
         "queries": len(plan.queries),
         "kernel": plan.kernel.spec_string() if plan.kernel is not None else "envelope(per-query-kappa)",
@@ -286,24 +285,15 @@ def write_sweep_csv(result: SweepResult, stream, provenance: dict | None = None)
     }
     if provenance:
         header.update(provenance)
-    for key in header:
-        stream.write(f"# {key}={header[key]}\n")
-    stream.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
+    lines += [f"# {key}={value}" for key, value in header.items()]
+    lines.append(",".join(SWEEP_CSV_COLUMNS))
     for index, query in enumerate(plan.queries):
         echo = (index, query.family, query.s1, query.s2, query.p1, query.p2, query.kappa)
-        for cell in result.cells:
-            if cell.query_index != index:
-                continue
-            record = ("cell", *echo, cell.R, cell.nodes, cell.value,
-                      cell.certified, cell.converged, cell.elapsed_ms, None, None)
-            stream.write(",".join(_csv_value(v) for v in record) + "\n")
+        records = [("cell", *echo, cell.R, cell.nodes, cell.value, cell.certified,
+                    cell.converged, cell.elapsed_ms, None, None)
+                   for cell in result.cells if cell.query_index == index]
         summary = result.summaries[index]
-        record = ("summary", *echo, None, None, None, None, None, None,
-                  summary.gamma, summary.verdict)
-        stream.write(",".join(_csv_value(v) for v in record) + "\n")
-
-
-def sweep_csv_text(result: SweepResult, provenance: dict | None = None) -> str:
-    buffer = io.StringIO()
-    write_sweep_csv(result, buffer, provenance)
-    return buffer.getvalue()
+        records.append(("summary", *echo, None, None, None, None, None, None,
+                        summary.gamma, summary.verdict))
+        lines += [",".join(map(_csv_value, record)) for record in records]
+    return "\n".join(lines) + "\n"

@@ -101,6 +101,19 @@ def test_opnorm(capsys):
     assert payload["value"] > 0
 
 
+def test_opnorm_norm_whose_power_sum_overflows(capsys):
+    # sum |u|^2 overflows for c = 1e300 although the norm is finite: the run
+    # is the unscaled one times 1e300, in as many iterations
+    argv = ["opnorm", "--kernel", "envelope(2)", "--source", "H(-1)",
+            "--target", "H(-1)", "--grid", "grid(40,10,1.3,8)"]
+    _, plain = run_json(capsys, argv)
+    argv[2] = "envelope(2,1e300)"
+    code, scaled = run_json(capsys, argv)
+    assert code == 0 and plain["value"] == 1.1463932882972416
+    assert scaled["value"] == pytest.approx(1e300 * plain["value"], rel=1e-15)
+    assert scaled["iterations"] == plain["iterations"] == 6 and scaled["certified"]
+
+
 def test_opnorm_separate_target_grid(capsys):
     code, payload = run_json(capsys, [
         "opnorm", "--kernel", "envelope(2)", "--source", "H(-1)",
@@ -177,6 +190,15 @@ def test_sweep_does_not_import_scipy():
     result = subprocess.run([sys.executable, "-c", script, os.devnull], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["check", "--thm", "1", "--s1", "-0.25", "--s2", "-0.25", "--kappa", "1.5"]
+    env = dict(os.environ, PYTHONPATH=str(Path(opnormlab.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "opnormlab", *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    code = run_cli(argv)
+    assert (result.returncode, result.stdout) == (code, capsys.readouterr().out)
 
 
 def test_unknown_flag_exit_1(capsys):
@@ -343,12 +365,15 @@ APPLY = ["apply", "--kernel", "envelope(2)", "--function", "gauss(1)", *SMALL_GR
       "--x", "0"], None, 1),
     (["apply", "--kernel", "envelope(2,inf)", "--function", "gauss(1)", *SMALL_GRID,
       "--x", "0"], None, 1),
+    # every entry is finite, the operator norm (about 1.9e308) is not
+    (["opnorm", "--kernel", "envelope(2,1.7e308)", "--source", "H(-1)", "--target", "H(-1)",
+      "--grid", "grid(40,10,1.3,8)"], None, 2),
 ], ids=["majorant-R-inf", "majorant-x-nan", "indicator-kappa-nan", "powerlaw-norm-t-nan",
         "majorant-overflow", "apply-x-inf", "apply-x-nan", "config-nan", "config-infinity",
         "config-minus-infinity", "config-overflowing-literal", "config-max-iter-0",
         "config-negative-tol", "norm-grading-nan", "norm-panels-nan", "sweep-grading-nan",
         "norm-grading-overflow", "check-threshold-overflow", "check-margin-overflow",
-        "kernel-c-nan", "kernel-c-inf"])
+        "kernel-c-nan", "kernel-c-inf", "opnorm-norm-overflow"])
 def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, config_text, code):
     # no NaN or Infinity reaches a report, and nothing escapes as a traceback
     if config_text is not None:

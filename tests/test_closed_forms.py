@@ -142,7 +142,11 @@ def test_non_finite_arguments_are_domain_errors(call):
     lambda: envelope_indicator_image(-300.0, 0.0, hi=1e300),
     # (1+R)^2 = 1.44e308 is finite, twice it is not: float * gives inf, not an error
     lambda: majorant_integral(0.0, -1.0, 1.2e154),
-], ids=["majorant", "powerlaw", "indicator", "factor-two"])
+    # c_upper^q1: float ** raises for 1e300^1.5; 1e308^(1 + 1e-7) is finite, twice it is not
+    lambda: tail_bound(KernelSpec(2.0, 1e300, 1e300), SpaceSpec.hsp(-0.5, 3.0), 10.0),
+    lambda: tail_bound(KernelSpec(2.0, 1e308, 1e308), SpaceSpec.hsp(-0.5, 1e7), 10.0),
+], ids=["majorant", "powerlaw", "indicator", "factor-two", "tail-bound-power",
+        "tail-bound-factor-two"])
 def test_overflow_is_a_numerical_error(call):
     with pytest.raises(NumericalError):
         call()

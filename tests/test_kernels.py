@@ -77,6 +77,27 @@ def test_envelope_check_wrong_shape_fails_upper():
     assert report.worst_upper_ratio > 1e3
 
 
+def test_envelope_check_takes_the_constants_of_a_spec():
+    k = KernelSpec(kappa=2.0, c_lower=0.5, c_upper=0.5)
+    report = envelope_check(k, 2.0, sample_count=200, seed=0)
+    assert report.upper_ok and report.lower_ok
+    assert report.worst_lower_ratio == pytest.approx(1.0, rel=1e-12)
+    # constants passed explicitly keep their values
+    assert not envelope_check(k, 2.0, c_lower=1.0, sample_count=200, seed=0).lower_ok
+
+
+def test_envelope_check_zero_constants():
+    # a zero bound is compared, not divided by: no NaN and no warning
+    report = envelope_check(KernelSpec.zero(), 2.0, c_lower=0.0, c_upper=0.0,
+                            sample_count=200, seed=0)
+    assert report.upper_ok and report.lower_ok
+    assert report.worst_upper_ratio == report.worst_lower_ratio == 1.0
+    positive = envelope_check(KernelSpec(kappa=2.0), 2.0, c_lower=0.0, c_upper=0.0,
+                              sample_count=200, seed=0)
+    assert positive.lower_ok and not positive.upper_ok
+    assert positive.worst_upper_ratio == np.inf
+
+
 def test_envelope_check_deterministic():
     k = KernelSpec(kappa=1.5)
     first = envelope_check(k, 1.5, sample_count=200, seed=42)

@@ -352,6 +352,22 @@ def test_pq_norm_start_in_nullspace():
     assert estimate.converged and not estimate.certified
 
 
+def test_pq_norm_rescales_an_overflowing_power_sum():
+    # |u|^4 overflows for u = B 1 although ||B||_{2->4} = sqrt(2) 1e200 is finite
+    estimate = matrix_pq_norm([[1e200, 1e200]], 2.0, 4.0)
+    assert estimate.value == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert estimate.converged and estimate.certified
+
+
+@pytest.mark.parametrize("matrix, p2", [
+    ([[1.7e308, 1.7e308]], 4.0),  # B 1 itself overflows
+    ([[1.7e308], [1.7e308]], 2.0),  # B 1 is finite, its norm is not
+])
+def test_pq_norm_overflowing_value_is_a_numerical_error(matrix, p2):
+    with pytest.raises(NumericalError):
+        matrix_pq_norm(matrix, 2.0, p2)
+
+
 def test_pq_norm_sign_changing_not_certified():
     rng = np.random.default_rng(9)
     matrix = rng.normal(size=(20, 20))

@@ -286,3 +286,18 @@ def test_probe_single_radius():
     cells = sharpness_probe(query_thm1(2.0), KernelSpec(kappa=2.0), 1.0,
                             (10.0,), FAST_GRID)
     assert len(cells) == 1 and cells[0].ratio is not None
+
+
+@pytest.mark.parametrize("schedule, policy", [
+    ((10.0, 30.0, 160.0), FAST_GRID),  # not a geometric progression
+    (tuple(10.0 * 1.1 ** k for k in range(200)), GridPolicy()),  # 6560 nodes > 4000
+], ids=["non-geometric", "over-budget"])
+def test_probe_schedule_follows_the_sweep_rules(schedule, policy):
+    with pytest.raises(PlanError):
+        sharpness_probe(query_thm1(2.0), KernelSpec(kappa=2.0), 1.0, schedule, policy)
+
+
+def test_probe_zero_norm_witness_is_an_error_cell():
+    # no node sits at the origin, so (1+|y|)^(-1e6) underflows to 0 at every node
+    cells = sharpness_probe(query_thm1(2.0), KernelSpec(kappa=2.0), 1e6, (10.0,), FAST_GRID)
+    assert cells == [opnormlab.sweeps.ProbeCell(10.0, None, "test function has zero source norm")]
