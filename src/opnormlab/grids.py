@@ -81,6 +81,17 @@ class Grid:
         return int(self.breakpoints.size - 1)
 
 
+def is_mirror(grid: Grid) -> bool:
+    """Even size, nodes[:h] == -nodes[h:][::-1] and palindromic weights, bitwise.
+
+    Every grid built by :func:`grid_from_breakpoints` passes.
+    """
+    h, odd = divmod(grid.size, 2)
+    return (not odd
+            and np.array_equal(grid.nodes[:h], -grid.nodes[h:][::-1])
+            and np.array_equal(grid.weights[:h], grid.weights[h:][::-1]))
+
+
 @functools.cache
 def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only (shared by every call)."""

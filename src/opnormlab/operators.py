@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
-from .grids import Grid
+from .grids import Grid, is_mirror
 from .kernels import KernelSpec, kernel_eval
 from .spaces import (SampledFunction, SpaceSpec, conjugate_exponent, weight_exponent,
                      weighted_norm)
@@ -154,14 +154,6 @@ def _centred_block(outer: Grid, inner: Grid) -> slice:
     return block
 
 
-def _is_mirror(grid: Grid) -> bool:
-    """Even size, nodes[:h] == -nodes[h:][::-1] and palindromic weights, bitwise."""
-    h, odd = divmod(grid.size, 2)
-    return (not odd
-            and np.array_equal(grid.nodes[:h], -grid.nodes[h:][::-1])
-            and np.array_equal(grid.weights[:h], grid.weights[h:][::-1]))
-
-
 def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
              source_grid: Grid, target_grid: Grid) -> DiscretizedOperator:
     """Assemble the scaled Nystrom matrix diag(r) * K * diag(c) between two spaces.
@@ -171,7 +163,7 @@ def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
     docstring); otherwise the core is the full matrix.
     """
     h = w = 0
-    if k.even and _is_mirror(target_grid) and _is_mirror(source_grid):
+    if k.even and is_mirror(target_grid) and is_mirror(source_grid):
         h, w = target_grid.size // 2, source_grid.size // 2
     x, y = target_grid.nodes[h:], source_grid.nodes[w:]
     with np.errstate(over="ignore"):

@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from opnormlab import (CornerSystem, DomainError, IllConditionedError, KernelSpec,
+import opnormlab.corner
+from opnormlab import (CornerSystem, DomainError, Grid, IllConditionedError, KernelSpec,
                        SpaceSpec, assemble_block, build_grid, coupling_blocks,
-                       kernel_eval, manufactured_case, sample, sample_spec,
-                       solve_corner, weighted_norm)
+                       kernel_eval, manufactured_case, parse_kernel, sample,
+                       sample_spec, solve_corner, weighted_norm)
 
 SPACE = SpaceSpec.h(-0.25)
 
@@ -100,6 +101,21 @@ def test_manufactured_trivial_cases():
     assert np.array_equal(g.values, c_star.values)
 
 
+def test_manufactured_case_rejects_swapped_grids():
+    # equal sizes, so the products would go through on the wrong grids
+    grid1, grid2 = build_grid(20.0, 8, 1.3, 6), build_grid(15.0, 8, 1.3, 6)
+    assert grid1.size == grid2.size
+    k = KernelSpec(kappa=2.0)
+    c_star = sample_spec(grid1, "powerlaw(1)")
+    d_star = sample_spec(grid2, "gauss(1)")
+    with pytest.raises(DomainError, match="c_star"):
+        manufactured_case(sample_spec(grid2, "powerlaw(1)"), d_star, k, k, grid1, grid2)
+    with pytest.raises(DomainError, match="d_star"):
+        manufactured_case(c_star, sample_spec(grid1, "gauss(1)"), k, k, grid1, grid2)
+    with pytest.raises(DomainError):
+        manufactured_case(d_star, c_star, k, k, grid1, grid2)
+
+
 def test_manufactured_round_trip():
     grid1, grid2 = grids()
     k1 = k2 = KernelSpec(kappa=2.0)
@@ -183,3 +199,57 @@ def test_space_validation():
         CornerSystem(KernelSpec(kappa=2.0), KernelSpec(kappa=2.0),
                      sample_spec(grid2, "gauss(1)"), sample_spec(grid1, "gauss(1)"),
                      SpaceSpec.hsp(-0.25, 3.0))
+
+
+def _unmirrored(grid: Grid) -> Grid:
+    """The grid with one weight moved off its mirror image by a relative 1e-12."""
+    weights = grid.weights.copy()
+    weights[0] *= 1.0 + 1e-12
+    return Grid(R=grid.R, nodes=grid.nodes, weights=weights, grading=grid.grading,
+                panel_order=grid.panel_order, breakpoints=grid.breakpoints)
+
+
+PAIRS = [("envelope(2)", "envelope(2.5)"), ("cosmod(2,1.5)", "envelope(1.5)"),
+         ("cosmod(2.5,3)", "cosmod(2,0.5)"), ("altmod(2)", "envelope(2)"),
+         ("envelope(2)", "altmod(2.5)"), ("altmod(2)", "altmod(1.5)")]
+GRID_PAIRS = {"equal": lambda: grids(8, 8), "larger-first": lambda: grids(8, 6),
+              "larger-second": lambda: grids(5, 9),
+              "unmirrored": lambda: (grids()[0], _unmirrored(grids()[1]))}
+
+
+@pytest.mark.parametrize("grid_pair", GRID_PAIRS)
+@pytest.mark.parametrize("specs", PAIRS)
+def test_solve_matches_dense_reference(monkeypatch, specs, grid_pair):
+    grid1, grid2 = GRID_PAIRS[grid_pair]()
+    k1, k2 = (parse_kernel(spec) for spec in specs)
+    rng = np.random.default_rng(4)
+    system = CornerSystem(k1, k2, sample(grid2, rng.normal(size=grid2.size)),
+                          sample(grid1, rng.normal(size=grid1.size)), SPACE)
+    sizes = []
+    real = opnormlab.corner.lu_factor
+    monkeypatch.setattr(opnormlab.corner, "lu_factor",
+                        lambda matrix: sizes.append(matrix.shape) or real(matrix))
+    solution = solve_corner(system, grid1, grid2)
+    n = grid1.size + grid2.size
+    halved = k1.even and k2.even and grid_pair != "unmirrored"
+    assert sizes == [(n // 2, n // 2) if halved else (n, n)]
+    matrix = assemble_block(system, grid1, grid2)
+    reference = np.linalg.solve(matrix, np.concatenate([system.g_data.values,
+                                                        system.f_data.values]))
+    got = np.concatenate([solution.c.values, solution.d.values])
+    assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert solution.condition_estimate <= np.linalg.cond(matrix, 1) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("specs", PAIRS[:3])
+def test_odd_data_pass_through(specs):
+    # even kernels annihilate odd data, so C = G and D = F exactly
+    grid1, grid2 = grids(8, 6)
+    k1, k2 = (parse_kernel(spec) for spec in specs)
+    rng = np.random.default_rng(13)
+    half_g, half_f = rng.normal(size=grid1.size // 2), rng.normal(size=grid2.size // 2)
+    g = sample(grid1, np.concatenate([-half_g[::-1], half_g]))
+    f = sample(grid2, np.concatenate([-half_f[::-1], half_f]))
+    solution = solve_corner(CornerSystem(k1, k2, f, g, SPACE), grid1, grid2)
+    assert np.array_equal(solution.c.values, g.values)
+    assert np.array_equal(solution.d.values, f.values)
