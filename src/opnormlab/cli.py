@@ -344,8 +344,8 @@ def _cmd_corner(args, config: RunConfig) -> int:
         "kernel1": args.kernel1, "kernel2": args.kernel2, "f": args.f, "g": args.g,
         "grid1_nodes": grid1.size, "grid2_nodes": grid2.size, "s": args.s,
         "residual_1": solution.residual_1, "residual_2": solution.residual_2,
-        # LAPACK's estimate is good to a small factor and can vary in its last digits
-        # from call to call, so the report keeps 6 significant digits
+        # the estimate is good to a small factor and its last digits can move with
+        # the BLAS build and thread count, so the report keeps 6 significant digits
         "condition_estimate": float(f"{solution.condition_estimate:.6g}"),
         "c_norm": weighted_norm(solution.c, system.space),
         "d_norm": weighted_norm(solution.d, system.space)})

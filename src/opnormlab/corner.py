@@ -12,7 +12,7 @@ M = [[I, A2], [A1, I]] of size n1 + n2, with the identities on the block
 diagonal.
 
 With even kernels on two mirrored grids only a half-size system is
-factored.  The envelope and its cosine modulation are even in each variable
+solved.  The envelope and its cosine modulation are even in each variable
 and every graded grid is a bitwise mirror about 0, so A1 = [J; I] Q1 [J, I]
 with J the reversal and Q1 the [0, R] x [0, R] quadrant of A1, and likewise
 A2.  Both couplings map every odd vector to 0 and every even vector to an
@@ -22,31 +22,51 @@ values on the positive nodes, solve
 
     E = [[I, 2 Q2], [2 Q1, I]]        of size (n1 + n2) / 2
 
-with the folded data (g[h:] + g[:h][::-1]) / 2 on the right.  One LU of E
-is an eighth of the work of one LU of M.  The alternating modulation, which
-is not even, and grids that are not bitwise mirrors keep the full M.
+with the folded data (g[h:] + g[:h][::-1]) / 2 on the right.  For this
+solve only the quadrants Q1 and Q2 are evaluated, a quarter of the kernel
+entries of the full blocks.  The alternating modulation, which is not
+even, and grids that are not bitwise mirrors solve M with the full blocks.
 
-Either way the solution of the factored system is unfolded onto the full
-grids (on the half path it holds the even parts only) and the unknowns are
-rebuilt from the equations as C = G - A2 D and D = F - A1 C.  Zero kernels
-therefore return (G, F) bitwise, and so do exactly odd data on the half
-path.
+Both systems read [[I, B2], [B1, I]] (x, y) = (g, f), with B = 2Q on the
+half path and B = A otherwise, and neither is ever stacked.  Eliminating x
+leaves the Schur complement
 
-``condition_estimate`` is LAPACK's 1-norm estimate for the factored matrix:
-E on the half path, M otherwise.  The two agree closely: ||E||_1 = ||M||_1,
-and E^-1 is M^-1 restricted to even vectors, so
-cond_1(E) <= cond_1(M) <= cond_1(E) + ||M||_1.
+    S = I - B1 B2,        S y = f - B1 g,        x = g - B2 y.
+
+The solver eliminates the unknown on the larger grid (the system is
+symmetric under swapping (x, g, B2) with (y, f, B1)), so S, the one matrix
+factored, has size min(h1, h2) on the half path and min(n1, n2) otherwise.
+
+The solution is unfolded onto the full grids (on the half path it holds the
+even parts only) and the unknowns are rebuilt from the equations as
+C = G - A2 D and D = F - A1 C.  On the half path A2 unfold(y) = unfold(B2 y),
+so the rebuild needs no full block.  Zero kernels therefore return (G, F)
+bitwise, and so do exactly odd data on the half path.  The residuals apply
+freshly evaluated full blocks, independently of the solve.
+
+``condition_estimate`` is the 1-norm condition number of the system solved:
+E on the half path, M otherwise.  ||E||_1 is exact, the larger of
+1 + max colsum |B1| and 1 + max colsum |B2|.  ||E^-1||_1 is the
+Hager-Higham estimate (``scipy.sparse.linalg.onenormest`` with one column;
+Higham & Tisseur, SIMAX 2000), which applies E^-1 and E^-T through the LU
+of S.  It starts from the ones vector and draws no random columns, so it is
+deterministic, and it is a lower bound, in practice within a small factor.
+The two conditions agree closely: ||E||_1 = ||M||_1, and E^-1 is M^-1
+restricted to even vectors, so cond_1(E) <= cond_1(M) <= cond_1(E) + ||M||_1.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import DomainError, IllConditionedError
 from .grids import Grid, is_mirror
 from .kernels import KernelSpec, kernel_eval
+from .operators import check_finite_matrix
 from .spaces import SampledFunction, SpaceSpec, weighted_norm
 
 CONDITION_LIMIT = 1e12
@@ -84,15 +104,25 @@ class CornerSolution:
     condition_estimate: float
 
 
-def coupling_blocks(kernel_1: KernelSpec, kernel_2: KernelSpec,
-                    grid1: Grid, grid2: Grid) -> tuple[np.ndarray, np.ndarray]:
+def coupling_blocks(kernel_1: KernelSpec, kernel_2: KernelSpec, grid1: Grid, grid2: Grid,
+                    quadrant: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Nystrom matrices of the two coupling integrals.
 
     A1 maps samples on grid 1 to grid 2: entry (i, j) is w1_j * K1(t_j, u_i).
     A2 maps samples on grid 2 to grid 1: entry (i, j) is w2_j * K2(t_i, u_j).
+    ``quadrant`` evaluates only the second halves of the nodes and weights of
+    both (mirrored) grids, giving Q1 = A1[h2:, h1:] and Q2 = A2[h1:, h2:].
+    A non-finite entry raises NumericalError naming the block and the
+    entry's position in the full block.
     """
-    a1 = kernel_eval(kernel_1, grid1.nodes[None, :], grid2.nodes[:, None]) * grid1.weights[None, :]
-    a2 = kernel_eval(kernel_2, grid1.nodes[:, None], grid2.nodes[None, :]) * grid2.weights[None, :]
+    h1, h2 = (grid1.size // 2, grid2.size // 2) if quadrant else (0, 0)
+    t, t_weights = grid1.nodes[h1:], grid1.weights[h1:]
+    u, u_weights = grid2.nodes[h2:], grid2.weights[h2:]
+    with np.errstate(over="ignore"):  # reported by the finiteness check
+        a1 = kernel_eval(kernel_1, t[None, :], u[:, None]) * t_weights[None, :]
+        a2 = kernel_eval(kernel_2, t[:, None], u[None, :]) * u_weights[None, :]
+    check_finite_matrix(a1, "coupling block A1", offset=(h2, h1))
+    check_finite_matrix(a2, "coupling block A2", offset=(h1, h2))
     return a1, a2
 
 
@@ -142,21 +172,15 @@ def manufactured_case(c_star: SampledFunction, d_star: SampledFunction,
 def lu_factor(matrix: np.ndarray):
     """LU factorization with partial pivoting, as ``scipy.linalg.lu_factor``.
 
-    scipy.linalg is imported by the corner solve only, never at module
-    level: importing it takes longer than the rest of the package's start-up.
+    scipy is imported by the corner solve only, never at module level:
+    importing it takes longer than the rest of the package's start-up.  An
+    exactly zero pivot raises no warning here; the solve reports it as an
+    infinite condition estimate.
     """
-    from scipy.linalg import lu_factor as factor
-    return factor(matrix)
-
-
-def _condition_estimate_1norm(matrix: np.ndarray, lu: np.ndarray) -> float:
-    from scipy.linalg import get_lapack_funcs
-    gecon = get_lapack_funcs(("gecon",), (matrix,))[0]
-    anorm = float(np.linalg.norm(matrix, 1))
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0:
-        raise IllConditionedError("condition estimator failed", estimate=math.inf)
-    return math.inf if rcond == 0.0 else 1.0 / float(rcond)
+    from scipy.linalg import LinAlgWarning, lu_factor as factor
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return factor(matrix)
 
 
 def _fold(values: np.ndarray) -> np.ndarray:
@@ -170,50 +194,78 @@ def _unfold(half: np.ndarray) -> np.ndarray:
     return np.concatenate([half[::-1], half])
 
 
-def _factored_system(a1: np.ndarray, a2: np.ndarray, g: np.ndarray, f: np.ndarray,
-                     halved: bool):
-    """The matrix to factor, its right side, and the map from its solution to (C, D).
+def _schur_solve(b1: np.ndarray, b2: np.ndarray, g: np.ndarray,
+                 f: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Solution (x, y) of [[I, B2], [B1, I]] (x, y) = (g, f), and the 1-norm condition
+    estimate of that matrix (see the module docstring).
 
-    ``halved`` selects the even half system E (see the module docstring);
-    otherwise the stacked M.
+    x is eliminated, leaving S = I - B1 B2 for y; when x is the shorter
+    unknown the roles swap, so S has the size of the smaller side.
     """
-    if halved:
-        h1, h2 = g.size // 2, f.size // 2
-        matrix = _stack(2.0 * a2[h1:, h2:], 2.0 * a1[h2:, h1:])
-        rhs = np.concatenate([_fold(g), _fold(f)])
-        return matrix, rhs, lambda x: (_unfold(x[:h1]), _unfold(x[h1:]))
-    n1 = g.size
-    return _stack(a2, a1), np.concatenate([g, f]), lambda x: (x[:n1], x[n1:])
+    if f.size > g.size:
+        y, x, condition = _schur_solve(b2, b1, f, g)
+        return x, y, condition
+    from scipy.linalg import lu_solve
+    from scipy.sparse.linalg import LinearOperator, onenormest
+    m = g.size
+
+    def finite(values):
+        # a non-finite S, an exactly zero pivot and an overflowing solve all
+        # reject the system with an infinite estimate
+        if not np.all(np.isfinite(values)):
+            _reject(math.inf)
+        return values
+
+    lu = lu_factor(finite(np.eye(f.size) - b1 @ b2))
+
+    def solve(rhs):
+        y = lu_solve(lu, rhs[m:] - b1 @ rhs[:m], check_finite=False)
+        return finite(np.concatenate([rhs[:m] - b2 @ y, y]))
+
+    def solve_transposed(rhs):
+        y = lu_solve(lu, rhs[m:] - b2.T @ rhs[:m], trans=1, check_finite=False)
+        return finite(np.concatenate([rhs[:m] - b1.T @ y, y]))
+
+    norm = 1.0 + max(np.abs(b1).sum(axis=0).max(), np.abs(b2).sum(axis=0).max())
+    inverse = LinearOperator((m + f.size,) * 2, matvec=solve, rmatvec=solve_transposed,
+                             dtype=float)
+    condition = float(norm * onenormest(inverse, t=1))
+    if condition >= CONDITION_LIMIT:
+        _reject(condition)
+    solution = solve(np.concatenate([g, f]))
+    return solution[:m], solution[m:], condition
+
+
+def _reject(condition: float) -> NoReturn:
+    raise IllConditionedError(
+        f"condition estimate {condition:.3e} of the corner system "
+        f"exceeds {CONDITION_LIMIT:.0e}", estimate=condition)
 
 
 def _solve_unknowns(system: CornerSystem, grid1: Grid,
                     grid2: Grid) -> tuple[np.ndarray, np.ndarray, float]:
-    """Samples of C and D, and the condition estimate of the factored matrix.
+    """Samples of C and D, and the condition estimate of the system solved.
 
-    The blocks, the matrix and its LU are freed on return, before
-    ``solve_corner`` builds fresh blocks for the residuals.
+    The blocks and the LU are freed on return, before ``solve_corner``
+    builds fresh full blocks for the residuals.
     """
-    a1, a2 = coupling_blocks(system.kernel_1, system.kernel_2, grid1, grid2)
-    g, f = system.g_data.values, system.f_data.values
     halved = (system.kernel_1.even and system.kernel_2.even
               and is_mirror(grid1) and is_mirror(grid2))
-    matrix, rhs, unfold = _factored_system(a1, a2, g, f, halved)
-    lu, piv = lu_factor(matrix)
-    if not np.all(np.isfinite(lu)):
-        raise IllConditionedError("factorization produced non-finite entries",
-                                  estimate=math.inf)
-    condition = _condition_estimate_1norm(matrix, lu)
-    if condition >= CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"condition estimate {condition:.3e} of the factored corner matrix "
-            f"exceeds {CONDITION_LIMIT:.0e}", estimate=condition)
-    from scipy.linalg import lu_solve
-    c_solved, d_solved = unfold(lu_solve((lu, piv), rhs))
-    return g - a2 @ d_solved, f - a1 @ c_solved, condition
+    b1, b2 = coupling_blocks(system.kernel_1, system.kernel_2, grid1, grid2,
+                             quadrant=halved)
+    g, f = system.g_data.values, system.f_data.values
+    fold = unfold = lambda values: values
+    if halved:
+        with np.errstate(over="ignore"):  # an overflow shows up in S
+            b1 *= 2.0
+            b2 *= 2.0
+        fold, unfold = _fold, _unfold
+    c_solved, d_solved, condition = _schur_solve(b1, b2, fold(g), fold(f))
+    return g - unfold(b2 @ d_solved), f - unfold(b1 @ c_solved), condition
 
 
 def solve_corner(system: CornerSystem, grid1: Grid, grid2: Grid) -> CornerSolution:
-    """Direct dense solve with a 1-norm condition estimate (see the module docstring).
+    """Schur-complement solve with a 1-norm condition estimate (see the module docstring).
 
     Raises IllConditionedError (carrying the estimate) when the estimated
     condition number reaches 1e12.  Residuals re-apply the discretized

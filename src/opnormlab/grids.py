@@ -204,7 +204,7 @@ def integrate(grid: Grid, g) -> float:
         raise DomainError("integrand values must match the grid nodes")
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NumericalError(f"non-finite integrand value at node {grid.nodes[bad]!r}")
+        raise NumericalError(f"non-finite integrand value at node {float(grid.nodes[bad])!r}")
     return float(np.dot(grid.weights, values))
 
 

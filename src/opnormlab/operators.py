@@ -47,10 +47,13 @@ POWER_TOL = 1e-10
 POWER_MAX_ITER = 10000
 
 
-def _check_finite_matrix(matrix: np.ndarray, what: str, offset: tuple[int, int] = (0, 0)) -> None:
-    # A finite sum has only finite terms, so one pass accepts almost every
-    # matrix; a non-finite sum is rescanned, since finite entries can overflow it.
-    # ``offset`` is the position of ``matrix`` in the matrix the message names.
+def check_finite_matrix(matrix: np.ndarray, what: str, offset: tuple[int, int] = (0, 0)) -> None:
+    """Raise NumericalError naming ``what`` and the first non-finite entry.
+
+    ``offset`` is the position of ``matrix`` in the matrix the message names.
+    A finite sum has only finite terms, so one pass accepts almost every
+    matrix; a non-finite sum is rescanned, since finite entries can overflow it.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isfinite(matrix.sum()):
             return
@@ -64,7 +67,7 @@ def _as_matrix(matrix) -> np.ndarray:
     B = np.asarray(matrix, dtype=float)
     if B.ndim != 2 or B.size == 0:
         raise DomainError("need a non-empty 2-d matrix")
-    _check_finite_matrix(B, "matrix")
+    check_finite_matrix(B, "matrix")
     return B
 
 
@@ -96,7 +99,7 @@ class DiscretizedOperator:
                 f"matrix shape {core.shape} does not match grids "
                 f"({self.target_grid.size}, {self.source_grid.size})"
             )
-        _check_finite_matrix(core, "operator")
+        check_finite_matrix(core, "operator")
 
     @property
     def mirrored(self) -> bool:
@@ -174,7 +177,7 @@ def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
         # one expression: a name would keep the kernel values alive next to
         # the scaled core
         core = rows[:, None] * kernel_eval(k, x[:, None], y[None, :]) * cols[None, :]
-    _check_finite_matrix(core, "operator", offset=(h, w))
+    check_finite_matrix(core, "operator", offset=(h, w))
     core.flags.writeable = False
     return _trusted_operator(core, source, target, source_grid, target_grid)
 

@@ -101,12 +101,16 @@ class SampledFunction:
             )
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise NumericalError(f"non-finite sample at node {self.grid.nodes[bad]!r}")
+            raise NumericalError(f"non-finite sample at node {float(self.grid.nodes[bad])!r}")
 
 
 def sample(grid: Grid, f, tag: str | None = None) -> SampledFunction:
-    """Sample a vectorized callable (or accept a value array) on a grid."""
-    values = f(grid.nodes) if callable(f) else f
+    """Sample a vectorized callable (or accept a value array) on a grid.
+
+    An overflowing callable is reported by the non-finite check, not as a warning.
+    """
+    with np.errstate(over="ignore"):
+        values = f(grid.nodes) if callable(f) else f
     return SampledFunction(grid, np.broadcast_to(values, grid.nodes.shape), tag)
 
 

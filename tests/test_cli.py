@@ -201,6 +201,17 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert (result.returncode, result.stdout) == (code, capsys.readouterr().out)
 
 
+def test_overflowing_function_prints_one_plain_error_line():
+    # outside pytest's warning filters: no RuntimeWarning line, no numpy repr
+    argv = ["norm", "--function", "powerlaw(-400)", "--space", "H(-1)",
+            "--grid", "grid(20,4,1.3,4)"]
+    env = dict(os.environ, PYTHONPATH=str(Path(opnormlab.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "opnormlab", *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "error: numerical: non-finite sample at node -19.50689587291439\n"
+
+
 def test_unknown_flag_exit_1(capsys):
     assert run_cli(["check", "--thm", "1", "--nope", "1"]) == 1
     assert "usage" in capsys.readouterr().err
@@ -368,12 +379,18 @@ APPLY = ["apply", "--kernel", "envelope(2)", "--function", "gauss(1)", *SMALL_GR
     # every entry is finite, the operator norm (about 1.9e308) is not
     (["opnorm", "--kernel", "envelope(2,1.7e308)", "--source", "H(-1)", "--target", "H(-1)",
       "--grid", "grid(40,10,1.3,8)"], None, 2),
+    (["corner", "--kernel1", "envelope(-400)", "--kernel2", "envelope(2)", "--f", "gauss(1)",
+      "--g", "powerlaw(1.5)", "--grid1", "grid(20,5,1.3,4)", "--grid2", "grid(20,5,1.3,4)"],
+     None, 2),
+    (["norm", "--function", "powerlaw(-400)", "--space", "H(-1)", "--grid", "grid(20,4,1.3,4)"],
+     None, 2),
 ], ids=["majorant-R-inf", "majorant-x-nan", "indicator-kappa-nan", "powerlaw-norm-t-nan",
         "majorant-overflow", "apply-x-inf", "apply-x-nan", "config-nan", "config-infinity",
         "config-minus-infinity", "config-overflowing-literal", "config-max-iter-0",
         "config-negative-tol", "norm-grading-nan", "norm-panels-nan", "sweep-grading-nan",
         "norm-grading-overflow", "check-threshold-overflow", "check-margin-overflow",
-        "kernel-c-nan", "kernel-c-inf", "opnorm-norm-overflow"])
+        "kernel-c-nan", "kernel-c-inf", "opnorm-norm-overflow", "corner-kernel-overflow",
+        "norm-function-overflow"])
 def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, config_text, code):
     # no NaN or Infinity reaches a report, and nothing escapes as a traceback
     if config_text is not None:

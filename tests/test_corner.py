@@ -4,9 +4,10 @@ import pytest
 
 import opnormlab.corner
 from opnormlab import (CornerSystem, DomainError, Grid, IllConditionedError, KernelSpec,
-                       SpaceSpec, assemble_block, build_grid, coupling_blocks,
+                       NumericalError, SpaceSpec, assemble_block, build_grid, coupling_blocks,
                        kernel_eval, manufactured_case, parse_kernel, sample,
                        sample_spec, solve_corner, weighted_norm)
+from opnormlab.grids import is_mirror
 
 SPACE = SpaceSpec.h(-0.25)
 
@@ -180,6 +181,80 @@ def test_singular_system_rejected():
     assert err.value.estimate >= 1e12
 
 
+def test_exact_zero_pivot_rejected_without_a_warning():
+    # one node per side: S = 1 - (2 R1)(2 R2) = 0 exactly
+    grid = Grid(R=0.5, nodes=[-0.25, 0.25], weights=[0.5, 0.5], grading=1.0,
+                panel_order=2, breakpoints=[0.0, 0.5])
+    k = KernelSpec(kappa=0.0)
+    system = CornerSystem(k, k, sample_spec(grid, "gauss(1)"),
+                          sample_spec(grid, "gauss(1)"), SPACE)
+    with pytest.raises(IllConditionedError) as err:
+        solve_corner(system, grid, grid)
+    assert err.value.estimate == np.inf
+
+
+def test_singular_system_rejected_on_the_full_path():
+    # the same singular system as above, with one node moved one ulp off its
+    # mirror image: the constant kernels ignore the nodes, but the solve takes
+    # the full path
+    grid = build_grid(0.5, 4, 1.3, 6)
+    nodes = grid.nodes.copy()
+    nodes[0] = np.nextafter(nodes[0], 0.0)
+    moved = Grid(R=grid.R, nodes=nodes, weights=grid.weights, grading=grid.grading,
+                 panel_order=grid.panel_order, breakpoints=grid.breakpoints)
+    k = KernelSpec(kappa=0.0)
+    system = CornerSystem(k, k, sample_spec(moved, "gauss(1)"),
+                          sample_spec(moved, "gauss(1)"), SPACE)
+    assert not is_mirror(moved)
+    with pytest.raises(IllConditionedError) as err:
+        solve_corner(system, moved, moved)
+    assert err.value.estimate >= 1e12
+
+
+def test_overflowing_schur_complement_rejected():
+    # every block entry is finite, but B1 B2 overflows
+    grid1, grid2 = grids()
+    system = CornerSystem(parse_kernel("envelope(2,1e308)"), KernelSpec(kappa=2.0),
+                          sample_spec(grid2, "gauss(1)"), sample_spec(grid1, "gauss(1)"),
+                          SPACE)
+    with pytest.raises(IllConditionedError) as err:
+        solve_corner(system, grid1, grid2)
+    assert err.value.estimate == np.inf
+
+
+def test_non_finite_coupling_entry_named():
+    grid1, grid2 = grids()
+    k1, k2 = parse_kernel("envelope(-400)"), KernelSpec(kappa=2.0)
+    with np.errstate(over="ignore"):
+        full = kernel_eval(k1, grid1.nodes[None, :], grid2.nodes[:, None])
+    for quadrant in (False, True):
+        with pytest.raises(NumericalError, match="coupling block A1") as err:
+            coupling_blocks(k1, k2, grid1, grid2, quadrant=quadrant)
+        i, j = (int(v) for v in str(err.value).rsplit("(", 1)[1].rstrip(")").split(","))
+        assert not np.isfinite(full[i, j])
+
+
+def test_quadrant_blocks_are_slices_of_the_full_blocks():
+    grid1, grid2 = grids(8, 6)
+    k1, k2 = parse_kernel("cosmod(2,1.5)"), parse_kernel("envelope(2.5)")
+    a1, a2 = coupling_blocks(k1, k2, grid1, grid2)
+    q1, q2 = coupling_blocks(k1, k2, grid1, grid2, quadrant=True)
+    h1, h2 = grid1.size // 2, grid2.size // 2
+    assert np.array_equal(q1, a1[h2:, h1:]) and np.array_equal(q2, a2[h1:, h2:])
+
+
+def test_repeat_solves_are_bitwise_equal():
+    grid1, grid2 = grids(8, 6)
+    for specs in (PAIRS[0], PAIRS[3]):
+        k1, k2 = (parse_kernel(spec) for spec in specs)
+        system = CornerSystem(k1, k2, sample_spec(grid2, "gauss(1)"),
+                              sample_spec(grid1, "powerlaw(1.5)"), SPACE)
+        first, second = (solve_corner(system, grid1, grid2) for _ in range(2))
+        assert np.array_equal(first.c.values, second.c.values)
+        assert np.array_equal(first.d.values, second.d.values)
+        assert first.condition_estimate == second.condition_estimate
+
+
 def test_data_grid_mismatch_rejected():
     grid1, grid2 = grids()
     system = CornerSystem(KernelSpec(kappa=2.0), KernelSpec(kappa=2.0),
@@ -230,15 +305,23 @@ def test_solve_matches_dense_reference(monkeypatch, specs, grid_pair):
     monkeypatch.setattr(opnormlab.corner, "lu_factor",
                         lambda matrix: sizes.append(matrix.shape) or real(matrix))
     solution = solve_corner(system, grid1, grid2)
-    n = grid1.size + grid2.size
+    n1, n2 = grid1.size, grid2.size
     halved = k1.even and k2.even and grid_pair != "unmirrored"
-    assert sizes == [(n // 2, n // 2) if halved else (n, n)]
+    # the Schur complement lives on the smaller unknown of the system solved
+    schur_size = min(n1, n2) // 2 if halved else min(n1, n2)
+    assert sizes == [(schur_size, schur_size)]
     matrix = assemble_block(system, grid1, grid2)
     reference = np.linalg.solve(matrix, np.concatenate([system.g_data.values,
                                                         system.f_data.values]))
     got = np.concatenate([solution.c.values, solution.d.values])
     assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
     assert solution.condition_estimate <= np.linalg.cond(matrix, 1) * (1 + 1e-12)
+    solved = matrix
+    if halved:  # E = [[I, 2 Q2], [2 Q1, I]] from the quadrants of the stacked blocks
+        h1, h2 = n1 // 2, n2 // 2
+        solved = np.block([[np.eye(h1), 2.0 * matrix[h1:n1, n1 + h2:]],
+                           [2.0 * matrix[n1 + h2:, h1:n1], np.eye(h2)]])
+    assert solution.condition_estimate >= np.linalg.cond(solved, 1) / 2
 
 
 @pytest.mark.parametrize("specs", PAIRS[:3])
@@ -253,3 +336,28 @@ def test_odd_data_pass_through(specs):
     solution = solve_corner(CornerSystem(k1, k2, f, g, SPACE), grid1, grid2)
     assert np.array_equal(solution.c.values, g.values)
     assert np.array_equal(solution.d.values, f.values)
+
+
+@pytest.mark.parametrize("grid_pair", ["larger-first", "larger-second", "unmirrored"])
+@pytest.mark.parametrize("specs", [PAIRS[1], PAIRS[3]])
+def test_kernel_entries_per_solve(monkeypatch, specs, grid_pair):
+    # the solve evaluates the quadrants on the half path, the full blocks
+    # otherwise; the residuals always evaluate the full blocks
+    grid1, grid2 = GRID_PAIRS[grid_pair]()
+    k1, k2 = (parse_kernel(spec) for spec in specs)
+    system = CornerSystem(k1, k2, sample_spec(grid2, "gauss(1)"),
+                          sample_spec(grid1, "powerlaw(1.5)"), SPACE)
+    entries = []
+    real = opnormlab.corner.kernel_eval
+
+    def counting(*args):
+        values = real(*args)
+        entries.append(values.size)
+        return values
+
+    monkeypatch.setattr(opnormlab.corner, "kernel_eval", counting)
+    solve_corner(system, grid1, grid2)
+    n1, n2 = grid1.size, grid2.size
+    halved = k1.even and k2.even and grid_pair != "unmirrored"
+    solve_entries = 2 * (n1 // 2) * (n2 // 2) if halved else 2 * n1 * n2
+    assert sum(entries) == solve_entries + 2 * n1 * n2

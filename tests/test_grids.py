@@ -37,6 +37,15 @@ def test_integrate_accepts_node_values():
         integrate(grid, values[:-1])
 
 
+def test_integrate_names_a_non_finite_node_as_a_plain_float():
+    grid = build_grid(2.0, 3, 1.3, 4)
+    values = np.ones(grid.size)
+    values[1] = np.inf
+    with pytest.raises(NumericalError) as err:
+        integrate(grid, values)
+    assert str(err.value) == f"non-finite integrand value at node {float(grid.nodes[1])!r}"
+
+
 def test_powerlaw_quadrature_matches_antiderivative():
     grid = build_grid(1e4, 40, 1.3, 8)
     got = integrate(grid, lambda x: (1.0 + np.abs(x)) ** -2.0)
