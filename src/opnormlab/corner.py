@@ -119,8 +119,10 @@ def coupling_blocks(kernel_1: KernelSpec, kernel_2: KernelSpec, grid1: Grid, gri
     t, t_weights = grid1.nodes[h1:], grid1.weights[h1:]
     u, u_weights = grid2.nodes[h2:], grid2.weights[h2:]
     with np.errstate(over="ignore"):  # reported by the finiteness check
-        a1 = kernel_eval(kernel_1, t[None, :], u[:, None]) * t_weights[None, :]
-        a2 = kernel_eval(kernel_2, t[:, None], u[None, :]) * u_weights[None, :]
+        a1 = kernel_eval(kernel_1, t[None, :], u[:, None])
+        a1 *= t_weights[None, :]
+        a2 = kernel_eval(kernel_2, t[:, None], u[None, :])
+        a2 *= u_weights[None, :]
     check_finite_matrix(a1, "coupling block A1", offset=(h2, h1))
     check_finite_matrix(a2, "coupling block A2", offset=(h1, h2))
     return a1, a2

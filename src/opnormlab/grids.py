@@ -49,6 +49,8 @@ class Grid:
         object.__setattr__(self, "breakpoints", _frozen_array(self.breakpoints))
         if not (np.isfinite(self.R) and self.R > 0):
             raise DomainError("truncation radius must be positive and finite")
+        if not np.isfinite(2.0 * self.R):
+            raise DomainError(f"truncation radius {float(self.R)!r} is too large: 2R overflows")
         if not (1 <= self.grading < np.inf):
             raise DomainError("panel grading must be finite and >= 1")
         if self.panel_order < 2:
@@ -64,7 +66,8 @@ class Grid:
             raise DomainError("grid nodes must lie in [-R, R]")
         if not np.all(self.weights > 0):
             raise DomainError("grid weights must be positive")
-        total = float(np.sum(self.weights))
+        with np.errstate(over="ignore"):  # an infinite sum fails the check below
+            total = float(np.sum(self.weights))
         if not abs(total - 2.0 * self.R) <= 1e-10 * 2.0 * self.R:
             raise DomainError(
                 f"weights sum to {total!r}, expected 2R = {2.0 * self.R!r}"

@@ -67,15 +67,24 @@ def kernel_eval(k: KernelSpec, x, y):
 
     Unmodulated kernels return the positive envelope c_upper*(1+|x|+|y|)^(-kappa);
     cosine modulation multiplies by cos(omega*x*y), alternating by sign(sin(x+y)).
+    The result is one fresh array, computed in place, plus one scratch array
+    of the same size for a modulation; ``x`` and ``y`` are only read.
+    Overflow and invalid values are left in the result for the caller's
+    finiteness check to report.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):
-        value = k.c_upper * (1.0 + np.abs(x) + np.abs(y)) ** (-k.kappa)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.asarray(1.0 + np.abs(x) + np.abs(y))
+        np.power(value, -k.kappa, out=value)
+        value *= k.c_upper
         if k.modulation == "cosine":
-            value = value * np.cos(k.omega * x * y)
+            phase = np.asarray(k.omega * x * y)
+            value *= np.cos(phase, out=phase)
         elif k.modulation == "alternating":
-            value = value * np.sign(np.sin(x + y))
+            phase = np.asarray(x + y)
+            np.sin(phase, out=phase)
+            value *= np.sign(phase, out=phase)
     return float(value) if value.ndim == 0 else value
 
 

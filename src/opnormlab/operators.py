@@ -3,11 +3,12 @@
 Every discretized operator has the form diag(r) * K * diag(c): K is the
 bare kernel on the node grid, the row scaling r = w_out^(1/p2) *
 (1+|x|)^(w2/p2) carries the target quadrature and space weights, and the
-column scaling c = w_in^(1/q1) * (1+|y|)^(-w1/p1) the source ones.  The
-weighted operator norm then becomes a plain l^p1 -> l^p2 norm of a dense
-matrix, so all three space families share one nonlinear power method
-(Boyd, "The power method for l_p norms", 1974); p1 = p2 = 2 is its
-singular-value case.
+column scaling c = w_in^(1/q1) * (1+|y|)^(-w1/p1) the source ones.  Only
+the product is stored: ``assemble`` scales the one array ``kernel_eval``
+returns in place, so K never exists beside it.  The weighted operator norm
+then becomes a plain l^p1 -> l^p2 norm of a dense matrix, so all three
+space families share one nonlinear power method (Boyd, "The power method
+for l_p norms", 1974); p1 = p2 = 2 is its singular-value case.
 
 Even kernels on mirrored grids are stored and normed as one quadrant.  The
 envelope and its cosine modulation are even in each variable, the scalings
@@ -163,7 +164,9 @@ def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
 
     An even kernel on two mirrored grids is evaluated on the lower-right
     quadrant only, which becomes the operator's core (see the module
-    docstring); otherwise the core is the full matrix.
+    docstring); otherwise the core is the full matrix.  The kernel values
+    are scaled in place, so the core is the only block-sized array kept
+    (a modulated kernel needs one more while it is evaluated).
     """
     h = w = 0
     if k.even and is_mirror(target_grid) and is_mirror(source_grid):
@@ -174,9 +177,9 @@ def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
                 * (1.0 + np.abs(x)) ** (weight_exponent(target) / target.p))
         cols = (source_grid.weights[w:] ** (1.0 / conjugate_exponent(source.p))
                 * (1.0 + np.abs(y)) ** (-weight_exponent(source) / source.p))
-        # one expression: a name would keep the kernel values alive next to
-        # the scaled core
-        core = rows[:, None] * kernel_eval(k, x[:, None], y[None, :]) * cols[None, :]
+        core = kernel_eval(k, x[:, None], y[None, :])
+        core *= rows[:, None]
+        core *= cols[None, :]
     check_finite_matrix(core, "operator", offset=(h, w))
     core.flags.writeable = False
     return _trusted_operator(core, source, target, source_grid, target_grid)

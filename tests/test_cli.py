@@ -346,6 +346,16 @@ SMALL_GRID = ["--grid", "grid(10,4,1.3,4)"]
 OPNORM = ["opnorm", "--kernel", "envelope(2)", "--source", "H(-0.25)",
           "--target", "H(-0.25)", *SMALL_GRID]
 APPLY = ["apply", "--kernel", "envelope(2)", "--function", "gauss(1)", *SMALL_GRID]
+# omega * x * y overflows, so cos gives NaN entries
+COSMOD_OVERFLOW_OPNORM = ["opnorm", "--kernel", "cosmod(2,1e308)", "--source", "H(-0.5)",
+                          "--target", "H(-0.5)", *SMALL_GRID]
+COSMOD_OVERFLOW_CORNER = ["corner", "--kernel1", "cosmod(2,1e308)", "--kernel2", "envelope(2)",
+                          "--f", "gauss(1)", "--g", "powerlaw(1.5)",
+                          "--grid1", "grid(20,5,1.3,4)", "--grid2", "grid(20,5,1.3,4)"]
+# R is finite, 2R is not
+RADIUS_OVERFLOW_OPNORM = OPNORM[:-1] + ["grid(1e308,4,1.3,4)"]
+RADIUS_OVERFLOW_NORM = ["norm", "--function", "gauss(1)", "--space", "H(-0.5)",
+                        "--grid", "grid(1e308,4,1.3,4)"]
 
 
 @pytest.mark.parametrize("argv, config_text, code", [
@@ -384,13 +394,18 @@ APPLY = ["apply", "--kernel", "envelope(2)", "--function", "gauss(1)", *SMALL_GR
      None, 2),
     (["norm", "--function", "powerlaw(-400)", "--space", "H(-1)", "--grid", "grid(20,4,1.3,4)"],
      None, 2),
+    (COSMOD_OVERFLOW_OPNORM, None, 2),
+    (COSMOD_OVERFLOW_CORNER, None, 2),
+    (RADIUS_OVERFLOW_OPNORM, None, 1),
+    (RADIUS_OVERFLOW_NORM, None, 1),
 ], ids=["majorant-R-inf", "majorant-x-nan", "indicator-kappa-nan", "powerlaw-norm-t-nan",
         "majorant-overflow", "apply-x-inf", "apply-x-nan", "config-nan", "config-infinity",
         "config-minus-infinity", "config-overflowing-literal", "config-max-iter-0",
         "config-negative-tol", "norm-grading-nan", "norm-panels-nan", "sweep-grading-nan",
         "norm-grading-overflow", "check-threshold-overflow", "check-margin-overflow",
         "kernel-c-nan", "kernel-c-inf", "opnorm-norm-overflow", "corner-kernel-overflow",
-        "norm-function-overflow"])
+        "norm-function-overflow", "opnorm-cosmod-overflow", "corner-cosmod-overflow",
+        "opnorm-radius-overflow", "norm-radius-overflow"])
 def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, config_text, code):
     # no NaN or Infinity reaches a report, and nothing escapes as a traceback
     if config_text is not None:
@@ -403,3 +418,20 @@ def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, conf
     prefix = "error: usage: " if code == 1 else "error: numerical: "
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (COSMOD_OVERFLOW_OPNORM, 2, "error: numerical: non-finite operator entry at (17, 23)\n"),
+    (COSMOD_OVERFLOW_CORNER, 2,
+     "error: numerical: non-finite coupling block A1 entry at (20, 23)\n"),
+    (RADIUS_OVERFLOW_OPNORM, 1,
+     "error: usage: truncation radius 1e+308 is too large: 2R overflows\n"),
+    (RADIUS_OVERFLOW_NORM, 1,
+     "error: usage: truncation radius 1e+308 is too large: 2R overflows\n"),
+], ids=["opnorm-cosmod", "corner-cosmod", "opnorm-radius", "norm-radius"])
+def test_overflow_prints_exactly_one_error_line(argv, code, stderr):
+    # outside pytest's warning filters, where a numpy RuntimeWarning would print
+    env = dict(os.environ, PYTHONPATH=str(Path(opnormlab.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "opnormlab", *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (code, "", stderr)

@@ -1,4 +1,6 @@
 """The coupled two-unknown integral system: assembly, solve, manufactured data."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,21 @@ def test_quadrant_blocks_are_slices_of_the_full_blocks():
     q1, q2 = coupling_blocks(k1, k2, grid1, grid2, quadrant=True)
     h1, h2 = grid1.size // 2, grid2.size // 2
     assert np.array_equal(q1, a1[h2:, h1:]) and np.array_equal(q2, a2[h1:, h2:])
+
+
+def test_coupling_blocks_allocate_one_array_each():
+    # each block is one fresh kernel_eval array, weighted in place; the rest
+    # is O(n) vectors, within 0.25 of the two blocks' bytes
+    grid1, grid2 = build_grid(640.0, 50, 1.3, 8), build_grid(160.0, 40, 1.3, 8)
+    k = KernelSpec(kappa=1.5)
+    tracemalloc.start()
+    try:
+        a1, a2 = coupling_blocks(k, k, grid1, grid2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (a1.shape, a2.shape) == ((640, 800), (800, 640))
+    assert peak <= 1.25 * (a1.nbytes + a2.nbytes)
 
 
 def test_repeat_solves_are_bitwise_equal():

@@ -34,6 +34,51 @@ def test_unmodulated_kernel_symmetric():
     assert np.array_equal(kernel_eval(k, x, y), kernel_eval(k, y, x))
 
 
+def written_out_kernel(k: KernelSpec, x, y) -> np.ndarray:
+    # the kernel formula in plain numpy, one expression per modulation
+    envelope = k.c_upper * (1.0 + np.abs(x) + np.abs(y)) ** (-k.kappa)
+    if k.modulation == "cosine":
+        return envelope * np.cos(k.omega * x * y)
+    if k.modulation == "alternating":
+        return envelope * np.sign(np.sin(x + y))
+    return envelope
+
+
+EVAL_KERNELS = [KernelSpec(kappa=1.7), KernelSpec(kappa=2.3, c_lower=0.5, c_upper=2.5),
+                KernelSpec(kappa=1.3, modulation="cosine", omega=1.9),
+                KernelSpec(kappa=0.8, modulation="alternating")]
+
+
+@pytest.mark.parametrize("k", EVAL_KERNELS, ids=lambda k: k.spec_string())
+def test_kernel_eval_is_bitwise_the_written_out_formula(k):
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(-60.0, 60.0, size=(2, 50))
+    # a scalar goes through the same ufunc loops as an array, so it equals the
+    # formula on one-element arrays (numpy's scalar power may round differently)
+    for xs, ys in zip(x[:10], y[:10]):
+        value = kernel_eval(k, float(xs), float(ys))
+        assert type(value) is float
+        assert value == written_out_kernel(k, np.array([xs]), np.array([ys]))[0]
+    assert np.array_equal(kernel_eval(k, float(x[0]), y), written_out_kernel(k, x[0], y))
+    assert np.array_equal(kernel_eval(k, x[:, None], y[None, :]),
+                          written_out_kernel(k, x[:, None], y[None, :]))
+
+
+@pytest.mark.parametrize("k", EVAL_KERNELS, ids=lambda k: k.spec_string())
+def test_kernel_eval_reads_its_inputs_and_returns_a_fresh_array(k):
+    nodes = build_grid(20.0, 4, 1.3, 4).nodes  # read-only
+    x, y = nodes[:, None], nodes[None, ::-1]
+    before = nodes.copy()
+    value = kernel_eval(k, x, y)
+    assert np.array_equal(nodes, before)
+    assert value.shape == (nodes.size, nodes.size) and value.flags.writeable
+    assert not np.shares_memory(value, nodes)
+    assert np.array_equal(value, written_out_kernel(k, x, y))
+    row = kernel_eval(k, 0.5, nodes)
+    assert row.flags.writeable and not np.shares_memory(row, nodes)
+    assert np.array_equal(nodes, before)
+
+
 def test_kernel_validation():
     with pytest.raises(DomainError):
         KernelSpec(kappa=float("nan"))

@@ -87,9 +87,9 @@ def test_assemble_mirrored_peak_memory():
 
 def test_assemble_full_path_peak_memory():
     # graded nodes with two weights swapped: not a bitwise mirror, so the
-    # full matrix is assembled.  The envelope keeps two n x n arrays alive at
-    # once (kernel values and their scaled copy); a modulation adds its
-    # factor as a third
+    # full matrix is assembled.  The envelope keeps one n x n array alive
+    # (kernel values, scaled in place); a modulation adds its factor as a
+    # second
     grid = build_grid(640.0, 82, 1.3, 8)
     weights = grid.weights.copy()
     weights[[0, 1]] = weights[[1, 0]]
@@ -97,8 +97,8 @@ def test_assemble_full_path_peak_memory():
                 panel_order=grid.panel_order, breakpoints=grid.breakpoints)
     n = grid.size
     assert n == 1312
-    for kernel, bound in ((KernelSpec(kappa=1.5), 2.25), (COSMOD, 3.25),
-                          (KernelSpec(kappa=1.5, modulation="alternating"), 3.25)):
+    for kernel, bound in ((KernelSpec(kappa=1.5), 1.25), (COSMOD, 2.25),
+                          (KernelSpec(kappa=1.5, modulation="alternating"), 2.25)):
         tracemalloc.start()
         try:
             op = assemble(kernel, SpaceSpec.hps(4.0, -0.5), SpaceSpec.hps(2.0, 0.25),
@@ -109,6 +109,29 @@ def test_assemble_full_path_peak_memory():
         assert not op.mirrored
         assert peak < bound * n * n * 8, kernel
         del op
+
+
+@pytest.mark.parametrize("kernel, bound", [
+    (KernelSpec(kappa=1.5), 1.25),
+    (KernelSpec(kappa=1.5, modulation="cosine", omega=1.5), 2.25),
+    (KernelSpec(kappa=1.5, modulation="alternating"), 2.25),
+], ids=["envelope", "cosmod", "altmod"])
+def test_assemble_allocates_one_block(kernel, bound):
+    # kernel_eval returns one fresh array, a modulation adds one scratch
+    # array of the same size, and assemble scales the result in place: 1 or
+    # 2 blocks, plus 0.25 of a block for the O(n) vectors (scalings, mirror
+    # test).  The core is the quadrant for the even kernels, the full matrix
+    # for altmod
+    grid = build_grid(640.0, 50, 1.3, 8)
+    assert grid.size == 800
+    tracemalloc.start()
+    try:
+        op = assemble(kernel, SpaceSpec.hps(4.0, -0.5), SpaceSpec.hps(2.0, 0.25), grid, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.mirrored == kernel.even
+    assert peak <= bound * op.core.nbytes
 
 
 def test_assemble_nonnegative_for_pure_envelope():
