@@ -22,10 +22,9 @@ from .errors import (ConvergenceError, DivergenceError, DomainError,
 from .grids import (Grid, build_grid, extend_grid, grid_from_breakpoints,
                     integrate, nested_grids, parse_grid)
 from .kernels import EnvelopeReport, KernelSpec, envelope_check, kernel_eval, parse_kernel
-from .operators import (DiscretizedOperator, PqNormEstimate, apply_operator,
-                        apply_operator_samples, assemble, empirical_ratio,
-                        largest_singular_value, matrix_pq_norm,
-                        operator_norm_22, operator_norm_pq)
+from .operators import (DiscretizedOperator, PqNormEstimate, apply_operator, assemble,
+                        empirical_ratio, largest_singular_value, matrix_pq_norm,
+                        operator_norm_pq)
 from .spaces import (SampledFunction, SpaceSpec, bump, conjugate_exponent,
                      function_from_spec, gauss, indicator, parse_space, powerlaw,
                      sample, sample_spec, weight_exponent, weighted_norm)

@@ -8,7 +8,9 @@ the product is stored: ``assemble`` scales the one array ``kernel_eval``
 returns in place, so K never exists beside it.  The weighted operator norm
 then becomes a plain l^p1 -> l^p2 norm of a dense matrix, so all three
 space families share one nonlinear power method (Boyd, "The power method
-for l_p norms", 1974); p1 = p2 = 2 is its singular-value case.
+for l_p norms", 1974); p1 = p2 = 2 is its singular-value case.  The kernel
+is evaluated here only by ``assemble``, whose core carries every norm, sweep
+and test-function ratio, and by ``apply_operator``, (Kf)(x) at one point.
 
 Even kernels on mirrored grids are stored and normed as one quadrant.  The
 envelope and its cosine modulation are even in each variable, the scalings
@@ -196,19 +198,11 @@ def apply_operator(k: KernelSpec, f: SampledFunction, source_grid: Grid, x: floa
         raise DomainError(f"evaluation point must be finite, got {x!r}")
     _require_on_grid(f, source_grid)
     row = kernel_eval(k, float(x), source_grid.nodes)
-    value = float(np.dot(source_grid.weights * row, f.values))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises
+        value = float(np.dot(source_grid.weights * row, f.values))
     if not math.isfinite(value):
         raise NumericalError(f"operator application overflowed at x = {x!r}")
     return value
-
-
-def apply_operator_samples(k: KernelSpec, f: SampledFunction, source_grid: Grid,
-                           target_grid: Grid) -> SampledFunction:
-    """(Kf) sampled on all the target grid nodes."""
-    _require_on_grid(f, source_grid)
-    kernel_matrix = kernel_eval(k, target_grid.nodes[:, None], source_grid.nodes[None, :])
-    values = kernel_matrix @ (source_grid.weights * f.values)
-    return SampledFunction(target_grid, values, tag=None)
 
 
 def _norm_and_dual(u: np.ndarray, r: float) -> tuple[float, np.ndarray | None]:
@@ -238,35 +232,41 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
     values times ``scale``; without convergence the last change is the one
     that failed the stop test.  The zero matrix gives (0, True, 0, 0).
     ``scale`` = 2^(1/p2 + 1/q1) on the quadrant of a mirrored matrix makes
-    the run that of the full matrix.  A value that is not finite raises
-    NumericalError; run it with numpy's overflow and invalid warnings off.
+    the run that of the full matrix.  Bad exponents or limits raise
+    DomainError; a value that is not finite raises NumericalError.
     """
+    if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
+        raise DomainError("matrix norm exponents must lie in (1, inf)")
+    if not (max_iter >= 1 and 0 <= tol < math.inf):
+        raise DomainError(f"power method needs max_iter >= 1 and a finite tol >= 0, "
+                          f"got max_iter = {max_iter!r}, tol = {tol!r}")
     q1 = conjugate_exponent(p1)
     n = B.shape[1]
     v = np.full(n, n ** (-1.0 / p1))  # all-ones start, unit p1-norm
     best = 0.0
     gamma_prev = -np.inf
     delta = np.inf
-    for iteration in range(1, max_iter + 1):
-        u_norm, u_dual = _norm_and_dual(B @ v, p2)
-        gamma = scale * u_norm
-        if not math.isfinite(gamma):
-            raise NumericalError(f"operator norm overflows at iteration {iteration}")
-        if gamma == 0.0:
-            # the start happened to lie in the nullspace; restart from the
-            # heaviest column, unless there is none
-            column_sums = np.sum(np.abs(B), axis=0)
-            if not column_sums.any():
-                return 0.0, True, 0, 0.0
-            v = np.zeros(n)
-            v[int(np.argmax(column_sums))] = 1.0
-            continue
-        best = max(best, gamma)
-        delta = abs(gamma - gamma_prev)
-        if delta <= tol * max(1.0, gamma):
-            return best, True, iteration, delta
-        gamma_prev = gamma
-        _, v = _norm_and_dual(B.T @ u_dual, q1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises
+        for iteration in range(1, max_iter + 1):
+            u_norm, u_dual = _norm_and_dual(B @ v, p2)
+            gamma = scale * u_norm
+            if not math.isfinite(gamma):
+                raise NumericalError(f"operator norm overflows at iteration {iteration}")
+            if gamma == 0.0:
+                # the start happened to lie in the nullspace; restart from the
+                # heaviest column, unless there is none
+                column_sums = np.sum(np.abs(B), axis=0)
+                if not column_sums.any():
+                    return 0.0, True, 0, 0.0
+                v = np.zeros(n)
+                v[int(np.argmax(column_sums))] = 1.0
+                continue
+            best = max(best, gamma)
+            delta = abs(gamma - gamma_prev)
+            if delta <= tol * max(1.0, gamma):
+                return best, True, iteration, delta
+            gamma_prev = gamma
+            _, v = _norm_and_dual(B.T @ u_dual, q1)
     return best, False, max_iter, delta
 
 
@@ -279,7 +279,13 @@ def largest_singular_value(matrix, tol: float = POWER_TOL,
     diagnostics.
     """
     B = _as_matrix(matrix)
-    return _pq_norm(B, 2.0, 2.0, tol, max_iter, fallback_dim=min(B.shape)).value
+    value, converged, iterations, delta = _power_method(B, 2.0, 2.0, tol, max_iter)
+    if converged:
+        return value
+    if min(B.shape) > DENSE_FALLBACK_DIM:
+        raise ConvergenceError(f"power iteration did not converge in {max_iter} iterations",
+                               iterations=iterations, last_value=value, last_delta=delta)
+    return float(np.linalg.svd(B, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -309,36 +315,11 @@ def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
 
 
 def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
-             mirrored: bool = False, fallback_dim: int | None = None) -> PqNormEstimate:
-    # ``fallback_dim`` (the full matrix's smaller side) asks for the largest
-    # singular value, which is computed densely or raises when unconverged
-    if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
-        raise DomainError("matrix norm exponents must lie in (1, inf)")
-    if not (max_iter >= 1 and 0 <= tol < math.inf):
-        raise DomainError(f"power method needs max_iter >= 1 and a finite tol >= 0, "
-                          f"got max_iter = {max_iter!r}, tol = {tol!r}")
+             mirrored: bool = False) -> PqNormEstimate:
     scale = 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1)) if mirrored else 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises
-        value, converged, iterations, delta = _power_method(B, p1, p2, tol, max_iter, scale)
-    if not converged and fallback_dim is not None:
-        if fallback_dim > DENSE_FALLBACK_DIM:
-            raise ConvergenceError(
-                f"power iteration did not converge in {max_iter} iterations",
-                iterations=iterations, last_value=value, last_delta=delta,
-            )
-        value = scale * float(np.linalg.svd(B, compute_uv=False)[0])
+    value, converged, iterations, _ = _power_method(B, p1, p2, tol, max_iter, scale)
     return PqNormEstimate(value, certified=converged and bool(B.min() >= 0),
                           converged=converged, iterations=iterations)
-
-
-def operator_norm_22(op: DiscretizedOperator, tol: float = POWER_TOL,
-                     max_iter: int = POWER_MAX_ITER) -> float:
-    """Discretized weighted-operator norm in the p1 = p2 = 2 case."""
-    if op.source_space.p != 2.0 or op.target_space.p != 2.0:
-        raise DomainError("operator_norm_22 requires p = 2 on both sides")
-    # the operator's core is validated once, when the operator is built
-    return _pq_norm(op.core, 2.0, 2.0, tol, max_iter, op.mirrored,
-                    fallback_dim=min(op.target_grid.size, op.source_grid.size)).value
 
 
 def operator_norm_pq(op: DiscretizedOperator, tol: float = POWER_TOL,
@@ -348,11 +329,26 @@ def operator_norm_pq(op: DiscretizedOperator, tol: float = POWER_TOL,
                     op.mirrored)
 
 
-def empirical_ratio(k: KernelSpec, f: SampledFunction, source: SpaceSpec,
-                    target: SpaceSpec, source_grid: Grid, target_grid: Grid) -> float:
-    """||Kf||_target / ||f||_source for one concrete test function."""
+def empirical_ratio(op: DiscretizedOperator, f: SampledFunction) -> float:
+    """||Kf||_target / ||f||_source for a function sampled on the source grid.
+
+    The core maps u = f * w^(1/p1) * (1+|y|)^(w1/p1) to the target-weighted
+    image r * Kf; a mirrored core takes u folded onto the half line and
+    gives half of the even image, whose norm is scaled by 2^(1/p2).  A ratio
+    that is not finite raises NumericalError.
+    """
+    _require_on_grid(f, op.source_grid)
+    source, target, grid = op.source_space, op.target_space, op.source_grid
     denominator = weighted_norm(f, source)
     if denominator == 0.0:
         raise DomainError("test function has zero source norm")
-    image = apply_operator_samples(k, f, source_grid, target_grid)
-    return weighted_norm(image, target) / denominator
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite ratio raises
+        u = (f.values * grid.weights ** (1.0 / source.p)
+             * (1.0 + np.abs(grid.nodes)) ** (weight_exponent(source) / source.p))
+        if op.mirrored:  # fold onto the half line
+            u = u[:grid.size // 2][::-1] + u[grid.size // 2:]
+        image_norm, _ = _norm_and_dual(op.core @ u, target.p)  # rescales on overflow
+        ratio = image_norm * (2.0 ** (1.0 / target.p) if op.mirrored else 1.0) / denominator
+    if not math.isfinite(ratio):
+        raise NumericalError("empirical ratio is not finite: the image overflows")
+    return ratio

@@ -118,8 +118,9 @@ def weighted_norm(f: SampledFunction, space: SpaceSpec) -> float:
     """Grid approximation of (integral |f|^p (1+|x|)^w dx)^(1/p)."""
     w = weight_exponent(space)
     x = f.grid.nodes
-    integrand = np.abs(f.values) ** space.p * (1.0 + np.abs(x)) ** w
-    total = float(np.dot(f.grid.weights, integrand))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total raises
+        integrand = np.abs(f.values) ** space.p * (1.0 + np.abs(x)) ** w
+        total = float(np.dot(f.grid.weights, integrand))
     if not math.isfinite(total):
         raise NumericalError("weighted norm integrand overflowed")
     return total ** (1.0 / space.p)

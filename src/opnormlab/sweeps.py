@@ -21,8 +21,8 @@ from .closed_forms import _integrable_exponent, majorant_integral
 from .conditions import BoundednessQuery, ConditionReport, check_boundedness, query_spaces
 from .errors import DomainError, PlanError
 from .grids import DEFAULT_GRADING, DEFAULT_PANEL_ORDER, Grid, nested_grids
-from .kernels import KernelSpec, kernel_eval
-from .operators import (POWER_MAX_ITER, POWER_TOL, _require_on_grid, assemble, empirical_ratio,
+from .kernels import KernelSpec
+from .operators import (POWER_MAX_ITER, POWER_TOL, apply_operator, assemble, empirical_ratio,
                         operator_norm_pq)
 from .spaces import SampledFunction, conjugate_exponent, sample, weighted_norm
 
@@ -200,10 +200,10 @@ def verify_holder_step(k: KernelSpec, f: SampledFunction, query: BoundednessQuer
                        x: float, grid: Grid) -> HolderCheck:
     """Check the factor-splitting estimate behind every boundedness proof.
 
-    Left side: quadrature of envelope(x, y)*|f(y)|.  Right side: the source
-    norm of f times the dual-exponent majorant integral raised to 1/q1.
-    Requires the pure envelope kernel with c_upper = 1 and a query whose
-    inner condition holds (otherwise the majorant diverges: DivergenceError).
+    Left side: ``apply_operator`` on |f|.  Right side: the source norm of f
+    times the dual-exponent majorant integral raised to 1/q1.  Requires the
+    pure envelope kernel with c_upper = 1 and a query whose inner condition
+    holds (otherwise the majorant diverges: DivergenceError).
     """
     if k.modulation != "none":
         raise DomainError("the proof-step check requires an unmodulated kernel")
@@ -211,10 +211,8 @@ def verify_holder_step(k: KernelSpec, f: SampledFunction, query: BoundednessQuer
         raise DomainError("the proof-step check requires c_upper = 1")
     if k.kappa != query.kappa:
         raise DomainError("kernel decay and query decay disagree")
-    _require_on_grid(f, grid)
+    lhs = apply_operator(k, SampledFunction(f.grid, np.abs(f.values)), grid, x)
     source, _ = query_spaces(query)
-    envelope_row = kernel_eval(k, float(x), grid.nodes)
-    lhs = float(np.dot(grid.weights, envelope_row * np.abs(f.values)))
     majorant = majorant_integral(float(x), _integrable_exponent(source, query.kappa))
     rhs = weighted_norm(f, source) * majorant ** (1.0 / conjugate_exponent(source.p))
     return HolderCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs * (1.0 + 1e-8)))
@@ -235,20 +233,24 @@ def sharpness_probe(query: BoundednessQuery, kernel: KernelSpec,
     Used to exhibit growth when the sufficient conditions fail; bounded
     ratios prove nothing.  A single radius yields a single ratio and no fit.
     The schedule and grid policy obey the sweep's rules (see ``SweepPlan``),
-    else PlanError.
+    else PlanError.  As in a sweep, one assembly on the largest grid serves
+    every radius through ``restrict``; its error is reported on every cell.
     """
     plan = SweepPlan((query,), kernel, R_schedule, grid if grid is not None else GridPolicy())
     source, target = query_spaces(query)
+    grids = plan.grid.build(plan.R_schedule)
+    try:
+        full = assemble(kernel, source, target, grids[-1], grids[-1])
+    except (DomainError, ArithmeticError) as exc:
+        return [ProbeCell(R, None, error=str(exc)) for R in plan.R_schedule]
     cells: list[ProbeCell] = []
-    for R, g in zip(plan.R_schedule, plan.grid.build(plan.R_schedule)):
+    for R, g in zip(plan.R_schedule, grids):
         witness = sample(g, lambda x: (1.0 + np.abs(x)) ** (-witness_exponent),
                          tag=f"powerlaw({witness_exponent:g})")
         try:
-            ratio = empirical_ratio(kernel, witness, source, target, g, g)
+            cells.append(ProbeCell(R, empirical_ratio(full.restrict(g, g), witness)))
         except (DomainError, ArithmeticError) as exc:
             cells.append(ProbeCell(R, None, error=str(exc)))
-            continue
-        cells.append(ProbeCell(R, ratio))
     return cells
 
 

@@ -356,6 +356,12 @@ COSMOD_OVERFLOW_CORNER = ["corner", "--kernel1", "cosmod(2,1e308)", "--kernel2",
 RADIUS_OVERFLOW_OPNORM = OPNORM[:-1] + ["grid(1e308,4,1.3,4)"]
 RADIUS_OVERFLOW_NORM = ["norm", "--function", "gauss(1)", "--space", "H(-0.5)",
                         "--grid", "grid(1e308,4,1.3,4)"]
+# the power of the samples, and the product of a kernel row with them, overflow
+POWER_OVERFLOW_NORM = ["norm", "--function", "powerlaw(-40)", "--space", "H(-1)"]
+APPLY_OVERFLOW_GAUSS = ["apply", "--kernel", "envelope(-400)", "--function", "gauss(1)",
+                        "--x", "0.5"]
+APPLY_OVERFLOW_INDICATOR = ["apply", "--kernel", "envelope(-100)", "--function",
+                            "indicator(0,0)", "--x", "0.5"]
 
 
 @pytest.mark.parametrize("argv, config_text, code", [
@@ -398,6 +404,9 @@ RADIUS_OVERFLOW_NORM = ["norm", "--function", "gauss(1)", "--space", "H(-0.5)",
     (COSMOD_OVERFLOW_CORNER, None, 2),
     (RADIUS_OVERFLOW_OPNORM, None, 1),
     (RADIUS_OVERFLOW_NORM, None, 1),
+    (POWER_OVERFLOW_NORM, None, 2),
+    (APPLY_OVERFLOW_GAUSS, None, 2),
+    (APPLY_OVERFLOW_INDICATOR, None, 2),
 ], ids=["majorant-R-inf", "majorant-x-nan", "indicator-kappa-nan", "powerlaw-norm-t-nan",
         "majorant-overflow", "apply-x-inf", "apply-x-nan", "config-nan", "config-infinity",
         "config-minus-infinity", "config-overflowing-literal", "config-max-iter-0",
@@ -405,7 +414,8 @@ RADIUS_OVERFLOW_NORM = ["norm", "--function", "gauss(1)", "--space", "H(-0.5)",
         "norm-grading-overflow", "check-threshold-overflow", "check-margin-overflow",
         "kernel-c-nan", "kernel-c-inf", "opnorm-norm-overflow", "corner-kernel-overflow",
         "norm-function-overflow", "opnorm-cosmod-overflow", "corner-cosmod-overflow",
-        "opnorm-radius-overflow", "norm-radius-overflow"])
+        "opnorm-radius-overflow", "norm-radius-overflow", "norm-power-overflow",
+        "apply-gauss-overflow", "apply-indicator-overflow"])
 def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, config_text, code):
     # no NaN or Infinity reaches a report, and nothing escapes as a traceback
     if config_text is not None:
@@ -428,7 +438,12 @@ def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, conf
      "error: usage: truncation radius 1e+308 is too large: 2R overflows\n"),
     (RADIUS_OVERFLOW_NORM, 1,
      "error: usage: truncation radius 1e+308 is too large: 2R overflows\n"),
-], ids=["opnorm-cosmod", "corner-cosmod", "opnorm-radius", "norm-radius"])
+    (POWER_OVERFLOW_NORM, 2, "error: numerical: weighted norm integrand overflowed\n"),
+    (APPLY_OVERFLOW_GAUSS, 2, "error: numerical: operator application overflowed at x = 0.5\n"),
+    (APPLY_OVERFLOW_INDICATOR, 2,
+     "error: numerical: operator application overflowed at x = 0.5\n"),
+], ids=["opnorm-cosmod", "corner-cosmod", "opnorm-radius", "norm-radius", "norm-power",
+        "apply-gauss", "apply-indicator"])
 def test_overflow_prints_exactly_one_error_line(argv, code, stderr):
     # outside pytest's warning filters, where a numpy RuntimeWarning would print
     env = dict(os.environ, PYTHONPATH=str(Path(opnormlab.__file__).parents[1]))

@@ -1,16 +1,19 @@
 """Nystrom assembly and the norm estimators against dense oracles."""
+import ast
+import collections
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opnormlab
 from opnormlab import (ConvergenceError, DiscretizedOperator, DomainError, Grid,
-                       KernelSpec, NumericalError, SpaceSpec, apply_operator,
-                       apply_operator_samples, assemble, build_grid,
-                       empirical_ratio, envelope_indicator_image, extend_grid,
-                       kernel_eval, largest_singular_value, matrix_pq_norm,
-                       nested_grids, operator_norm_22, operator_norm_pq, sample,
-                       sample_spec)
+                       KernelSpec, NumericalError, SampledFunction, SpaceSpec,
+                       apply_operator, assemble, build_grid, empirical_ratio,
+                       envelope_indicator_image, extend_grid, kernel_eval,
+                       largest_singular_value, matrix_pq_norm, nested_grids,
+                       operator_norm_pq, sample, sample_spec, weighted_norm)
 from opnormlab.conditions import BoundednessQuery, query_spaces
 from opnormlab.operators import POWER_MAX_ITER, POWER_TOL, _power_method
 from opnormlab.spaces import conjugate_exponent, weight_exponent
@@ -411,19 +414,12 @@ def test_pq_norm_is_lower_bound_at_p2():
 
 # --- operator-level norms ----------------------------------------------------
 
-def test_operator_norm_22_requires_p2():
-    grid = build_grid(10.0, 5, 1.3, 6)
-    op = assemble(KernelSpec(kappa=2.0), SpaceSpec.hsp(-1.0, 3.0),
-                  SpaceSpec.hsp(-1.0, 3.0), grid, grid)
-    with pytest.raises(DomainError):
-        operator_norm_22(op)
-
-
-def test_operator_norms_agree_at_p2():
+def test_operator_norm_at_p2_is_the_largest_singular_value():
     grid = build_grid(40.0, 10, 1.3, 8)
     op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-1.0),
                   grid, grid)
-    assert operator_norm_pq(op).value == pytest.approx(operator_norm_22(op), rel=1e-8)
+    expected = float(np.linalg.svd(op.matrix, compute_uv=False)[0])
+    assert operator_norm_pq(op).value == pytest.approx(expected, rel=1e-8)
 
 
 def test_norm_scales_with_envelope_constant():
@@ -455,59 +451,149 @@ def test_transpose_duality_at_p2():
 
 # --- empirical ratios --------------------------------------------------------
 
+def bare_kernel_image(k, f, target_grid):
+    # (Kf) on the target nodes written out on the bare kernel over the full
+    # grids, without an operator
+    source_grid = f.grid
+    return (kernel_eval(k, target_grid.nodes[:, None], source_grid.nodes[None, :])
+            @ (source_grid.weights * f.values))
+
+
+def bare_kernel_ratio(k, f, source, target, target_grid):
+    image = SampledFunction(target_grid, bare_kernel_image(k, f, target_grid))
+    return weighted_norm(image, target) / weighted_norm(f, source)
+
+
+def test_bare_kernel_image_matches_pointwise_application():
+    grid = build_grid(10.0, 6, 1.3, 6)
+    target = build_grid(10.0, 4, 1.3, 4)
+    k = KernelSpec(kappa=1.5)
+    f = sample_spec(grid, "gauss(2)")
+    image = bare_kernel_image(k, f, target)
+    for i in (0, 7, target.size - 1):
+        assert image[i] == pytest.approx(
+            apply_operator(k, f, grid, float(target.nodes[i])), rel=1e-14)
+
+
+@pytest.mark.parametrize("kernel", [
+    KernelSpec(kappa=1.5),
+    KernelSpec(kappa=2.0, modulation="cosine", omega=1.5),
+    KernelSpec(kappa=2.0, modulation="alternating"),
+], ids=["envelope", "cosmod", "altmod"])
+@pytest.mark.parametrize("source, target", [
+    (SpaceSpec.h(-1.0), SpaceSpec.h(-0.5)),
+    (SpaceSpec.hsp(-0.5, 3.0), SpaceSpec.hps(1.5, -0.25)),
+], ids=["h", "p-not-2"])
+@pytest.mark.parametrize("source_grid, target_grid", [(NESTED[-1], NESTED[-1]),
+                                                      (NESTED[0], NESTED[1])],
+                         ids=["square", "two-grids"])
+def test_empirical_ratio_matches_the_bare_kernel(kernel, source, target, source_grid,
+                                                  target_grid):
+    op = assemble(kernel, source, target, source_grid, target_grid)
+    assert op.mirrored == kernel.even
+    for spec in ("gauss(1)", "powerlaw(0.75)", "bump(3,2)"):
+        f = sample_spec(source_grid, spec)
+        expected = bare_kernel_ratio(kernel, f, source, target, target_grid)
+        for operator in (op, full_path(op)):
+            assert empirical_ratio(operator, f) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
 def test_empirical_ratio_below_norm():
     grid = build_grid(40.0, 10, 1.3, 8)
     source, target = SpaceSpec.h(-1.0), SpaceSpec.h(-1.0)
-    k = KernelSpec(kappa=2.0)
-    norm = operator_norm_pq(assemble(k, source, target, grid, grid)).value
+    op = assemble(KernelSpec(kappa=2.0), source, target, grid, grid)
+    norm = operator_norm_pq(op).value
     for spec in ("gauss(1)", "powerlaw(2)", "bump(3,1)"):
         f = sample_spec(grid, spec)
-        ratio = empirical_ratio(k, f, source, target, grid, grid)
-        assert ratio <= norm * (1 + 1e-6)
+        assert empirical_ratio(op, f) <= norm * (1 + 1e-6)
 
 
 def test_empirical_ratio_top_singular_vector_attains_norm():
     grid = build_grid(40.0, 10, 1.3, 8)
     source = target = SpaceSpec.h(-1.0)
-    k = KernelSpec(kappa=2.0)
-    op = assemble(k, source, target, grid, grid)
+    op = assemble(KernelSpec(kappa=2.0), source, target, grid, grid)
+    assert op.mirrored
     _, sigma, vt = np.linalg.svd(op.matrix)
     # map the top right-singular vector back to function samples
     v = vt[0]
     w1 = -2.0  # weight exponent of the source space
     f_vals = v / (grid.weights ** 0.5 * (1 + np.abs(grid.nodes)) ** (w1 / 2.0))
     f = sample(grid, f_vals)
-    ratio = empirical_ratio(k, f, source, target, grid, grid)
-    assert ratio == pytest.approx(float(sigma[0]), rel=1e-8)
+    assert empirical_ratio(op, f) == pytest.approx(float(sigma[0]), rel=1e-8)
 
 
 def test_empirical_ratio_far_field_function_is_suboptimal():
     grid = build_grid(40.0, 10, 1.3, 8)
     source = target = SpaceSpec.h(-1.0)
-    k = KernelSpec(kappa=2.0)
-    norm = operator_norm_pq(assemble(k, source, target, grid, grid)).value
+    op = assemble(KernelSpec(kappa=2.0), source, target, grid, grid)
+    norm = operator_norm_pq(op).value
     f = sample_spec(grid, "bump(35,2)")  # mass far from the kernel's bulk
-    ratio = empirical_ratio(k, f, source, target, grid, grid)
-    assert ratio < 0.9 * norm
+    assert empirical_ratio(op, f) < 0.9 * norm
 
 
 def test_empirical_ratio_zero_function_rejected():
     grid = build_grid(10.0, 5, 1.3, 6)
     f = sample(grid, lambda x: np.zeros_like(x))
-    with pytest.raises(DomainError):
-        empirical_ratio(KernelSpec(kappa=2.0), f, SpaceSpec.h(-1.0),
-                        SpaceSpec.h(-1.0), grid, grid)
+    op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-1.0), grid, grid)
+    with pytest.raises(DomainError, match="zero source norm"):
+        empirical_ratio(op, f)
 
 
-def test_apply_operator_samples_matches_pointwise():
-    grid = build_grid(10.0, 6, 1.3, 6)
-    target = build_grid(10.0, 4, 1.3, 4)
-    k = KernelSpec(kappa=1.5)
-    f = sample_spec(grid, "gauss(2)")
-    image = apply_operator_samples(k, f, grid, target)
-    for i in (0, 7, target.size - 1):
-        assert image.values[i] == pytest.approx(
-            apply_operator(k, f, grid, float(target.nodes[i])), rel=1e-14)
+def test_empirical_ratio_requires_the_source_grid():
+    op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-1.0),
+                  NESTED[0], NESTED[1])
+    with pytest.raises(DomainError, match="not sampled on the given grid"):
+        empirical_ratio(op, sample_spec(NESTED[1], "gauss(1)"))
+
+
+def test_empirical_ratio_rescales_an_overflowing_power_sum():
+    # the image 2e200 is finite, its fourth power is not
+    op = DiscretizedOperator(np.array([[1e200, 1e200]]), SpaceSpec.h(0.0),
+                             SpaceSpec.hps(4.0, 0.0), pair_grid(), single_node_grid())
+    f = sample(pair_grid(), np.ones(2))
+    assert empirical_ratio(op, f) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+
+
+def test_empirical_ratio_overflowing_image_is_a_numerical_error():
+    # every entry and the source norm are finite, the image 2e308 is not
+    op = DiscretizedOperator(np.array([[1e308, 1e308]]), SpaceSpec.h(0.0), SpaceSpec.h(0.0),
+                             pair_grid(), single_node_grid())
+    with pytest.raises(NumericalError, match="not finite"):
+        empirical_ratio(op, sample(pair_grid(), np.ones(2)))
+
+
+class _KernelEvalCalls(ast.NodeVisitor):
+    # counts calls to kernel_eval, by name or as an attribute, per
+    # (module, innermost enclosing function)
+    def __init__(self, module: str):
+        self.module, self.scope, self.sites = module, "<module>", collections.Counter()
+
+    def visit_FunctionDef(self, node):
+        outer, self.scope = self.scope, node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    def visit_Call(self, node):
+        if "kernel_eval" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            self.sites[(self.module, self.scope)] += 1
+        self.generic_visit(node)
+
+
+def test_kernel_eval_has_one_call_site_per_consumer():
+    # every kernel-to-number path goes through assembly, the pointwise
+    # application, the corner blocks or the envelope check; a second
+    # assembly path would add a site here
+    sites = collections.Counter()
+    for path in Path(opnormlab.__file__).parent.glob("*.py"):
+        calls = _KernelEvalCalls(path.stem)
+        calls.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites += calls.sites
+    assert sites == {
+        ("operators", "assemble"): 1,
+        ("operators", "apply_operator"): 1,
+        ("corner", "coupling_blocks"): 2,
+        ("kernels", "envelope_check"): 1,
+    }
 
 
 # --- mirror symmetry ---------------------------------------------------------
@@ -587,9 +673,6 @@ def test_mirrored_norm_matches_full_matrix_run(kernel):
             assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
             assert (got.iterations, got.converged, got.certified) == (
                 want.iterations, want.converged, want.certified)
-            if source.p == target.p == 2.0:
-                assert operator_norm_22(op) == pytest.approx(operator_norm_22(full_path(op)),
-                                                             rel=1e-14, abs=0.0)
 
 
 def test_mirrored_restriction_keeps_the_quadrant_path():
@@ -604,14 +687,6 @@ def test_mirrored_restriction_keeps_the_quadrant_path():
         got, want = operator_norm_pq(block), operator_norm_pq(full_path(block))
         assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
         assert got.iterations == want.iterations
-
-
-def test_mirrored_dense_fallback_scales():
-    grid = NESTED[0]
-    op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-0.5), grid, grid)
-    assert op.mirrored and op.matrix.shape[0] <= 500
-    expected = float(np.linalg.svd(op.matrix, compute_uv=False)[0])
-    assert operator_norm_22(op, max_iter=1) == pytest.approx(expected, rel=1e-14)
 
 
 def odd_grid() -> Grid:

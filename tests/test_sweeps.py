@@ -301,3 +301,28 @@ def test_probe_zero_norm_witness_is_an_error_cell():
     # no node sits at the origin, so (1+|y|)^(-1e6) underflows to 0 at every node
     cells = sharpness_probe(query_thm1(2.0), KernelSpec(kappa=2.0), 1e6, (10.0,), FAST_GRID)
     assert cells == [opnormlab.sweeps.ProbeCell(10.0, None, "test function has zero source norm")]
+
+
+def test_probe_assembles_once_on_the_largest_grid(monkeypatch):
+    sizes = []
+    real = opnormlab.sweeps.assemble
+
+    def counting(kernel, source, target, source_grid, target_grid):
+        sizes.append(source_grid.size)
+        return real(kernel, source, target, source_grid, target_grid)
+
+    monkeypatch.setattr(opnormlab.sweeps, "assemble", counting)
+    cells = sharpness_probe(query_thm1(2.5), KernelSpec(kappa=2.5), 1.0,
+                            (10.0, 40.0, 160.0), FAST_GRID)
+    assert all(cell.ratio is not None for cell in cells)
+    assert sizes == [FAST_GRID.final_node_count(3)]
+
+
+def test_probe_assembly_error_is_reported_on_every_cell():
+    # (1 + 2 * 160)^400 overflows, so the one assembly fails
+    cells = sharpness_probe(query_thm1(2.0), KernelSpec(kappa=-400.0), 1.0,
+                            (10.0, 40.0, 160.0), FAST_GRID)
+    assert [(cell.R, cell.ratio) for cell in cells] == [(10.0, None), (40.0, None),
+                                                        (160.0, None)]
+    assert len({cell.error for cell in cells}) == 1
+    assert cells[0].error.startswith("non-finite operator entry at (")
