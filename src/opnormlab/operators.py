@@ -26,16 +26,21 @@ matrix.  The full matrix is built from four reversed copies of B only when
 ``.matrix`` is read.  The alternating modulation, which is not even, and
 grids that are not bitwise mirrors keep the full matrix as the core.
 
+A norm starts from the all-ones vector unless it is given a start on the
+core's columns; a sweep passes the previous radius's maximizer, padded with
+zeros by ``zero_padded`` where ``restrict`` takes its block.
+
 General p -> q matrix norms are NP-hard, so certification is restricted to
 entrywise-nonnegative matrices, where the nonlinear power method converges
 to the global maximizer; for sign-changing matrices the estimate is an
-honest lower bound.
+honest lower bound.  An operator scans its core for nonnegativity once
+(``nonnegative``), and ``restrict`` passes a True result down to its blocks.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,6 +53,7 @@ from .spaces import (SampledFunction, SpaceSpec, conjugate_exponent, weight_expo
 DENSE_FALLBACK_DIM = 500
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10000
+_NORMAL_MIN = np.finfo(float).tiny  # smallest positive normal float
 
 
 def check_finite_matrix(matrix: np.ndarray, what: str, offset: tuple[int, int] = (0, 0)) -> None:
@@ -135,17 +141,36 @@ class DiscretizedOperator:
         cols = _centred_block(self.source_grid, source_grid)
         if self.mirrored:
             rows, cols = slice(target_grid.size // 2), slice(source_grid.size // 2)
-        return _trusted_operator(self.core[rows, cols], self.source_space, self.target_space,
-                                 source_grid, target_grid)
+        op = _trusted_operator(self.core[rows, cols], self.source_space, self.target_space,
+                               source_grid, target_grid)
+        if self.nonnegative:  # a block of a nonnegative core is nonnegative: no rescan
+            op.__dict__["nonnegative"] = True
+        return op
+
+    @functools.cached_property
+    def nonnegative(self) -> bool:
+        """True when every entry of the core, hence of the matrix, is >= 0."""
+        return bool(self.core.min() >= 0)
+
+    def zero_padded(self, v: np.ndarray) -> np.ndarray:
+        """``v``, a source vector of a restriction's core, padded with zeros to
+        this core's columns: it fills the entries ``restrict`` takes, the
+        leading ones of a mirrored core and the centred ones of a full core.
+        """
+        n = self.core.shape[1]
+        start = 0 if self.mirrored else (n - v.size) // 2
+        padded = np.zeros(n)
+        padded[start:start + v.size] = v
+        return padded
 
 
 def _trusted_operator(core: np.ndarray, source: SpaceSpec, target: SpaceSpec,
                       source_grid: Grid, target_grid: Grid) -> DiscretizedOperator:
     """An operator around a read-only core that is already checked: no copy, no re-scan."""
     op = object.__new__(DiscretizedOperator)  # skips __init__ and its checks
-    for field, value in zip(fields(DiscretizedOperator),
-                            (core, source, target, source_grid, target_grid)):
-        object.__setattr__(op, field.name, value)
+    for attribute, value in zip(fields(DiscretizedOperator),
+                                (core, source, target, source_grid, target_grid)):
+        object.__setattr__(op, attribute.name, value)
     return op
 
 
@@ -207,12 +232,13 @@ def apply_operator(k: KernelSpec, f: SampledFunction, source_grid: Grid, x: floa
 
 def _norm_and_dual(u: np.ndarray, r: float) -> tuple[float, np.ndarray | None]:
     """(||u||_r, J_r(u)), with J_r(u) = |u|^(r-1) sign(u) / ||u||_r^(r-1) the unit
-    vector in the dual norm, or (0, None).  Where |u|^r overflows for a finite u,
-    both come from u / max|u|: the norm is homogeneous of degree 1, J_r of degree 0.
+    vector in the dual norm, or (0, None).  Where |u|^r overflows, or underflows
+    below the normal range, for a finite nonzero u, both come from u / max|u|:
+    the norm is homogeneous of degree 1, J_r of degree 0.
     """
     magnitude = np.abs(u)
     total = np.sum(magnitude ** r)
-    if total == math.inf and (peak := float(magnitude.max())) < math.inf:
+    if not _NORMAL_MIN <= total < math.inf and 0.0 < (peak := float(magnitude.max())) < math.inf:
         norm, dual = _norm_and_dual(u / peak, r)
         return peak * norm, dual
     norm = float(total ** (1.0 / r))
@@ -221,19 +247,23 @@ def _norm_and_dual(u: np.ndarray, r: float) -> tuple[float, np.ndarray | None]:
     return norm, magnitude ** (r - 1.0) * np.sign(u) / norm ** (r - 1.0)
 
 
-def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
-                  max_iter: int, scale: float = 1.0) -> tuple[float, bool, int, float]:
+def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
+                  scale: float = 1.0, start: np.ndarray | None = None
+                  ) -> tuple[float, bool, int, float, np.ndarray]:
     """Nonlinear power method for the l^p1 -> l^p2 norm of a finite matrix.
 
-    Alternates v <- dual map of B^T (dual map of B v) from the all-ones
-    start; at p1 = p2 = 2 this is power iteration on the Gram matrix.  Stops
-    when ``scale`` * ||B v||_p2 changes by less than ``tol`` (relative above
-    1).  Returns (best value, converged, iterations, last change), all
-    values times ``scale``; without convergence the last change is the one
-    that failed the stop test.  The zero matrix gives (0, True, 0, 0).
-    ``scale`` = 2^(1/p2 + 1/q1) on the quadrant of a mirrored matrix makes
-    the run that of the full matrix.  Bad exponents or limits raise
-    DomainError; a value that is not finite raises NumericalError.
+    Alternates v <- dual map of B^T (dual map of B v), from ``start``
+    scaled to unit p1-norm or, by default, from the all-ones vector; at
+    p1 = p2 = 2 this is power iteration on the Gram matrix.  Stops when
+    ``scale`` * ||B v||_p2 changes by at most ``tol`` times its value.
+    Returns (best value, converged, iterations, last change, maximizer),
+    all values times ``scale``; the maximizer is the unit-p1-norm iterate
+    that reached the best value.  Without convergence the last change is
+    the one that failed the stop test.  The zero matrix gives
+    (0, True, 0, 0, start).  ``scale`` = 2^(1/p2 + 1/q1) on the quadrant of
+    a mirrored matrix makes the run that of the full matrix.  Bad
+    exponents, limits or starts raise DomainError; a value that is not
+    finite raises NumericalError.
     """
     if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
         raise DomainError("matrix norm exponents must lie in (1, inf)")
@@ -242,8 +272,17 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
                           f"got max_iter = {max_iter!r}, tol = {tol!r}")
     q1 = conjugate_exponent(p1)
     n = B.shape[1]
-    v = np.full(n, n ** (-1.0 / p1))  # all-ones start, unit p1-norm
-    best = 0.0
+    if start is None:
+        v = np.full(n, n ** (-1.0 / p1))  # all-ones start, unit p1-norm
+    else:
+        v = np.asarray(start, dtype=float)
+        if v.shape != (n,) or not np.all(np.isfinite(v)):
+            raise DomainError(f"start must be a finite vector of length {n}")
+        start_norm, _ = _norm_and_dual(v, p1)
+        if start_norm == 0.0:
+            raise DomainError("start must not be the zero vector")
+        v = v / start_norm
+    best, maximizer = 0.0, v
     gamma_prev = -np.inf
     delta = np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises
@@ -256,18 +295,19 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float,
                 # the start happened to lie in the nullspace; restart from the
                 # heaviest column, unless there is none
                 column_sums = np.sum(np.abs(B), axis=0)
-                if not column_sums.any():
-                    return 0.0, True, 0, 0.0
+                if not column_sums.any():  # every unit vector is a maximizer
+                    return 0.0, True, 0, 0.0, v
                 v = np.zeros(n)
                 v[int(np.argmax(column_sums))] = 1.0
                 continue
-            best = max(best, gamma)
+            if gamma > best:
+                best, maximizer = gamma, v
             delta = abs(gamma - gamma_prev)
-            if delta <= tol * max(1.0, gamma):
-                return best, True, iteration, delta
+            if delta <= tol * gamma:
+                return best, True, iteration, delta, maximizer
             gamma_prev = gamma
             _, v = _norm_and_dual(B.T @ u_dual, q1)
-    return best, False, max_iter, delta
+    return best, False, max_iter, delta, maximizer
 
 
 def largest_singular_value(matrix, tol: float = POWER_TOL,
@@ -279,7 +319,7 @@ def largest_singular_value(matrix, tol: float = POWER_TOL,
     diagnostics.
     """
     B = _as_matrix(matrix)
-    value, converged, iterations, delta = _power_method(B, 2.0, 2.0, tol, max_iter)
+    value, converged, iterations, delta, _ = _power_method(B, 2.0, 2.0, tol, max_iter)
     if converged:
         return value
     if min(B.shape) > DENSE_FALLBACK_DIM:
@@ -294,13 +334,16 @@ class PqNormEstimate:
 
     ``certified`` means the fixed point is the global maximizer (entrywise
     nonnegative matrix, converged iteration); otherwise the value is a
-    lower bound.
+    lower bound.  ``maximizer`` is the unit-p1-norm vector that reached the
+    value, one entry per column of the matrix (of the core, for an
+    operator); None only where an estimate is built by hand.
     """
 
     value: float
     certified: bool
     converged: bool
     iterations: int
+    maximizer: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
@@ -311,22 +354,31 @@ def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
     maximum.  On oscillation or non-convergence the best iterate is returned
     with ``converged`` (and hence ``certified``) False.
     """
-    return _pq_norm(_as_matrix(matrix), p1, p2, tol, max_iter)
+    B = _as_matrix(matrix)
+    return _pq_norm(B, p1, p2, tol, max_iter, nonnegative=bool(B.min() >= 0))
 
 
 def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
-             mirrored: bool = False) -> PqNormEstimate:
+             nonnegative: bool, mirrored: bool = False,
+             start: np.ndarray | None = None) -> PqNormEstimate:
     scale = 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1)) if mirrored else 1.0
-    value, converged, iterations, _ = _power_method(B, p1, p2, tol, max_iter, scale)
-    return PqNormEstimate(value, certified=converged and bool(B.min() >= 0),
-                          converged=converged, iterations=iterations)
+    value, converged, iterations, _, maximizer = _power_method(B, p1, p2, tol, max_iter,
+                                                               scale, start)
+    return PqNormEstimate(value, certified=converged and nonnegative, converged=converged,
+                          iterations=iterations, maximizer=maximizer)
 
 
 def operator_norm_pq(op: DiscretizedOperator, tol: float = POWER_TOL,
-                     max_iter: int = POWER_MAX_ITER) -> PqNormEstimate:
-    """Discretized weighted-operator norm for general (p1, p2)."""
+                     max_iter: int = POWER_MAX_ITER,
+                     start: np.ndarray | None = None) -> PqNormEstimate:
+    """Discretized weighted-operator norm for general (p1, p2).
+
+    The power method runs on ``op.core``, from ``start`` (a vector on the
+    core's columns, e.g. a smaller radius's maximizer ``op.zero_padded``)
+    or, by default, from the all-ones vector.
+    """
     return _pq_norm(op.core, op.source_space.p, op.target_space.p, tol, max_iter,
-                    op.mirrored)
+                    op.nonnegative, op.mirrored, start)
 
 
 def empirical_ratio(op: DiscretizedOperator, f: SampledFunction) -> float:

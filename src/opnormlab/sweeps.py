@@ -2,12 +2,12 @@
 proof-step inequality checks and below-threshold probes.
 
 A sweep discretizes the same operator on a nested family of truncated
-grids and watches the norm estimates along the truncation schedule.  For
-nonnegative kernels those estimates can only grow with the radius, so a
-log-log growth exponent near zero is evidence of saturation, i.e. of a
-bounded operator.  Growth verdicts are reported but only asserted for
-pre-derived witness cases: the conditions checked here are sufficient, not
-necessary.
+grids and watches the norm estimates along the truncation schedule.  Each
+radius starts the power method from the previous one's maximizer, so those
+estimates can only grow with the radius, and a log-log growth exponent near
+zero is evidence of saturation, i.e. of a bounded operator.  Growth
+verdicts are reported but only asserted for pre-derived witness cases: the
+conditions checked here are sufficient, not necessary.
 """
 from __future__ import annotations
 
@@ -154,12 +154,20 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
     Each query is assembled once, on the largest grid; every radius runs
     the power method on the centred block of that matrix (a view, see
     ``DiscretizedOperator.restrict``), which is bitwise the matrix the
-    smaller grid would assemble.  Cells whose norm iteration did not
-    converge are flagged and excluded from the fit.  Deterministic given
-    the plan (and seed); wall-clock timing is off by default so reports are
-    reproducible byte for byte.  With ``timing`` a cell's ``elapsed_ms``
-    covers its restriction and its norm; the cell at the largest radius also
-    carries the query's one assembly.
+    smaller grid would assemble.  The radii run in increasing order: the
+    first starts from the all-ones vector, every later one from the
+    previous radius's maximizer, zero-padded onto the new nodes.  The
+    previous matrix is a block of the new one, so the first warm iterate
+    already reaches the previous value and the norms cannot decrease along
+    the schedule (up to rounding), whatever the kernel's signs.  For a
+    nonnegative kernel the values agree with a cold start per radius to
+    the power method's tolerance, not bitwise; a sign-changing kernel may
+    have local maxima that the two starts reach separately.  Cells whose
+    norm iteration did not converge are flagged and excluded from the fit.
+    Deterministic given the plan (and seed); wall-clock timing is off by
+    default so reports are reproducible byte for byte.  With ``timing`` a
+    cell's ``elapsed_ms`` covers its restriction and its norm; the cell at
+    the largest radius also carries the query's one assembly.
     """
     grids = plan.grid.build(plan.R_schedule)
     cells: list[SweepCell] = []
@@ -173,9 +181,12 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
         full = assemble(kernel, source, target, grids[-1], grids[-1])
         assembly_ms = (time.perf_counter() - started) * 1e3
         fit_points = []
+        estimate = None
         for R, grid in zip(plan.R_schedule, grids):
             started = time.perf_counter()
-            estimate = operator_norm_pq(full.restrict(grid, grid), tol=tol, max_iter=max_iter)
+            op = full.restrict(grid, grid)
+            start = None if estimate is None else op.zero_padded(estimate.maximizer)
+            estimate = operator_norm_pq(op, tol=tol, max_iter=max_iter, start=start)
             elapsed = (time.perf_counter() - started) * 1e3
             if grid is grids[-1]:
                 elapsed += assembly_ms
@@ -183,7 +194,7 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
                                    estimate.converged, elapsed if timing else None))
             if estimate.converged:
                 fit_points.append((R, estimate.value))
-        del full  # free this query's matrix before the next query assembles its own
+        del full, op  # free this query's matrix before the next query assembles its own
         gamma = fit_growth_exponent(fit_points) if len(fit_points) >= 2 else None
         summaries.append(QuerySummary(index, gamma, verdict_for(gamma)))
     return SweepResult(plan, tuple(cells), tuple(summaries), tuple(reports))
@@ -245,9 +256,9 @@ def sharpness_probe(query: BoundednessQuery, kernel: KernelSpec,
         return [ProbeCell(R, None, error=str(exc)) for R in plan.R_schedule]
     cells: list[ProbeCell] = []
     for R, g in zip(plan.R_schedule, grids):
-        witness = sample(g, lambda x: (1.0 + np.abs(x)) ** (-witness_exponent),
-                         tag=f"powerlaw({witness_exponent:g})")
         try:
+            witness = sample(g, lambda x: (1.0 + np.abs(x)) ** (-witness_exponent),
+                             tag=f"powerlaw({witness_exponent:g})")
             cells.append(ProbeCell(R, empirical_ratio(full.restrict(g, g), witness)))
         except (DomainError, ArithmeticError) as exc:
             cells.append(ProbeCell(R, None, error=str(exc)))

@@ -385,6 +385,18 @@ def test_pq_norm_rescales_an_overflowing_power_sum():
     assert estimate.converged and estimate.certified
 
 
+@pytest.mark.parametrize("matrix, scale, p1, p2", [
+    ([[1.0, 3.0], [2.0, 1.0]], 1e-8, 1.5, 3.0),  # an absolute stop test ended early
+    ([[1.0, 2.0], [3.0, 1.0]], 1e-200, 2.0, 2.0),  # |u|^2 underflowed to a value of 0
+])
+def test_pq_norm_is_scale_invariant_for_small_matrices(matrix, scale, p1, p2):
+    matrix = np.array(matrix)
+    small, unit = matrix_pq_norm(scale * matrix, p1, p2), matrix_pq_norm(matrix, p1, p2)
+    assert small.value / scale == pytest.approx(unit.value, rel=1e-15, abs=0.0)
+    assert (small.iterations, small.converged, small.certified) == (
+        unit.iterations, unit.converged, unit.certified)
+
+
 @pytest.mark.parametrize("matrix, p2", [
     ([[1.7e308, 1.7e308]], 4.0),  # B 1 itself overflows
     ([[1.7e308], [1.7e308]], 2.0),  # B 1 is finite, its norm is not
@@ -392,6 +404,20 @@ def test_pq_norm_rescales_an_overflowing_power_sum():
 def test_pq_norm_overflowing_value_is_a_numerical_error(matrix, p2):
     with pytest.raises(NumericalError):
         matrix_pq_norm(matrix, 2.0, p2)
+
+
+@pytest.mark.parametrize("start", [
+    np.ones(7), np.ones(16), np.ones((2, 4)),  # the core has 8 columns, the grid 16 nodes
+    np.array([1.0, np.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+    np.array([1.0, np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+    np.zeros(8),
+])
+def test_operator_norm_rejects_a_bad_start(start):
+    grid = build_grid(4.0, 2, 1.3, 4)
+    op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-0.5), SpaceSpec.h(-0.5), grid, grid)
+    assert op.mirrored and op.core.shape == (8, 8)
+    with pytest.raises(DomainError, match="start"):
+        operator_norm_pq(op, start=start)
 
 
 def test_pq_norm_sign_changing_not_certified():
@@ -734,7 +760,7 @@ def _power_method_two_norms(B, p1, p2, tol, max_iter):
         gamma = float(np.sum(np.abs(u) ** p2) ** (1.0 / p2))
         best = max(best, gamma)
         delta = abs(gamma - gamma_prev)
-        if delta <= tol * max(1.0, gamma):
+        if delta <= tol * gamma:
             return best, True, iteration, delta
         gamma_prev = gamma
         v = dual_map(B.T @ dual_map(u, p2), q1)
@@ -747,5 +773,36 @@ def test_power_method_one_norm_per_iteration_is_bitwise(p1, p2):
     for shape in ((30, 40), (64, 64)):
         for matrix in (rng.uniform(0.0, 1.0, size=shape), rng.normal(size=shape)):
             for max_iter in (7, POWER_MAX_ITER):
-                assert _power_method(matrix, p1, p2, POWER_TOL, max_iter) == \
+                assert _power_method(matrix, p1, p2, POWER_TOL, max_iter)[:4] == \
                     _power_method_two_norms(matrix, p1, p2, POWER_TOL, max_iter)
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec(kappa=2.0), COSMOD,
+                                    KernelSpec(kappa=2.0, modulation="alternating")])
+def test_zero_padded_maximizer_reaches_the_smaller_value_at_once(kernel):
+    # the smaller core is a block of the larger, so B_large [v; 0] holds B_small v
+    source, target = SPACE_PAIRS[4]  # hsp 3 -> 2
+    full = assemble(kernel, source, target, NESTED[-1], NESTED[-1])
+    assert full.mirrored == kernel.even
+    small = operator_norm_pq(full.restrict(NESTED[0], NESTED[0]))
+    v = small.maximizer
+    assert np.sum(np.abs(v) ** source.p) == pytest.approx(1.0, rel=1e-14)
+    start = full.zero_padded(v)
+    assert start.size == full.core.shape[1] and np.count_nonzero(start) == np.count_nonzero(v)
+    first = operator_norm_pq(full, tol=0.0, max_iter=1, start=start)
+    assert first.value >= small.value * (1.0 - 1e-14)
+
+
+def test_restrict_passes_nonnegativity_down_and_rescans_otherwise():
+    envelope = assemble(KernelSpec(kappa=2.0), *SPACE_PAIRS[0], NESTED[-1], NESTED[-1])
+    block = envelope.restrict(NESTED[0], NESTED[0])
+    assert vars(block)["nonnegative"] is True  # set by restrict, not scanned
+    # a parent with a negative entry outside the block: the block is rescanned
+    # and its norm is certified, the parent's is not
+    core = envelope.matrix.copy()
+    core[0, 0] = -core[0, 0]
+    parent = DiscretizedOperator(core, *SPACE_PAIRS[0], NESTED[-1], NESTED[-1])
+    block = parent.restrict(NESTED[0], NESTED[0])
+    assert not parent.nonnegative and "nonnegative" not in vars(block)
+    assert block.nonnegative
+    assert operator_norm_pq(block).certified and not operator_norm_pq(parent).certified
