@@ -137,10 +137,8 @@ class DiscretizedOperator:
         its leading block.  The view is neither copied nor re-checked: this
         operator's core is already validated and read-only.
         """
-        rows = _centred_block(self.target_grid, target_grid)
-        cols = _centred_block(self.source_grid, source_grid)
-        if self.mirrored:
-            rows, cols = slice(target_grid.size // 2), slice(source_grid.size // 2)
+        rows = self._block(self.target_grid, target_grid)
+        cols = self._block(self.source_grid, source_grid)
         op = _trusted_operator(self.core[rows, cols], self.source_space, self.target_space,
                                source_grid, target_grid)
         if self.nonnegative:  # a block of a nonnegative core is nonnegative: no rescan
@@ -152,16 +150,25 @@ class DiscretizedOperator:
         """True when every entry of the core, hence of the matrix, is >= 0."""
         return bool(self.core.min() >= 0)
 
-    def zero_padded(self, v: np.ndarray) -> np.ndarray:
-        """``v``, a source vector of a restriction's core, padded with zeros to
-        this core's columns: it fills the entries ``restrict`` takes, the
-        leading ones of a mirrored core and the centred ones of a full core.
+    def zero_padded(self, v: np.ndarray, source_grid: Grid) -> np.ndarray:
+        """``v``, a vector on the core's columns of the restriction to
+        ``source_grid``, padded with zeros onto this core's columns: it fills
+        the entries ``restrict`` takes.
         """
-        n = self.core.shape[1]
-        start = 0 if self.mirrored else (n - v.size) // 2
-        padded = np.zeros(n)
-        padded[start:start + v.size] = v
+        padded = np.zeros(self.core.shape[1])
+        cols = self._block(self.source_grid, source_grid)
+        if np.shape(v) != padded[cols].shape:
+            raise DomainError(f"vector must have length {padded[cols].size}")
+        padded[cols] = v
         return padded
+
+    def _block(self, outer: Grid, inner: Grid) -> slice:
+        """The index range along one axis of the core that a restriction from
+        ``outer`` to ``inner`` keeps: the leading block of a mirrored core,
+        the centred block of a full one.  DomainError unless nested.
+        """
+        block = _centred_block(outer, inner)
+        return slice(inner.size // 2) if self.mirrored else block
 
 
 def _trusted_operator(core: np.ndarray, source: SpaceSpec, target: SpaceSpec,

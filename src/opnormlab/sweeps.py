@@ -181,11 +181,11 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
         full = assemble(kernel, source, target, grids[-1], grids[-1])
         assembly_ms = (time.perf_counter() - started) * 1e3
         fit_points = []
-        estimate = None
+        estimate = previous = None
         for R, grid in zip(plan.R_schedule, grids):
             started = time.perf_counter()
             op = full.restrict(grid, grid)
-            start = None if estimate is None else op.zero_padded(estimate.maximizer)
+            start = None if previous is None else op.zero_padded(estimate.maximizer, previous)
             estimate = operator_norm_pq(op, tol=tol, max_iter=max_iter, start=start)
             elapsed = (time.perf_counter() - started) * 1e3
             if grid is grids[-1]:
@@ -194,6 +194,7 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
                                    estimate.converged, elapsed if timing else None))
             if estimate.converged:
                 fit_points.append((R, estimate.value))
+            previous = grid
         del full, op  # free this query's matrix before the next query assembles its own
         gamma = fit_growth_exponent(fit_points) if len(fit_points) >= 2 else None
         summaries.append(QuerySummary(index, gamma, verdict_for(gamma)))

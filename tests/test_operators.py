@@ -760,7 +760,7 @@ def _power_method_two_norms(B, p1, p2, tol, max_iter):
         gamma = float(np.sum(np.abs(u) ** p2) ** (1.0 / p2))
         best = max(best, gamma)
         delta = abs(gamma - gamma_prev)
-        if delta <= tol * gamma:
+        if delta <= tol * max(1.0, gamma):
             return best, True, iteration, delta
         gamma_prev = gamma
         v = dual_map(B.T @ dual_map(u, p2), q1)
@@ -787,10 +787,12 @@ def test_zero_padded_maximizer_reaches_the_smaller_value_at_once(kernel):
     small = operator_norm_pq(full.restrict(NESTED[0], NESTED[0]))
     v = small.maximizer
     assert np.sum(np.abs(v) ** source.p) == pytest.approx(1.0, rel=1e-14)
-    start = full.zero_padded(v)
+    start = full.zero_padded(v, NESTED[0])
     assert start.size == full.core.shape[1] and np.count_nonzero(start) == np.count_nonzero(v)
     first = operator_norm_pq(full, tol=0.0, max_iter=1, start=start)
     assert first.value >= small.value * (1.0 - 1e-14)
+    with pytest.raises(DomainError, match="length"):
+        full.zero_padded(v[1:], NESTED[0])
 
 
 def test_restrict_passes_nonnegativity_down_and_rescans_otherwise():

@@ -164,11 +164,11 @@ def test_sweep_assembles_once_per_query(monkeypatch, kernel):
         assert op.mirrored == own.mirrored and np.array_equal(op.core, own.core)
         reference = operator_norm_pq(own)
         assert (cell.certified, cell.converged) == (reference.certified, reference.converged)
-        if reference.certified:
-            # a nonnegative matrix: both starts reach the same maximum; a
-            # sign-changing one may have local maxima that the two starts
-            # reach separately (cosmod's hsp 3 -> 2 cells differ by 5e-7)
-            assert cell.value == pytest.approx(reference.value, rel=1e-12, abs=0.0)
+        # the warm start may reach a different local maximum of a
+        # sign-changing matrix: cosmod's hsp 3 -> 2 cells beyond the first
+        # radius differ from a cold start by 3.5e-7 and 5.3e-7
+        rel = 1e-6 if kernel is not None and query.family == "hsp" and cell.R > 10.0 else 1e-12
+        assert cell.value == pytest.approx(reference.value, rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("kernel", [KernelSpec(kappa=2.0, modulation="cosine", omega=1.5),
