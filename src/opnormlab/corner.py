@@ -37,12 +37,22 @@ The solver eliminates the unknown on the larger grid (the system is
 symmetric under swapping (x, g, B2) with (y, f, B1)), so S, the one matrix
 factored, has size min(h1, h2) on the half path and min(n1, n2) otherwise.
 
+S is formed in one Fortran-ordered array and factored in place, after
+||E||_1 (below) is taken, so besides the two blocks the solve holds one
+array no larger than a block at a time: |B| for ||E||_1, then S.
+
 The solution is unfolded onto the full grids (on the half path it holds the
 even parts only) and the unknowns are rebuilt from the equations as
 C = G - A2 D and D = F - A1 C.  On the half path A2 unfold(y) = unfold(B2 y),
 so the rebuild needs no full block.  Zero kernels therefore return (G, F)
-bitwise, and so do exactly odd data on the half path.  The residuals apply
-freshly evaluated full blocks, independently of the solve.
+bitwise, and so do exactly odd data on the half path.
+
+The residuals re-apply the discretized equations with coupling blocks
+evaluated afresh, dense and exact, never the solve's doubled arrays.  On the
+half path these are fresh quadrants, applied to the whole vector, odd part
+included, through the exact identity A v = [J; I] Q [J, I] v, that is
+y = Q (v[:h][::-1] + v[h:]) unfolded to (y[::-1], y); otherwise they are the
+full blocks.
 
 ``condition_estimate`` is the 1-norm condition number of the system solved:
 E on the half path, M otherwise.  ||E||_1 is exact, the larger of
@@ -174,15 +184,17 @@ def manufactured_case(c_star: SampledFunction, d_star: SampledFunction,
 def lu_factor(matrix: np.ndarray):
     """LU factorization with partial pivoting, as ``scipy.linalg.lu_factor``.
 
-    scipy is imported by the corner solve only, never at module level:
-    importing it takes longer than the rest of the package's start-up.  An
-    exactly zero pivot raises no warning here; the solve reports it as an
-    infinite condition estimate.
+    The factors overwrite ``matrix`` when it is a Fortran-ordered float
+    array, and its entries are not checked: pass a finite matrix and do not
+    read it afterwards.  scipy is imported by the corner solve only, never at
+    module level: importing it takes longer than the rest of the package's
+    start-up.  An exactly zero pivot raises no warning here; the solve
+    reports it as an infinite condition estimate.
     """
     from scipy.linalg import LinAlgWarning, lu_factor as factor
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        return factor(matrix)
+        return factor(matrix, overwrite_a=True, check_finite=False)
 
 
 def _fold(values: np.ndarray) -> np.ndarray:
@@ -194,6 +206,13 @@ def _fold(values: np.ndarray) -> np.ndarray:
 def _unfold(half: np.ndarray) -> np.ndarray:
     """Even samples on a mirrored grid from their values on the positive nodes."""
     return np.concatenate([half[::-1], half])
+
+
+def _mirror_apply(quadrant: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A @ values for the full block A = [J; I] Q [J, I] of an even kernel on
+    mirrored grids, from its quadrant Q; exact for any vector, odd part included."""
+    h = values.size // 2
+    return _unfold(quadrant @ (values[:h][::-1] + values[h:]))
 
 
 def _schur_solve(b1: np.ndarray, b2: np.ndarray, g: np.ndarray,
@@ -218,7 +237,18 @@ def _schur_solve(b1: np.ndarray, b2: np.ndarray, g: np.ndarray,
             _reject(math.inf)
         return values
 
-    lu = lu_factor(finite(np.eye(f.size) - b1 @ b2))
+    # an overflow in either is reported by finite() or the condition limit
+    with np.errstate(over="ignore", invalid="ignore"):
+        # ||E||_1, taken before S exists so that its |B| temporaries never
+        # coexist with S
+        norm = 1.0 + max(np.abs(b1).sum(axis=0).max(), np.abs(b2).sum(axis=0).max())
+        # S = I - B1 B2 in one array that lu_factor overwrites; 0 - P keeps
+        # the signed zeros, so S is bitwise np.eye(n) - B1 @ B2
+        s = np.empty((f.size, f.size), order="F")
+        np.matmul(b1, b2, out=s)
+        np.subtract(0.0, s, out=s)
+        s.flat[:: f.size + 1] += 1.0
+    lu = lu_factor(finite(s))
 
     def solve(rhs):
         y = lu_solve(lu, rhs[m:] - b1 @ rhs[:m], check_finite=False)
@@ -228,7 +258,6 @@ def _schur_solve(b1: np.ndarray, b2: np.ndarray, g: np.ndarray,
         y = lu_solve(lu, rhs[m:] - b2.T @ rhs[:m], trans=1, check_finite=False)
         return finite(np.concatenate([rhs[:m] - b1.T @ y, y]))
 
-    norm = 1.0 + max(np.abs(b1).sum(axis=0).max(), np.abs(b2).sum(axis=0).max())
     inverse = LinearOperator((m + f.size,) * 2, matvec=solve, rmatvec=solve_transposed,
                              dtype=float)
     condition = float(norm * onenormest(inverse, t=1))
@@ -244,15 +273,13 @@ def _reject(condition: float) -> NoReturn:
         f"exceeds {CONDITION_LIMIT:.0e}", estimate=condition)
 
 
-def _solve_unknowns(system: CornerSystem, grid1: Grid,
-                    grid2: Grid) -> tuple[np.ndarray, np.ndarray, float]:
+def _solve_unknowns(system: CornerSystem, grid1: Grid, grid2: Grid,
+                    halved: bool) -> tuple[np.ndarray, np.ndarray, float]:
     """Samples of C and D, and the condition estimate of the system solved.
 
     The blocks and the LU are freed on return, before ``solve_corner``
-    builds fresh full blocks for the residuals.
+    builds fresh blocks for the residuals.
     """
-    halved = (system.kernel_1.even and system.kernel_2.even
-              and is_mirror(grid1) and is_mirror(grid2))
     b1, b2 = coupling_blocks(system.kernel_1, system.kernel_2, grid1, grid2,
                              quadrant=halved)
     g, f = system.g_data.values, system.f_data.values
@@ -270,17 +297,24 @@ def solve_corner(system: CornerSystem, grid1: Grid, grid2: Grid) -> CornerSoluti
     """Schur-complement solve with a 1-norm condition estimate (see the module docstring).
 
     Raises IllConditionedError (carrying the estimate) when the estimated
-    condition number reaches 1e12.  Residuals re-apply the discretized
-    equations with freshly built coupling blocks and are measured in the
-    system's weighted norm.
+    condition number reaches 1e12.  S is factored in place, so besides the
+    two coupling blocks the solve holds one array no larger than a block at
+    a time.  Residuals re-apply the discretized equations with freshly built
+    coupling blocks (fresh quadrants through the mirror identity on the half
+    path) and are measured in the system's weighted norm.
     """
     _require_grids(system, grid1, grid2)
-    c_values, d_values, condition = _solve_unknowns(system, grid1, grid2)
+    # the one test for the half path, shared by the solve and the residuals
+    halved = (system.kernel_1.even and system.kernel_2.even
+              and is_mirror(grid1) and is_mirror(grid2))
+    c_values, d_values, condition = _solve_unknowns(system, grid1, grid2, halved)
     c = SampledFunction(grid1, c_values)
     d = SampledFunction(grid2, d_values)
-    a1, a2 = coupling_blocks(system.kernel_1, system.kernel_2, grid1, grid2)
-    r1 = SampledFunction(grid2, a1 @ c.values + d.values - system.f_data.values)
-    r2 = SampledFunction(grid1, c.values + a2 @ d.values - system.g_data.values)
+    a1, a2 = coupling_blocks(system.kernel_1, system.kernel_2, grid1, grid2,
+                             quadrant=halved)
+    apply = _mirror_apply if halved else np.matmul
+    r1 = SampledFunction(grid2, apply(a1, c.values) + d.values - system.f_data.values)
+    r2 = SampledFunction(grid1, c.values + apply(a2, d.values) - system.g_data.values)
     return CornerSolution(
         c=c, d=d,
         residual_1=weighted_norm(r1, system.space),

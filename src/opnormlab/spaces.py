@@ -15,6 +15,7 @@ is part of the experiment, never hidden inside the norm.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,11 +147,20 @@ def indicator(a: float, b: float):
 
 
 def gauss(sigma: float):
-    """x -> exp(-x^2 / (2 sigma^2))."""
+    """x -> exp(-x^2 / (2 sigma^2)).
+
+    The width must keep 2 sigma^2 a finite positive normal float.  An
+    exponent that overflows is -inf, and exp(-inf) = 0 is the exact limit.
+    """
     if sigma <= 0:
         raise DomainError("gauss width must be positive")
+    two_variance = 2.0 * (sigma * sigma)  # unlike sigma ** 2, overflows to inf, never raises
+    if not sys.float_info.min <= two_variance < math.inf:
+        raise DomainError(f"gauss width {sigma!r} out of range: 2 sigma^2 must be "
+                          f"a finite positive normal float")
     def f(x):
-        return np.exp(-np.asarray(x, dtype=float) ** 2 / (2.0 * sigma ** 2))
+        with np.errstate(over="ignore"):
+            return np.exp(-np.asarray(x, dtype=float) ** 2 / two_variance)
     return f
 
 

@@ -362,6 +362,19 @@ APPLY_OVERFLOW_GAUSS = ["apply", "--kernel", "envelope(-400)", "--function", "ga
                         "--x", "0.5"]
 APPLY_OVERFLOW_INDICATOR = ["apply", "--kernel", "envelope(-100)", "--function",
                             "indicator(0,0)", "--x", "0.5"]
+# every block entry is finite, but B1 B2 in the Schur complement overflows
+CORNER_SCHUR_OVERFLOW = ["corner", "--kernel1", "envelope(2,1e300)", "--kernel2",
+                         "envelope(2,1e300)", "--f", "gauss(1)", "--g", "powerlaw(1.5)",
+                         "--grid1", "grid(20,25,1.3,4)", "--grid2", "grid(20,25,1.3,4)"]
+# 2 sigma^2 overflows (1e200) or underflows to 0 (1e-300)
+NORM_GAUSS_WIDE = ["norm", "--function", "gauss(1e200)", "--space", "H(-1)", *SMALL_GRID]
+NORM_GAUSS_NARROW = ["norm", "--function", "gauss(1e-300)", "--space", "H(-1)", *SMALL_GRID]
+CORNER_GAUSS_WIDE = ["corner", "--kernel1", "envelope(2)", "--kernel2", "envelope(2)",
+                     "--f", "gauss(1e200)", "--g", "powerlaw(1.5)",
+                     "--grid1", "grid(20,5,1.3,4)", "--grid2", "grid(20,5,1.3,4)"]
+CORNER_GAUSS_NARROW = ["corner", "--kernel1", "envelope(2)", "--kernel2", "envelope(2)",
+                       "--f", "gauss(1)", "--g", "gauss(1e-300)",
+                       "--grid1", "grid(20,5,1.3,4)", "--grid2", "grid(20,5,1.3,4)"]
 
 
 @pytest.mark.parametrize("argv, config_text, code", [
@@ -442,8 +455,19 @@ def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, conf
     (APPLY_OVERFLOW_GAUSS, 2, "error: numerical: operator application overflowed at x = 0.5\n"),
     (APPLY_OVERFLOW_INDICATOR, 2,
      "error: numerical: operator application overflowed at x = 0.5\n"),
+    (CORNER_SCHUR_OVERFLOW, 2,
+     "error: numerical: condition estimate inf of the corner system exceeds 1e+12\n"),
+    (NORM_GAUSS_WIDE, 1, "error: usage: gauss width 1e+200 out of range: "
+                         "2 sigma^2 must be a finite positive normal float\n"),
+    (NORM_GAUSS_NARROW, 1, "error: usage: gauss width 1e-300 out of range: "
+                           "2 sigma^2 must be a finite positive normal float\n"),
+    (CORNER_GAUSS_WIDE, 1, "error: usage: gauss width 1e+200 out of range: "
+                           "2 sigma^2 must be a finite positive normal float\n"),
+    (CORNER_GAUSS_NARROW, 1, "error: usage: gauss width 1e-300 out of range: "
+                             "2 sigma^2 must be a finite positive normal float\n"),
 ], ids=["opnorm-cosmod", "corner-cosmod", "opnorm-radius", "norm-radius", "norm-power",
-        "apply-gauss", "apply-indicator"])
+        "apply-gauss", "apply-indicator", "corner-schur-overflow", "norm-gauss-wide",
+        "norm-gauss-narrow", "corner-gauss-wide", "corner-gauss-narrow"])
 def test_overflow_prints_exactly_one_error_line(argv, code, stderr):
     # outside pytest's warning filters, where a numpy RuntimeWarning would print
     env = dict(os.environ, PYTHONPATH=str(Path(opnormlab.__file__).parents[1]))

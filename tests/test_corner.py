@@ -358,8 +358,8 @@ def test_odd_data_pass_through(specs):
 @pytest.mark.parametrize("grid_pair", ["larger-first", "larger-second", "unmirrored"])
 @pytest.mark.parametrize("specs", [PAIRS[1], PAIRS[3]])
 def test_kernel_entries_per_solve(monkeypatch, specs, grid_pair):
-    # the solve evaluates the quadrants on the half path, the full blocks
-    # otherwise; the residuals always evaluate the full blocks
+    # the solve and the residuals each evaluate the quadrants on the half
+    # path, the full blocks otherwise
     grid1, grid2 = GRID_PAIRS[grid_pair]()
     k1, k2 = (parse_kernel(spec) for spec in specs)
     system = CornerSystem(k1, k2, sample_spec(grid2, "gauss(1)"),
@@ -377,4 +377,73 @@ def test_kernel_entries_per_solve(monkeypatch, specs, grid_pair):
     n1, n2 = grid1.size, grid2.size
     halved = k1.even and k2.even and grid_pair != "unmirrored"
     solve_entries = 2 * (n1 // 2) * (n2 // 2) if halved else 2 * n1 * n2
-    assert sum(entries) == solve_entries + 2 * n1 * n2
+    assert sum(entries) == 2 * solve_entries
+
+
+@pytest.mark.parametrize("grid_pair", ["larger-first", "larger-second"])
+@pytest.mark.parametrize("specs", PAIRS[:3])
+def test_mirror_apply_matches_the_full_block(specs, grid_pair):
+    # A v = [J; I] Q [J, I] v holds for every vector, odd part included
+    grid1, grid2 = GRID_PAIRS[grid_pair]()
+    k1, k2 = (parse_kernel(spec) for spec in specs)
+    a1, a2 = coupling_blocks(k1, k2, grid1, grid2)
+    q1, q2 = coupling_blocks(k1, k2, grid1, grid2, quadrant=True)
+    rng = np.random.default_rng(21)
+    for full, quadrant in ((a1, q1), (a2, q2)):
+        v = rng.normal(size=full.shape[1])
+        want = full @ v
+        got = opnormlab.corner._mirror_apply(quadrant, v)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("part", ["even", "odd"])
+@pytest.mark.parametrize("specs", [PAIRS[0], PAIRS[1]])
+def test_residuals_see_a_perturbed_solution(monkeypatch, specs, part):
+    # a solution off by 1e-6 in its even or in its odd part, which the half
+    # solve never computes, gives the residuals of the full blocks
+    grid1, grid2 = GRID_PAIRS["larger-first"]()
+    k1, k2 = (parse_kernel(spec) for spec in specs)
+    system = CornerSystem(k1, k2, sample_spec(grid2, "gauss(1)"),
+                          sample_spec(grid1, "powerlaw(1.5)"), SPACE)
+    rng = np.random.default_rng(8)
+    sign = 1.0 if part == "even" else -1.0
+
+    def perturbation(size):
+        half = rng.normal(size=size // 2)
+        return 1e-6 * np.concatenate([sign * half[::-1], half])
+
+    real = opnormlab.corner._solve_unknowns
+
+    def perturbed(*args):
+        c, d, condition = real(*args)
+        return c + perturbation(c.size), d + perturbation(d.size), condition
+
+    monkeypatch.setattr(opnormlab.corner, "_solve_unknowns", perturbed)
+    solution = solve_corner(system, grid1, grid2)
+    c, d = solution.c.values, solution.d.values
+    a1, a2 = coupling_blocks(k1, k2, grid1, grid2)
+    want_1 = weighted_norm(sample(grid2, a1 @ c + d - system.f_data.values), SPACE)
+    want_2 = weighted_norm(sample(grid1, c + a2 @ d - system.g_data.values), SPACE)
+    assert min(want_1, want_2) > 1e-8
+    assert solution.residual_1 == pytest.approx(want_1, rel=1e-10)
+    assert solution.residual_2 == pytest.approx(want_2, rel=1e-10)
+
+
+def test_half_path_solve_keeps_two_quadrants_and_the_schur_complement():
+    # S is factored in place after ||E||_1 is taken, and the residuals apply
+    # fresh quadrants: the peak stays within 0.25 of the bytes of the two
+    # quadrant blocks and S
+    grid1, grid2 = build_grid(640.0, 50, 1.3, 8), build_grid(160.0, 40, 1.3, 8)
+    k = KernelSpec(kappa=1.5)
+    system = CornerSystem(k, k, sample_spec(grid2, "gauss(1)"),
+                          sample_spec(grid1, "powerlaw(1.5)"), SPACE)
+    solve_corner(system, grid1, grid2)  # imports scipy outside the trace
+    tracemalloc.start()
+    try:
+        solve_corner(system, grid1, grid2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    h1, h2 = grid1.size // 2, grid2.size // 2
+    assert (h1, h2) == (400, 320)
+    assert peak <= 1.25 * 8 * (2 * h1 * h2 + min(h1, h2) ** 2)

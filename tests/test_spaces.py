@@ -1,11 +1,12 @@
 """Weighted-space norms against antiderivative oracles, plus norm axioms."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from opnormlab import (DomainError, NumericalError, SampledFunction, SpaceSpec,
-                       build_grid, conjugate_exponent, function_from_spec,
+                       build_grid, conjugate_exponent, function_from_spec, gauss,
                        parse_space, sample, sample_spec, weight_exponent,
                        weighted_norm)
 
@@ -133,6 +134,19 @@ def test_function_spec_errors():
                  "indicator(2,1)", "powerlaw(x)"):
         with pytest.raises(DomainError):
             function_from_spec(spec)
+
+
+def test_gauss_width_range():
+    # 2 sigma^2 must be a finite positive normal float: 1e154 overflows it,
+    # 1e-154 makes it subnormal and 1e-300 makes it zero
+    for sigma in (1e200, 1e154, 1e-154, 1e-300, float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="gauss width"):
+            gauss(sigma)
+    # an exponent that overflows gives the exact limit 0, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(gauss(1e-150)(np.array([0.0, 1e-140, 1e200]))) == [1.0, 0.0, 0.0]
+        assert list(gauss(1e150)(np.array([0.0, 1e300]))) == [1.0, 0.0]
 
 
 def test_sample_spec_tags():
