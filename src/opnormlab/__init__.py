@@ -15,8 +15,8 @@ from .closed_forms import (envelope_indicator_image, majorant_exponent,
 from .conditions import (BoundednessQuery, ConditionReport, check_boundedness,
                          family_from_index, index_from_family, query_spaces,
                          threshold_h, threshold_hps, threshold_hsp)
-from .corner import (CornerSolution, CornerSystem, assemble_block,
-                     coupling_blocks, manufactured_case, solve_corner)
+from .corner import (CornerSolution, CornerSystem, coupling_blocks, manufactured_case,
+                     solve_corner)
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      IllConditionedError, NumericalError, PlanError)
 from .grids import (Grid, build_grid, extend_grid, grid_from_breakpoints,

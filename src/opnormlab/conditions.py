@@ -25,7 +25,7 @@ HPS_INNER_NOTE = "hps inner threshold uses the source exponent 2*s1/p1"
 
 
 def family_from_index(index) -> str:
-    """Map the CLI's mapping-variant index (1, 2, 3, or its string) to a family tag."""
+    """Map the CLI's mapping-variant index (1, 2, 3, or its string) to a family name."""
     try:
         position = int(index) if isinstance(index, str) else operator.index(index)
     except (TypeError, ValueError):

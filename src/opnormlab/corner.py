@@ -37,9 +37,9 @@ The solver eliminates the unknown on the larger grid (the system is
 symmetric under swapping (x, g, B2) with (y, f, B1)), so S, the one matrix
 factored, has size min(h1, h2) on the half path and min(n1, n2) otherwise.
 
-S is formed in one Fortran-ordered array and factored in place, after
-||E||_1 (below) is taken, so besides the two blocks the solve holds one
-array no larger than a block at a time: |B| for ||E||_1, then S.
+S is formed in one Fortran-ordered array and factored in place, and
+||E||_1 (below) comes from LAPACK's dlange with O(n) workspace, so besides
+the two blocks the solve holds one array no larger than a block: S.
 
 The solution is unfolded onto the full grids (on the half path it holds the
 even parts only) and the unknowns are rebuilt from the equations as
@@ -76,7 +76,7 @@ import numpy as np
 from .errors import DomainError, IllConditionedError
 from .grids import Grid, is_mirror
 from .kernels import KernelSpec, kernel_eval
-from .operators import check_finite_matrix
+from .operators import check_finite_matrix, require_on_grid
 from .spaces import SampledFunction, SpaceSpec, weighted_norm
 
 CONDITION_LIMIT = 1e12
@@ -138,31 +138,9 @@ def coupling_blocks(kernel_1: KernelSpec, kernel_2: KernelSpec, grid1: Grid, gri
     return a1, a2
 
 
-def _stack(top_right: np.ndarray, bottom_left: np.ndarray) -> np.ndarray:
-    """The square matrix [[I, top_right], [bottom_left, I]]."""
-    n1, n2 = top_right.shape
-    block = np.zeros((n1 + n2, n1 + n2))
-    np.fill_diagonal(block, 1.0)
-    block[:n1, n1:] = top_right
-    block[n1:, :n1] = bottom_left
-    return block
-
-
-def assemble_block(system: CornerSystem, grid1: Grid, grid2: Grid) -> np.ndarray:
-    """Stacked (n1+n2)-square matrix [[I, A2], [A1, I]] acting on (C, D)."""
-    _require_grids(system, grid1, grid2)
-    a1, a2 = coupling_blocks(system.kernel_1, system.kernel_2, grid1, grid2)
-    return _stack(a2, a1)
-
-
-def _require_sampled_on(f: SampledFunction, grid: Grid, name: str, which: str) -> None:
-    if not np.array_equal(f.grid.nodes, grid.nodes):
-        raise DomainError(f"{name} must be sampled on the {which} grid")
-
-
 def _require_grids(system: CornerSystem, grid1: Grid, grid2: Grid) -> None:
-    _require_sampled_on(system.g_data, grid1, "g_data", "first")
-    _require_sampled_on(system.f_data, grid2, "f_data", "second")
+    require_on_grid(system.g_data, grid1, "g_data must be sampled on the first grid")
+    require_on_grid(system.f_data, grid2, "f_data must be sampled on the second grid")
 
 
 def manufactured_case(c_star: SampledFunction, d_star: SampledFunction,
@@ -173,8 +151,8 @@ def manufactured_case(c_star: SampledFunction, d_star: SampledFunction,
     Uses the same discretization as the solver, so a solve must reproduce
     the chosen unknowns up to conditioning.
     """
-    _require_sampled_on(c_star, grid1, "c_star", "first")
-    _require_sampled_on(d_star, grid2, "d_star", "second")
+    require_on_grid(c_star, grid1, "c_star must be sampled on the first grid")
+    require_on_grid(d_star, grid2, "d_star must be sampled on the second grid")
     a1, a2 = coupling_blocks(kernel_1, kernel_2, grid1, grid2)
     f_vals = a1 @ c_star.values + d_star.values
     g_vals = c_star.values + a2 @ d_star.values
@@ -226,7 +204,7 @@ def _schur_solve(b1: np.ndarray, b2: np.ndarray, g: np.ndarray,
     if f.size > g.size:
         y, x, condition = _schur_solve(b2, b1, f, g)
         return x, y, condition
-    from scipy.linalg import lu_solve
+    from scipy.linalg import lu_solve, norm as matrix_norm
     from scipy.sparse.linalg import LinearOperator, onenormest
     m = g.size
 
@@ -239,9 +217,9 @@ def _schur_solve(b1: np.ndarray, b2: np.ndarray, g: np.ndarray,
 
     # an overflow in either is reported by finite() or the condition limit
     with np.errstate(over="ignore", invalid="ignore"):
-        # ||E||_1, taken before S exists so that its |B| temporaries never
-        # coexist with S
-        norm = 1.0 + max(np.abs(b1).sum(axis=0).max(), np.abs(b2).sum(axis=0).max())
+        # ||E||_1 from LAPACK's dlange, which needs O(n) workspace: no |B| temporary
+        norm = 1.0 + max(matrix_norm(b1, 1, check_finite=False),
+                         matrix_norm(b2, 1, check_finite=False))
         # S = I - B1 B2 in one array that lu_factor overwrites; 0 - P keeps
         # the signed zeros, so S is bitwise np.eye(n) - B1 @ B2
         s = np.empty((f.size, f.size), order="F")
@@ -298,8 +276,8 @@ def solve_corner(system: CornerSystem, grid1: Grid, grid2: Grid) -> CornerSoluti
 
     Raises IllConditionedError (carrying the estimate) when the estimated
     condition number reaches 1e12.  S is factored in place, so besides the
-    two coupling blocks the solve holds one array no larger than a block at
-    a time.  Residuals re-apply the discretized equations with freshly built
+    two coupling blocks the solve holds one array no larger than a block.
+    Residuals re-apply the discretized equations with freshly built
     coupling blocks (fresh quadrants through the mirror identity on the half
     path) and are measured in the system's weighted norm.
     """

@@ -23,8 +23,9 @@ only and the operator keeps B as its ``core`` (``mirrored`` is then true);
 method on B, scaling each iterate's value by that factor, so the stop test,
 the iteration count and, up to rounding, the value are those of the full
 matrix.  The full matrix is built from four reversed copies of B only when
-``.matrix`` is read.  The alternating modulation, which is not even, and
-grids that are not bitwise mirrors keep the full matrix as the core.
+``.matrix`` is read, which only the benchmark's tracer does.  The
+alternating modulation, which is not even, and grids that are not bitwise
+mirrors keep the full matrix as the core.
 
 A norm starts from the all-ones vector unless it is given a start on the
 core's columns; a sweep passes the previous radius's maximizer, padded with
@@ -50,7 +51,6 @@ from .kernels import KernelSpec, kernel_eval
 from .spaces import (SampledFunction, SpaceSpec, conjugate_exponent, weight_exponent,
                      weighted_norm)
 
-DENSE_FALLBACK_DIM = 500
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10000
 _NORMAL_MIN = np.finfo(float).tiny  # smallest positive normal float
@@ -117,7 +117,12 @@ class DiscretizedOperator:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The full read-only matrix; a mirrored core is unfolded on first read."""
+        """The full read-only matrix; a mirrored core is unfolded on first read.
+
+        No code in the package reads it: it is kept only for the benchmark's
+        tracer, and goes when the tracer counts ``core`` instead.  Tests build
+        their reference matrices themselves.
+        """
         B = self.core
         if not self.mirrored:
             return B
@@ -219,16 +224,18 @@ def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
     return _trusted_operator(core, source, target, source_grid, target_grid)
 
 
-def _require_on_grid(f: SampledFunction, grid: Grid) -> None:
+def require_on_grid(f: SampledFunction, grid: Grid,
+                    message: str = "function is not sampled on the given grid") -> None:
+    """Raise DomainError with ``message`` unless ``f`` is sampled on the nodes of ``grid``."""
     if f.grid is not grid and not np.array_equal(f.grid.nodes, grid.nodes):
-        raise DomainError("function is not sampled on the given grid")
+        raise DomainError(message)
 
 
 def apply_operator(k: KernelSpec, f: SampledFunction, source_grid: Grid, x: float) -> float:
     """Quadrature approximation of (Kf)(x) at a single point."""
     if not math.isfinite(x):
         raise DomainError(f"evaluation point must be finite, got {x!r}")
-    _require_on_grid(f, source_grid)
+    require_on_grid(f, source_grid)
     row = kernel_eval(k, float(x), source_grid.nodes)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises
         value = float(np.dot(source_grid.weights * row, f.values))
@@ -321,18 +328,16 @@ def largest_singular_value(matrix, tol: float = POWER_TOL,
                            max_iter: int = POWER_MAX_ITER) -> float:
     """Largest singular value: the p1 = p2 = 2 case of the power method.
 
-    On non-convergence falls back to a dense decomposition when
-    min(shape) <= 500, otherwise raises ConvergenceError with iterate
-    diagnostics.
+    Raises ConvergenceError, with the iteration count, the last value and
+    the change that failed the stop test, when the iteration does not
+    converge within ``max_iter`` steps, whatever the matrix size.
     """
-    B = _as_matrix(matrix)
-    value, converged, iterations, delta, _ = _power_method(B, 2.0, 2.0, tol, max_iter)
-    if converged:
-        return value
-    if min(B.shape) > DENSE_FALLBACK_DIM:
+    value, converged, iterations, delta, _ = _power_method(_as_matrix(matrix), 2.0, 2.0,
+                                                           tol, max_iter)
+    if not converged:
         raise ConvergenceError(f"power iteration did not converge in {max_iter} iterations",
                                iterations=iterations, last_value=value, last_delta=delta)
-    return float(np.linalg.svd(B, compute_uv=False)[0])
+    return value
 
 
 @dataclass(frozen=True)
@@ -396,7 +401,7 @@ def empirical_ratio(op: DiscretizedOperator, f: SampledFunction) -> float:
     gives half of the even image, whose norm is scaled by 2^(1/p2).  A ratio
     that is not finite raises NumericalError.
     """
-    _require_on_grid(f, op.source_grid)
+    require_on_grid(f, op.source_grid)
     source, target, grid = op.source_space, op.target_space, op.source_grid
     denominator = weighted_norm(f, source)
     if denominator == 0.0:

@@ -82,15 +82,10 @@ def weight_exponent(space: SpaceSpec) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Function samples on a grid, with an optional symbolic tag.
-
-    The tag (a function spec string such as ``powerlaw(1.5)``) lets oracle
-    code evaluate closed forms; untagged functions are pure samples.
-    """
+    """Function samples on a grid: read-only, finite, one value per node."""
 
     grid: Grid
     values: np.ndarray
-    tag: str | None = None
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -105,14 +100,14 @@ class SampledFunction:
             raise NumericalError(f"non-finite sample at node {float(self.grid.nodes[bad])!r}")
 
 
-def sample(grid: Grid, f, tag: str | None = None) -> SampledFunction:
+def sample(grid: Grid, f) -> SampledFunction:
     """Sample a vectorized callable (or accept a value array) on a grid.
 
     An overflowing callable is reported by the non-finite check, not as a warning.
     """
     with np.errstate(over="ignore"):
         values = f(grid.nodes) if callable(f) else f
-    return SampledFunction(grid, np.broadcast_to(values, grid.nodes.shape), tag)
+    return SampledFunction(grid, np.broadcast_to(values, grid.nodes.shape))
 
 
 def weighted_norm(f: SampledFunction, space: SpaceSpec) -> float:
@@ -198,8 +193,8 @@ def function_from_spec(spec: str):
 
 
 def sample_spec(grid: Grid, spec: str) -> SampledFunction:
-    """Sample a mini-language function on a grid, keeping the spec as the tag."""
-    return sample(grid, function_from_spec(spec), tag=spec.replace(" ", ""))
+    """Sample a mini-language function on a grid."""
+    return sample(grid, function_from_spec(spec))
 
 
 def parse_space(spec: str) -> SpaceSpec:

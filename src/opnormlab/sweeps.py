@@ -258,8 +258,7 @@ def sharpness_probe(query: BoundednessQuery, kernel: KernelSpec,
     cells: list[ProbeCell] = []
     for R, g in zip(plan.R_schedule, grids):
         try:
-            witness = sample(g, lambda x: (1.0 + np.abs(x)) ** (-witness_exponent),
-                             tag=f"powerlaw({witness_exponent:g})")
+            witness = sample(g, lambda x: (1.0 + np.abs(x)) ** (-witness_exponent))
             cells.append(ProbeCell(R, empirical_ratio(full.restrict(g, g), witness)))
         except (DomainError, ArithmeticError) as exc:
             cells.append(ProbeCell(R, None, error=str(exc)))

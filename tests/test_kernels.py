@@ -8,6 +8,8 @@ from opnormlab import (DivergenceError, DomainError, Grid, KernelSpec, Numerical
                        grid_from_breakpoints, integrate, kernel_eval,
                        majorant_integral, parse_kernel, tail_bound)
 
+from _dense import full_matrix
+
 
 def test_kernel_eval_values():
     k = KernelSpec(kappa=2.0)
@@ -187,7 +189,8 @@ def test_flatten_weights_identity_at_s0():
     grid = unit_weight_grid(4)
     space = SpaceSpec.h(0.0)
     op = assemble(k, space, space, grid, grid)
-    assert np.array_equal(op.matrix, kernel_eval(k, grid.nodes[:, None], grid.nodes[None, :]))
+    assert np.array_equal(full_matrix(op),
+                          kernel_eval(k, grid.nodes[:, None], grid.nodes[None, :]))
 
 
 def test_flatten_weights_classic_exponents():
@@ -195,7 +198,7 @@ def test_flatten_weights_classic_exponents():
     grid = unit_weight_grid(4)
     op = assemble(k, SpaceSpec.h(-1.0), SpaceSpec.h(0.5), grid, grid)
     # target exponent s2 = 0.5, source exponent -s1 = 1
-    assert np.allclose(op.matrix, scaled_entries(0.5, 1.0, k, grid), rtol=1e-15, atol=0)
+    assert np.allclose(full_matrix(op), scaled_entries(0.5, 1.0, k, grid), rtol=1e-15, atol=0)
 
 
 def test_flatten_weights_fixed_weight_source():
@@ -204,7 +207,7 @@ def test_flatten_weights_fixed_weight_source():
     space = SpaceSpec.hps(4.0, -1.0)
     op = assemble(k, space, space, grid, grid)
     # target exponent 2*s2/p2 = -0.5, source exponent -2*s1/p1 = 0.5
-    assert np.allclose(op.matrix, scaled_entries(-0.5, 0.5, k, grid), rtol=1e-15, atol=0)
+    assert np.allclose(full_matrix(op), scaled_entries(-0.5, 0.5, k, grid), rtol=1e-15, atol=0)
 
 
 def test_flatten_weights_pointwise_product():
@@ -220,7 +223,7 @@ def test_flatten_weights_pointwise_product():
     cols = grid.weights ** (2 / 3) * (1 + np.abs(grid.nodes)) ** 0.8
     x, y = grid.nodes[:, None], grid.nodes[None, :]
     expected = rows[:, None] * 0.7 * (1 + np.abs(x) + np.abs(y)) ** (-1.3) * cols[None, :]
-    assert np.allclose(op.matrix, expected, rtol=1e-14, atol=0)
+    assert np.allclose(full_matrix(op), expected, rtol=1e-14, atol=0)
 
 
 # --- majorant integral -------------------------------------------------------

@@ -18,6 +18,8 @@ from opnormlab.conditions import BoundednessQuery, query_spaces
 from opnormlab.operators import POWER_MAX_ITER, POWER_TOL, _power_method
 from opnormlab.spaces import conjugate_exponent, weight_exponent
 
+from _dense import full_matrix
+
 
 def single_node_grid(weight: float = 2.0) -> Grid:
     # one node at the origin carrying the full measure of [-R, R]
@@ -37,9 +39,9 @@ def test_assemble_single_entry():
     space = SpaceSpec.hsp(0.0, 4.0)
     op = assemble(KernelSpec(kappa=2.0), space, space, grid, grid)
     q1 = 4.0 / 3.0
-    assert op.matrix.shape == (1, 1)
-    assert op.matrix[0, 0] == pytest.approx(2.0 ** (1 / 4.0) * 1.0 * 2.0 ** (1 / q1),
-                                            rel=1e-15)
+    assert full_matrix(op).shape == (1, 1)
+    assert full_matrix(op)[0, 0] == pytest.approx(2.0 ** (1 / 4.0) * 1.0 * 2.0 ** (1 / q1),
+                                                  rel=1e-15)
 
 
 def test_assemble_flattened_entry():
@@ -55,7 +57,7 @@ def test_assemble_flattened_entry():
     )
     for k, source, target, expected in cases:
         op = assemble(k, source, target, grid, grid)
-        assert op.matrix[1, 1] == pytest.approx(expected, rel=1e-15)
+        assert full_matrix(op)[1, 1] == pytest.approx(expected, rel=1e-15)
 
 
 def test_assemble_peak_memory():
@@ -141,14 +143,14 @@ def test_assemble_nonnegative_for_pure_envelope():
     grid = build_grid(20.0, 6, 1.3, 6)
     op = assemble(KernelSpec(kappa=1.5), SpaceSpec.h(-1.0), SpaceSpec.h(-0.5),
                   grid, grid)
-    assert np.all(op.matrix >= 0)
+    assert np.all(full_matrix(op) >= 0)
 
 
 def test_assemble_sign_changing_for_modulated():
     grid = build_grid(20.0, 6, 1.3, 6)
     op = assemble(KernelSpec(kappa=1.5, modulation="cosine", omega=2.0),
                   SpaceSpec.h(-1.0), SpaceSpec.h(-0.5), grid, grid)
-    assert np.any(op.matrix < 0)
+    assert np.any(full_matrix(op) < 0)
 
 
 def test_assemble_overflow_names_entry():
@@ -162,7 +164,7 @@ def test_finite_entries_with_overflowing_sum_accepted():
     space = SpaceSpec.h(0.0)
     op = DiscretizedOperator(np.array([[1e308, 1e308]]), space, space,
                              pair_grid(), single_node_grid())
-    assert np.array_equal(op.matrix, [[1e308, 1e308]])
+    assert np.array_equal(full_matrix(op), [[1e308, 1e308]])
 
 
 def test_constructor_rejects_shape_mismatch():
@@ -171,11 +173,11 @@ def test_constructor_rejects_shape_mismatch():
     grid = NESTED[0]
     full = assemble(KernelSpec(kappa=2.0), space, space, grid, grid)
     assert full.mirrored
-    for matrix in (full.core, full.matrix[:, :-1], np.ones(grid.size)):
+    for matrix in (full.core, full_matrix(full)[:, :-1], np.ones(grid.size)):
         with pytest.raises(DomainError, match="does not match grids"):
             DiscretizedOperator(matrix, space, space, grid, grid)
     with pytest.raises(DomainError, match="does not match grids"):
-        DiscretizedOperator(full.matrix, space, space, grid, NESTED[1])
+        DiscretizedOperator(full_matrix(full), space, space, grid, NESTED[1])
 
 
 @pytest.mark.parametrize("matrix, entry", [
@@ -206,18 +208,18 @@ def test_restrict_equals_assembly_on_nested_grid(kernel, source, target):
         block = full.restrict(grid, grid)
         assert block.source_grid is grid and block.target_grid is grid
         assert block.source_space == source and block.target_space == target
-        assert np.array_equal(block.matrix,
-                              assemble(kernel, source, target, grid, grid).matrix)
+        assert np.array_equal(full_matrix(block),
+                              full_matrix(assemble(kernel, source, target, grid, grid)))
 
 
 def test_restrict_distinct_source_and_target_grids():
     full = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-0.5),
                     NESTED[-1], NESTED[-1])
     block = full.restrict(NESTED[0], NESTED[1])
-    assert block.matrix.shape == (NESTED[1].size, NESTED[0].size)
-    assert np.array_equal(block.matrix, assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0),
-                                                 SpaceSpec.h(-0.5), NESTED[0],
-                                                 NESTED[1]).matrix)
+    assert full_matrix(block).shape == (NESTED[1].size, NESTED[0].size)
+    assert np.array_equal(full_matrix(block),
+                          full_matrix(assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0),
+                                               SpaceSpec.h(-0.5), NESTED[0], NESTED[1])))
 
 
 def test_restrict_is_a_read_only_view():
@@ -299,23 +301,16 @@ def test_singular_value_matches_dense_svd():
         assert got == pytest.approx(expected, rel=1e-8)
 
 
-def test_singular_value_nonconvergence_raises_beyond_fallback():
-    rng = np.random.default_rng(5)
-    matrix = rng.normal(size=(501, 502))
-    for max_iter in (1, 3):
+def test_singular_value_nonconvergence_raises():
+    # a small matrix raises too: no dense decomposition absorbs it
+    for seed, shape, max_iter in ((5, (501, 502), 1), (5, (501, 502), 3), (6, (40, 40), 1)):
+        matrix = np.random.default_rng(seed).normal(size=shape)
         with pytest.raises(ConvergenceError) as info:
             largest_singular_value(matrix, max_iter=max_iter)
         error = info.value
         assert error.iterations == max_iter
         # the change that failed the stop test
         assert error.last_delta > POWER_TOL * max(1.0, error.last_value)
-
-
-def test_singular_value_fallback_small_matrix():
-    rng = np.random.default_rng(6)
-    matrix = rng.normal(size=(40, 40))
-    got = largest_singular_value(matrix, max_iter=1)  # forces the dense fallback
-    assert got == pytest.approx(np.linalg.svd(matrix, compute_uv=False)[0], rel=1e-12)
 
 
 # --- p -> q norms ------------------------------------------------------------
@@ -444,7 +439,7 @@ def test_operator_norm_at_p2_is_the_largest_singular_value():
     grid = build_grid(40.0, 10, 1.3, 8)
     op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-1.0),
                   grid, grid)
-    expected = float(np.linalg.svd(op.matrix, compute_uv=False)[0])
+    expected = float(np.linalg.svd(full_matrix(op), compute_uv=False)[0])
     assert operator_norm_pq(op).value == pytest.approx(expected, rel=1e-8)
 
 
@@ -471,8 +466,8 @@ def test_transpose_duality_at_p2():
     grid = build_grid(20.0, 8, 1.3, 8)
     op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-0.5),
                   grid, grid)
-    assert largest_singular_value(op.matrix.T) == pytest.approx(
-        largest_singular_value(op.matrix), abs=1e-10)
+    assert largest_singular_value(full_matrix(op).T) == pytest.approx(
+        largest_singular_value(full_matrix(op)), abs=1e-10)
 
 
 # --- empirical ratios --------------------------------------------------------
@@ -539,7 +534,7 @@ def test_empirical_ratio_top_singular_vector_attains_norm():
     source = target = SpaceSpec.h(-1.0)
     op = assemble(KernelSpec(kappa=2.0), source, target, grid, grid)
     assert op.mirrored
-    _, sigma, vt = np.linalg.svd(op.matrix)
+    _, sigma, vt = np.linalg.svd(full_matrix(op))
     # map the top right-singular vector back to function samples
     v = vt[0]
     w1 = -2.0  # weight exponent of the source space
@@ -637,7 +632,7 @@ def direct_matrix(k, source, target, source_grid, target_grid):
 def full_path(op):
     # the public constructor keeps the whole matrix as the core: the power
     # method runs on all of it
-    return DiscretizedOperator(op.matrix, op.source_space, op.target_space,
+    return DiscretizedOperator(full_matrix(op), op.source_space, op.target_space,
                                op.source_grid, op.target_grid)
 
 
@@ -669,9 +664,10 @@ def test_mirrored_assembly_equals_direct_formula(kernel, exact, source_grid, tar
         assert not op.matrix.flags.writeable
         expected = direct_matrix(kernel, source, target, source_grid, target_grid)
         if exact:
-            assert np.array_equal(op.matrix, expected)
+            assert np.array_equal(full_matrix(op), expected)
         else:
-            assert np.max(np.abs(op.matrix - expected)) <= 1e-15 * np.max(np.abs(expected))
+            error = np.max(np.abs(full_matrix(op) - expected))
+            assert error <= 1e-15 * np.max(np.abs(expected))
 
 
 def test_mirrored_matrix_built_on_first_read():
@@ -739,7 +735,7 @@ def test_full_path_when_not_mirror_symmetric(kernel, grid):
     source, target = SpaceSpec.hsp(-0.5, 3.0), SpaceSpec.hsp(-0.25, 1.5)
     op = assemble(kernel, source, target, grid, grid)
     assert not op.mirrored and op.core is op.matrix
-    assert np.array_equal(op.matrix, direct_matrix(kernel, source, target, grid, grid))
+    assert np.array_equal(full_matrix(op), direct_matrix(kernel, source, target, grid, grid))
     mixed = assemble(kernel, source, target, grid, NESTED[0])  # one side mirrored
     assert not mixed.mirrored
 
@@ -801,7 +797,7 @@ def test_restrict_passes_nonnegativity_down_and_rescans_otherwise():
     assert vars(block)["nonnegative"] is True  # set by restrict, not scanned
     # a parent with a negative entry outside the block: the block is rescanned
     # and its norm is certified, the parent's is not
-    core = envelope.matrix.copy()
+    core = full_matrix(envelope).copy()
     core[0, 0] = -core[0, 0]
     parent = DiscretizedOperator(core, *SPACE_PAIRS[0], NESTED[-1], NESTED[-1])
     block = parent.restrict(NESTED[0], NESTED[0])

@@ -149,12 +149,6 @@ def test_gauss_width_range():
         assert list(gauss(1e150)(np.array([0.0, 1e300]))) == [1.0, 0.0]
 
 
-def test_sample_spec_tags():
-    grid = build_grid(2.0, 2, 1.3, 4)
-    f = sample_spec(grid, "powerlaw(1.5)")
-    assert f.tag == "powerlaw(1.5)"
-
-
 def test_parse_space():
     assert parse_space("H(-0.5)") == SpaceSpec.h(-0.5)
     assert parse_space("Hsp(-1,4)") == SpaceSpec.hsp(-1.0, 4.0)
