@@ -287,13 +287,13 @@ def _parse_query(text: str) -> BoundednessQuery:
         key, sep, value = part.partition("=")
         if not sep:
             raise UsageError(f"query field {part!r} is not key=value")
-        values[key.strip().lower()] = value.strip()
-    if "thm" in values:
-        family = family_from_index(values.pop("thm"))
-    elif "family" in values:
-        family = values.pop("family")
-    else:
-        raise UsageError(f"query {text!r} needs thm= or family=")
+        key = key.strip().lower()
+        if key in values:
+            raise UsageError(f"query field {key!r} is given twice in {text!r}")
+        values[key] = value.strip()
+    if "thm" not in values:
+        raise UsageError(f"query {text!r} needs thm=")
+    family = family_from_index(values.pop("thm"))
     known = {"s1", "s2", "kappa", "p1", "p2"}
     unknown = set(values) - known
     if unknown:
@@ -313,11 +313,13 @@ def _cmd_sweep(args, config: RunConfig) -> int:
     kernel = parse_kernel(args.kernel) if args.kernel else None
     policy = GridPolicy(**{f.name: getattr(config, f.name) for f in fields(GridPolicy)})
     plan = SweepPlan(queries=queries, kernel=kernel, R_schedule=config.r_schedule,
-                     grid=policy, seed=config.seed)
+                     grid=policy)
     result = run_boundedness_sweep(plan, timing=args.timing,
                                    tol=config.power_tol, max_iter=config.power_max_iter)
-    provenance = {"command": args.command, "power_tol": repr(config.power_tol),
-                  "power_max_iter": config.power_max_iter}
+    provenance = {"seed": config.seed, "command": args.command,
+                  "power_tol": repr(config.power_tol), "power_max_iter": config.power_max_iter}
+    if args.kernel:
+        provenance["kernel"] = args.kernel  # the user's spelling, as in the JSON reports
     _emit(sweep_csv_text(result, provenance), args.out)
     return 0
 
@@ -338,8 +340,7 @@ def _cmd_corner(args, config: RunConfig) -> int:
         for name, part in (("C", solution.c), ("D", solution.d)):
             for node, value in zip(part.grid.nodes, part.values):
                 lines.append(f"{name},{float(node)!r},{float(value)!r}")
-        with open(args.dump_csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
+        _emit("\n".join(lines) + "\n", args.dump_csv)
     return _report(args, config, {
         "kernel1": args.kernel1, "kernel2": args.kernel2, "f": args.f, "g": args.g,
         "grid1_nodes": grid1.size, "grid2_nodes": grid2.size, "s": args.s,

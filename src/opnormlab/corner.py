@@ -74,7 +74,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DomainError, IllConditionedError
-from .grids import Grid, is_mirror
+from .grids import Grid, fold, is_mirror, unfold
 from .kernels import KernelSpec, kernel_eval
 from .operators import check_finite_matrix, require_on_grid
 from .spaces import SampledFunction, SpaceSpec, weighted_norm
@@ -138,11 +138,6 @@ def coupling_blocks(kernel_1: KernelSpec, kernel_2: KernelSpec, grid1: Grid, gri
     return a1, a2
 
 
-def _require_grids(system: CornerSystem, grid1: Grid, grid2: Grid) -> None:
-    require_on_grid(system.g_data, grid1, "g_data must be sampled on the first grid")
-    require_on_grid(system.f_data, grid2, "f_data must be sampled on the second grid")
-
-
 def manufactured_case(c_star: SampledFunction, d_star: SampledFunction,
                       kernel_1: KernelSpec, kernel_2: KernelSpec,
                       grid1: Grid, grid2: Grid) -> tuple[SampledFunction, SampledFunction]:
@@ -175,22 +170,10 @@ def lu_factor(matrix: np.ndarray):
         return factor(matrix, overwrite_a=True, check_finite=False)
 
 
-def _fold(values: np.ndarray) -> np.ndarray:
-    """Even part of samples on a mirrored grid, as its values on the positive nodes."""
-    h = values.size // 2
-    return 0.5 * (values[h:] + values[:h][::-1])
-
-
-def _unfold(half: np.ndarray) -> np.ndarray:
-    """Even samples on a mirrored grid from their values on the positive nodes."""
-    return np.concatenate([half[::-1], half])
-
-
 def _mirror_apply(quadrant: np.ndarray, values: np.ndarray) -> np.ndarray:
     """A @ values for the full block A = [J; I] Q [J, I] of an even kernel on
     mirrored grids, from its quadrant Q; exact for any vector, odd part included."""
-    h = values.size // 2
-    return _unfold(quadrant @ (values[:h][::-1] + values[h:]))
+    return unfold(quadrant @ fold(values))
 
 
 def _schur_solve(b1: np.ndarray, b2: np.ndarray, g: np.ndarray,
@@ -261,14 +244,15 @@ def _solve_unknowns(system: CornerSystem, grid1: Grid, grid2: Grid,
     b1, b2 = coupling_blocks(system.kernel_1, system.kernel_2, grid1, grid2,
                              quadrant=halved)
     g, f = system.g_data.values, system.f_data.values
-    fold = unfold = lambda values: values
-    if halved:
-        with np.errstate(over="ignore"):  # an overflow shows up in S
-            b1 *= 2.0
-            b2 *= 2.0
-        fold, unfold = _fold, _unfold
-    c_solved, d_solved, condition = _schur_solve(b1, b2, fold(g), fold(f))
-    return g - unfold(b2 @ d_solved), f - unfold(b1 @ c_solved), condition
+    if not halved:
+        c_solved, d_solved, condition = _schur_solve(b1, b2, g, f)
+        return g - b2 @ d_solved, f - b1 @ c_solved, condition
+    with np.errstate(over="ignore"):  # an overflow shows up in S
+        b1 *= 2.0
+        b2 *= 2.0
+    # the even parts of the data, by their values on the positive nodes
+    c_even, d_even, condition = _schur_solve(b1, b2, 0.5 * fold(g), 0.5 * fold(f))
+    return g - unfold(b2 @ d_even), f - unfold(b1 @ c_even), condition
 
 
 def solve_corner(system: CornerSystem, grid1: Grid, grid2: Grid) -> CornerSolution:
@@ -281,7 +265,8 @@ def solve_corner(system: CornerSystem, grid1: Grid, grid2: Grid) -> CornerSoluti
     coupling blocks (fresh quadrants through the mirror identity on the half
     path) and are measured in the system's weighted norm.
     """
-    _require_grids(system, grid1, grid2)
+    require_on_grid(system.g_data, grid1, "g_data must be sampled on the first grid")
+    require_on_grid(system.f_data, grid2, "f_data must be sampled on the second grid")
     # the one test for the half path, shared by the solve and the residuals
     halved = (system.kernel_1.even and system.kernel_2.even
               and is_mirror(grid1) and is_mirror(grid2))

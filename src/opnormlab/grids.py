@@ -95,6 +95,19 @@ def is_mirror(grid: Grid) -> bool:
             and np.array_equal(grid.weights[:h], grid.weights[h:][::-1]))
 
 
+def fold(values: np.ndarray) -> np.ndarray:
+    """values[h:] + values[:h][::-1], h = size // 2: for samples on a mirrored grid,
+    twice their even part, by its values on the positive nodes."""
+    h = values.size // 2
+    return values[h:] + values[:h][::-1]
+
+
+def unfold(half: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The reversal of ``half`` along ``axis``, then ``half``: the even samples on a
+    mirrored grid whose values on the positive nodes are ``half``."""
+    return np.concatenate([np.flip(half, axis), half], axis=axis)
+
+
 @functools.cache
 def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only (shared by every call)."""
@@ -118,6 +131,8 @@ def grid_from_breakpoints(breakpoints, grading: float = 1.0,
     directly when panel edges must align with features of the integrand
     (e.g. the endpoints of an indicator function).
     """
+    if panel_order < 2:  # before the rule, which has no order below 1
+        raise DomainError("panel order must be >= 2")
     edges = np.asarray(breakpoints, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise DomainError("need at least two panel edges")

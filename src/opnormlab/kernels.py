@@ -52,15 +52,6 @@ class KernelSpec:
     def zero(cls) -> "KernelSpec":
         return cls(kappa=0.0, c_lower=0.0, c_upper=0.0)
 
-    def spec_string(self) -> str:
-        if self.modulation == "cosine":
-            return f"cosmod({self.kappa:g},{self.omega:g})"
-        if self.modulation == "alternating":
-            return f"altmod({self.kappa:g})"
-        if self.c_upper != 1.0:
-            return f"envelope({self.kappa:g},{self.c_upper:g})"
-        return f"envelope({self.kappa:g})"
-
 
 def kernel_eval(k: KernelSpec, x, y):
     """Evaluate K(x, y); broadcasts over array arguments.

@@ -20,10 +20,11 @@ J the reversal and B its [0, R] x [0, R] quadrant, and its l^p1 -> l^p2 norm
 is exactly 2^(1/p2 + 1/q1) ||B||.  ``assemble`` evaluates the kernel on B
 only and the operator keeps B as its ``core`` (``mirrored`` is then true);
 ``restrict`` slices the leading block of B; the norm functions run the power
-method on B, scaling each iterate's value by that factor, so the stop test,
-the iteration count and, up to rounding, the value are those of the full
-matrix.  The full matrix is built from four reversed copies of B only when
-``.matrix`` is read, which only the benchmark's tracer does.  The
+method on B and multiply its value by that factor once, at the end.  The
+stop test compares each change with the value itself, so the factor cancels
+from it: the iteration count and, up to rounding, the value are those of
+the full matrix.  The full matrix is built from reversed copies of B only
+when ``.matrix`` is read, which only the benchmark's tracer does.  The
 alternating modulation, which is not even, and grids that are not bitwise
 mirrors keep the full matrix as the core.
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
-from .grids import Grid, is_mirror
+from .grids import Grid, fold, is_mirror, unfold
 from .kernels import KernelSpec, kernel_eval
 from .spaces import (SampledFunction, SpaceSpec, conjugate_exponent, weight_exponent,
                      weighted_norm)
@@ -123,10 +124,9 @@ class DiscretizedOperator:
         tracer, and goes when the tracer counts ``core`` instead.  Tests build
         their reference matrices themselves.
         """
-        B = self.core
         if not self.mirrored:
-            return B
-        matrix = np.block([[B[::-1, ::-1], B[::-1]], [B[:, ::-1], B]])
+            return self.core
+        matrix = unfold(unfold(self.core, axis=1), axis=0)
         matrix.flags.writeable = False
         return matrix
 
@@ -172,7 +172,12 @@ class DiscretizedOperator:
         ``outer`` to ``inner`` keeps: the leading block of a mirrored core,
         the centred block of a full one.  DomainError unless nested.
         """
-        block = _centred_block(outer, inner)
+        start, odd = divmod(outer.size - inner.size, 2)
+        block = slice(start, start + inner.size)
+        if (start < 0 or odd
+                or not np.array_equal(outer.nodes[block], inner.nodes)
+                or not np.array_equal(outer.weights[block], inner.weights)):
+            raise DomainError("grid is not the centred slice of the operator's grid")
         return slice(inner.size // 2) if self.mirrored else block
 
 
@@ -184,17 +189,6 @@ def _trusted_operator(core: np.ndarray, source: SpaceSpec, target: SpaceSpec,
                                 (core, source, target, source_grid, target_grid)):
         object.__setattr__(op, attribute.name, value)
     return op
-
-
-def _centred_block(outer: Grid, inner: Grid) -> slice:
-    """Index range of ``inner`` inside ``outer``; DomainError unless nested."""
-    start, odd = divmod(outer.size - inner.size, 2)
-    block = slice(start, start + inner.size)
-    if (start < 0 or odd
-            or not np.array_equal(outer.nodes[block], inner.nodes)
-            or not np.array_equal(outer.weights[block], inner.weights)):
-        raise DomainError("grid is not the centred slice of the operator's grid")
-    return block
 
 
 def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
@@ -262,22 +256,20 @@ def _norm_and_dual(u: np.ndarray, r: float) -> tuple[float, np.ndarray | None]:
 
 
 def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
-                  scale: float = 1.0, start: np.ndarray | None = None
+                  start: np.ndarray | None = None
                   ) -> tuple[float, bool, int, float, np.ndarray]:
     """Nonlinear power method for the l^p1 -> l^p2 norm of a finite matrix.
 
     Alternates v <- dual map of B^T (dual map of B v), from ``start``
     scaled to unit p1-norm or, by default, from the all-ones vector; at
     p1 = p2 = 2 this is power iteration on the Gram matrix.  Stops when
-    ``scale`` * ||B v||_p2 changes by at most ``tol`` times its value.
-    Returns (best value, converged, iterations, last change, maximizer),
-    all values times ``scale``; the maximizer is the unit-p1-norm iterate
-    that reached the best value.  Without convergence the last change is
-    the one that failed the stop test.  The zero matrix gives
-    (0, True, 0, 0, start).  ``scale`` = 2^(1/p2 + 1/q1) on the quadrant of
-    a mirrored matrix makes the run that of the full matrix.  Bad
-    exponents, limits or starts raise DomainError; a value that is not
-    finite raises NumericalError.
+    ||B v||_p2 changes by at most ``tol`` times its value.  Returns (best
+    value, converged, iterations, last change, maximizer); the maximizer is
+    the unit-p1-norm iterate that reached the best value.  Without
+    convergence the last change is the one that failed the stop test.  The
+    zero matrix gives (0, True, 0, 0, start).  Bad exponents, limits or
+    starts raise DomainError; a value that is not finite raises
+    NumericalError.
     """
     if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
         raise DomainError("matrix norm exponents must lie in (1, inf)")
@@ -301,8 +293,7 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int
     delta = np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises
         for iteration in range(1, max_iter + 1):
-            u_norm, u_dual = _norm_and_dual(B @ v, p2)
-            gamma = scale * u_norm
+            gamma, u_dual = _norm_and_dual(B @ v, p2)
             if not math.isfinite(gamma):
                 raise NumericalError(f"operator norm overflows at iteration {iteration}")
             if gamma == 0.0:
@@ -373,9 +364,15 @@ def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
 def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
              nonnegative: bool, mirrored: bool = False,
              start: np.ndarray | None = None) -> PqNormEstimate:
-    scale = 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1)) if mirrored else 1.0
+    """Estimate from one power-method run on ``B``.  A mirrored core's value is
+    multiplied once by 2^(1/p2 + 1/q1) (see the module docstring); NumericalError
+    if that product overflows."""
     value, converged, iterations, _, maximizer = _power_method(B, p1, p2, tol, max_iter,
-                                                               scale, start)
+                                                               start)
+    if mirrored:
+        value *= 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1))
+        if not math.isfinite(value):
+            raise NumericalError("operator norm overflows")
     return PqNormEstimate(value, certified=converged and nonnegative, converged=converged,
                           iterations=iterations, maximizer=maximizer)
 
@@ -409,8 +406,8 @@ def empirical_ratio(op: DiscretizedOperator, f: SampledFunction) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite ratio raises
         u = (f.values * grid.weights ** (1.0 / source.p)
              * (1.0 + np.abs(grid.nodes)) ** (weight_exponent(source) / source.p))
-        if op.mirrored:  # fold onto the half line
-            u = u[:grid.size // 2][::-1] + u[grid.size // 2:]
+        if op.mirrored:
+            u = fold(u)
         image_norm, _ = _norm_and_dual(op.core @ u, target.p)  # rescales on overflow
         ratio = image_norm * (2.0 ** (1.0 / target.p) if op.mirrored else 1.0) / denominator
     if not math.isfinite(ratio):

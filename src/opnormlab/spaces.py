@@ -189,6 +189,8 @@ def function_from_spec(spec: str):
         raise DomainError(f"unknown function {name!r} in {spec!r}") from None
     if len(args) != arity:
         raise DomainError(f"{name} takes {arity} argument(s), got {len(args)}")
+    if any(math.isnan(arg) for arg in args):
+        raise DomainError(f"{name} arguments must not be NaN in {spec!r}")
     return builder(*args)
 
 

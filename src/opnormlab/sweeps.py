@@ -69,7 +69,6 @@ class SweepPlan:
     kernel: KernelSpec | None = None
     R_schedule: tuple[float, ...] = DEFAULT_R_SCHEDULE
     grid: GridPolicy = field(default_factory=GridPolicy)
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "queries", tuple(self.queries))
@@ -164,7 +163,7 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
     the power method's tolerance, not bitwise; a sign-changing kernel may
     have local maxima that the two starts reach separately.  Cells whose
     norm iteration did not converge are flagged and excluded from the fit.
-    Deterministic given the plan (and seed); wall-clock timing is off by
+    Deterministic given the plan; wall-clock timing is off by
     default so reports are reproducible byte for byte.  With ``timing`` a
     cell's ``elapsed_ms`` covers its restriction and its norm; the cell at
     the largest radius also carries the query's one assembly.
@@ -283,18 +282,19 @@ def sweep_csv_text(result: SweepResult, provenance: dict | None = None) -> str:
     Column order is fixed (see SWEEP_CSV_COLUMNS): cell rows fill the
     R/nodes/norm/certified/converged/elapsed_ms columns, and each query's
     summary row fills gamma/verdict.  Header lines start with '#' and carry
-    the provenance of every default that shaped the run.
+    the provenance of every default that shaped the run; an entry of
+    ``provenance`` replaces the plan's entry of the same key in place (the CLI
+    echoes its user's ``--kernel`` string) or follows the plan's entries.
     """
     plan = result.plan
     lines = ["# opnormlab sweep report"]
     header = {
         "queries": len(plan.queries),
-        "kernel": plan.kernel.spec_string() if plan.kernel is not None else "envelope(per-query-kappa)",
+        "kernel": repr(plan.kernel) if plan.kernel is not None else "envelope(per-query-kappa)",
         "R_schedule": ":".join(repr(R) for R in plan.R_schedule),
         **{f.name: getattr(plan.grid, f.name) for f in fields(GridPolicy)},
         "gamma_saturating": repr(GAMMA_SATURATING),
         "gamma_growing": repr(GAMMA_GROWING),
-        "seed": plan.seed,
     }
     if provenance:
         header.update(provenance)

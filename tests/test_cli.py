@@ -138,6 +138,17 @@ def test_sweep_writes_deterministic_csv(tmp_path):
     assert text.startswith("# opnormlab sweep report")
 
 
+def test_sweep_header_echoes_the_kernel_and_the_seed(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--query", "thm=2,s1=-0.5,s2=0,p1=3,p2=2,kappa=2",
+                    "--kernel", "cosmod(2,1.5)", "--r-schedule", "10,40", "--panels", "8",
+                    "--order", "6", "--seed", "5", "--out", str(out)]) == 0
+    header = [line for line in out.read_text().splitlines() if line.startswith("# ")]
+    assert "# kernel=cosmod(2,1.5)" in header
+    position = header.index("# seed=5")
+    assert header[position - 1].startswith("# gamma_growing=")
+
+
 def test_sweep_bad_query_exit_1(capsys):
     assert run_cli(["sweep", "--query", "s1=-0.25"]) == 1
     assert "usage" in capsys.readouterr().err
@@ -287,6 +298,11 @@ QUERY = "thm=1,s1=-0.25,s2=-0.25,kappa=1.5"
     (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"panels_per_side": 9.0}),
     (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"grid": 3}),
     (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"grading": "1.3"}),
+    (["norm", "--function", "gauss(1)", "--space", "H(-1)", "--grid", "grid(10,4,1.3,0)"], None),
+    (["sweep", "--query", QUERY, "--order", "0"], None),
+    (["sweep", "--query", QUERY, "--order", "-1"], None),
+    (["sweep", "--query", "thm=1,s1=-0.25,s1=-5,s2=-0.25,kappa=1.5"], None),
+    (["sweep", "--query", "family=h,s1=-0.25,s2=-0.25,kappa=1.5"], None),
 ])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, config):
     if config is not None:

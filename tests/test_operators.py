@@ -15,7 +15,7 @@ from opnormlab import (ConvergenceError, DiscretizedOperator, DomainError, Grid,
                        largest_singular_value, matrix_pq_norm, nested_grids,
                        operator_norm_pq, sample, sample_spec, weighted_norm)
 from opnormlab.conditions import BoundednessQuery, query_spaces
-from opnormlab.operators import POWER_MAX_ITER, POWER_TOL, _power_method
+from opnormlab.operators import POWER_MAX_ITER, POWER_TOL, _pq_norm, _power_method
 from opnormlab.spaces import conjugate_exponent, weight_exponent
 
 from _dense import full_matrix
@@ -378,6 +378,12 @@ def test_pq_norm_rescales_an_overflowing_power_sum():
     estimate = matrix_pq_norm([[1e200, 1e200]], 2.0, 4.0)
     assert estimate.value == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
     assert estimate.converged and estimate.certified
+
+
+def test_mirror_factor_that_overflows_raises():
+    # the quadrant's norm 1e308 is finite; the full matrix's, twice that, is not
+    with pytest.raises(NumericalError, match="overflows"):
+        _pq_norm(np.array([[1e308]]), 2, 2, POWER_TOL, 10, nonnegative=True, mirrored=True)
 
 
 @pytest.mark.parametrize("matrix, scale, p1, p2", [

@@ -122,6 +122,8 @@ def test_function_specs():
     assert np.allclose(powerlaw(x), (1 + np.abs(x)) ** -2.0)
     ind = function_from_spec("indicator(0,1)")
     assert list(ind(x)) == [0.0, 1.0, 1.0, 0.0]
+    half_line = function_from_spec("indicator(0,inf)")  # infinite endpoints stay allowed
+    assert list(half_line(x)) == [0.0, 1.0, 1.0, 1.0]
     gauss = function_from_spec("gauss(2)")
     assert gauss(np.array([0.0]))[0] == 1.0
     bump = function_from_spec("bump(1,0.5)")
@@ -131,7 +133,9 @@ def test_function_specs():
 
 def test_function_spec_errors():
     for spec in ("powerlaw(1,2)", "nope(1)", "gauss(0)", "bump(0,-1)",
-                 "indicator(2,1)", "powerlaw(x)"):
+                 "indicator(2,1)", "powerlaw(x)",
+                 # NaN arguments, which the builders' own checks let through
+                 "indicator(nan,1)", "indicator(0,nan)", "bump(nan,1)", "powerlaw(nan)"):
         with pytest.raises(DomainError):
             function_from_spec(spec)
 

@@ -103,7 +103,7 @@ def test_sweep_no_decay_grows():
 
 def test_sweep_deterministic_csv():
     plan = SweepPlan(queries=(query_thm1(), BoundednessQuery("hps", -1.0, -1.0, 2.0, 2.0, 4.0)),
-                     R_schedule=(10.0, 40.0), grid=FAST_GRID, seed=11)
+                     R_schedule=(10.0, 40.0), grid=FAST_GRID)
     first = sweep_csv_text(run_boundedness_sweep(plan))
     second = sweep_csv_text(run_boundedness_sweep(plan))
     assert first == second
