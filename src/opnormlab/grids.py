@@ -10,7 +10,7 @@ that nesting.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -192,27 +192,61 @@ def extend_grid(grid: Grid, R_new: float, extra_panels: int = 2) -> Grid:
     verbatim, the inner nodes and weights of the result coincide bitwise
     with the original grid's: the grids nest.
     """
-    if not (np.isfinite(R_new) and R_new > grid.R):
+    edges = np.concatenate([grid.breakpoints,
+                            _extension_edges(grid.R, R_new, extra_panels, grid.grading)])
+    return grid_from_breakpoints(edges, grading=grid.grading, panel_order=grid.panel_order)
+
+
+def _extension_edges(R: float, R_new: float, extra_panels: int, grading: float) -> np.ndarray:
+    """The panel edges ``extend_grid`` adds on (R, R_new]."""
+    if not (np.isfinite(R_new) and R_new > R):
         raise DomainError("extension radius must exceed the current radius")
     if not extra_panels >= 1:
         raise DomainError("need at least one extension panel")
-    new_edges = _geometric_fill(grid.R, R_new, extra_panels, grid.grading)
-    edges = np.concatenate([grid.breakpoints, new_edges])
-    return grid_from_breakpoints(edges, grading=grid.grading, panel_order=grid.panel_order)
+    return _geometric_fill(R, R_new, extra_panels, grading)
 
 
 def nested_grids(R_schedule, panels_per_side: int, grading: float = DEFAULT_GRADING,
                  panel_order: int = DEFAULT_PANEL_ORDER, extra_panels: int = 2) -> list[Grid]:
-    """Nested grid family over an increasing truncation schedule."""
+    """Nested grid family over an increasing truncation schedule.
+
+    The members are, bitwise, ``build_grid`` at the first radius followed by
+    ``extend_grid`` to each later one.  Only the largest grid is built and
+    validated, from the whole chain of breakpoints; a panel's nodes and
+    weights depend on its own two edges only, so each smaller grid is the
+    centred slice of the largest grid's nodes and weights and a prefix of
+    its breakpoints, taken as read-only views without re-running the
+    constructor's checks.  A centred slice of a valid grid is increasing,
+    positive and symmetric, and each of its panels keeps its nodes inside
+    it and its weights summing to its width, so the slice lies in
+    [-R_k, R_k] with weights summing to 2 R_k.
+    """
     schedule = [float(R) for R in R_schedule]
     if not schedule:
         raise DomainError("empty truncation schedule")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("truncation schedule must be strictly increasing")
-    grids = [build_grid(schedule[0], panels_per_side, grading, panel_order)]
-    for R in schedule[1:]:
-        grids.append(extend_grid(grids[-1], R, extra_panels))
-    return grids
+    chain = [half_line_breakpoints(schedule[0], panels_per_side, grading)]
+    chain += [_extension_edges(R, R_new, extra_panels, float(grading))
+              for R, R_new in zip(schedule, schedule[1:])]
+    largest = grid_from_breakpoints(np.concatenate(chain), grading, panel_order)
+    centre, order = largest.size // 2, largest.panel_order
+    grids = []
+    for R, edges in zip(schedule[:-1], np.cumsum([part.size for part in chain])):
+        block = slice(centre - (edges - 1) * order, centre + (edges - 1) * order)
+        grids.append(_trusted_grid(R, largest.nodes[block], largest.weights[block],
+                                   largest.grading, order, largest.breakpoints[:edges]))
+    return grids + [largest]
+
+
+def _trusted_grid(R: float, nodes: np.ndarray, weights: np.ndarray, grading: float,
+                  panel_order: int, breakpoints: np.ndarray) -> Grid:
+    """A grid around read-only arrays that are already checked: no copy, no checks."""
+    grid = object.__new__(Grid)  # skips __init__ and its checks
+    for attribute, value in zip(fields(Grid),
+                                (R, nodes, weights, grading, panel_order, breakpoints)):
+        object.__setattr__(grid, attribute.name, value)
+    return grid
 
 
 def integrate(grid: Grid, g) -> float:

@@ -68,7 +68,8 @@ def kernel_eval(k: KernelSpec, x, y):
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.asarray(1.0 + np.abs(x) + np.abs(y))
         np.power(value, -k.kappa, out=value)
-        value *= k.c_upper
+        if k.c_upper != 1.0:  # x * 1.0 is x: skip the pass
+            value *= k.c_upper
         if k.modulation == "cosine":
             phase = np.asarray(k.omega * x * y)
             value *= np.cos(phase, out=phase)

@@ -30,7 +30,10 @@ mirrors keep the full matrix as the core.
 
 A norm starts from the all-ones vector unless it is given a start on the
 core's columns; a sweep passes the previous radius's maximizer, padded with
-zeros by ``zero_padded`` where ``restrict`` takes its block.
+zeros by ``zero_padded`` where ``restrict`` takes its block, and with it the
+start's image from ``padded_image``: the previous radius's image (the
+estimate's ``image``) in the rows ``restrict`` keeps, and only the new rows
+computed, so the first iterate costs a product with the new rows alone.
 
 General p -> q matrix norms are NP-hard, so certification is restricted to
 entrywise-nonnegative matrices, where the nonlinear power method converges
@@ -142,8 +145,7 @@ class DiscretizedOperator:
         its leading block.  The view is neither copied nor re-checked: this
         operator's core is already validated and read-only.
         """
-        rows = self._block(self.target_grid, target_grid)
-        cols = self._block(self.source_grid, source_grid)
+        rows, cols = self._blocks(source_grid, target_grid)
         op = _trusted_operator(self.core[rows, cols], self.source_space, self.target_space,
                                source_grid, target_grid)
         if self.nonnegative:  # a block of a nonnegative core is nonnegative: no rescan
@@ -167,6 +169,32 @@ class DiscretizedOperator:
         padded[cols] = v
         return padded
 
+    def padded_image(self, v: np.ndarray, image: np.ndarray, source_grid: Grid,
+                     target_grid: Grid) -> np.ndarray:
+        """``core @ self.zero_padded(v, source_grid)``, given ``image``, the product
+        of ``v`` with the core of the restriction to the two grids.  The rows
+        ``restrict`` keeps hold ``image``; only the new rows, the trailing ones
+        of a mirrored core and both ends of a full one, are computed, from
+        the columns that ``v`` fills.
+        """
+        rows, cols = self._blocks(source_grid, target_grid)
+        kept = self.core[rows, cols]
+        if np.shape(v) != kept.shape[1:] or np.shape(image) != kept.shape[:1]:
+            raise DomainError(f"vector and image must have lengths {kept.shape[::-1]}")
+        padded = np.empty(self.core.shape[0])
+        padded[:rows.start] = self.core[:rows.start, cols] @ v
+        padded[rows] = image
+        padded[rows.stop:] = self.core[rows.stop:, cols] @ v
+        return padded
+
+    def _blocks(self, source_grid: Grid, target_grid: Grid) -> tuple[slice, slice]:
+        """The (row, column) ranges of ``_block`` for a restriction to the two
+        grids; one check serves both when both sides are the same grid pair."""
+        rows = self._block(self.target_grid, target_grid)
+        if source_grid is target_grid and self.source_grid is self.target_grid:
+            return rows, rows
+        return rows, self._block(self.source_grid, source_grid)
+
     def _block(self, outer: Grid, inner: Grid) -> slice:
         """The index range along one axis of the core that a restriction from
         ``outer`` to ``inner`` keeps: the leading block of a mirrored core,
@@ -178,7 +206,7 @@ class DiscretizedOperator:
                 or not np.array_equal(outer.nodes[block], inner.nodes)
                 or not np.array_equal(outer.weights[block], inner.weights)):
             raise DomainError("grid is not the centred slice of the operator's grid")
-        return slice(inner.size // 2) if self.mirrored else block
+        return slice(0, inner.size // 2) if self.mirrored else block
 
 
 def _trusted_operator(core: np.ndarray, source: SpaceSpec, target: SpaceSpec,
@@ -205,7 +233,7 @@ def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
     if k.even and is_mirror(target_grid) and is_mirror(source_grid):
         h, w = target_grid.size // 2, source_grid.size // 2
     x, y = target_grid.nodes[h:], source_grid.nodes[w:]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports
         rows = (target_grid.weights[h:] ** (1.0 / target.p)
                 * (1.0 + np.abs(x)) ** (weight_exponent(target) / target.p))
         cols = (source_grid.weights[w:] ** (1.0 / conjugate_exponent(source.p))
@@ -256,19 +284,21 @@ def _norm_and_dual(u: np.ndarray, r: float) -> tuple[float, np.ndarray | None]:
 
 
 def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
-                  start: np.ndarray | None = None
-                  ) -> tuple[float, bool, int, float, np.ndarray]:
+                  start: np.ndarray | None = None, image: np.ndarray | None = None
+                  ) -> tuple[float, bool, int, float, np.ndarray, np.ndarray | None]:
     """Nonlinear power method for the l^p1 -> l^p2 norm of a finite matrix.
 
     Alternates v <- dual map of B^T (dual map of B v), from ``start``
     scaled to unit p1-norm or, by default, from the all-ones vector; at
-    p1 = p2 = 2 this is power iteration on the Gram matrix.  Stops when
-    ||B v||_p2 changes by at most ``tol`` times its value.  Returns (best
-    value, converged, iterations, last change, maximizer); the maximizer is
-    the unit-p1-norm iterate that reached the best value.  Without
+    p1 = p2 = 2 this is power iteration on the Gram matrix.  ``image``, if
+    given, is B @ ``start``: it is scaled with the start and stands in for
+    the first product B v.  Stops when ||B v||_p2 changes by at most ``tol``
+    times its value.  Returns (best value, converged, iterations, last
+    change, maximizer, its image); the maximizer is the unit-p1-norm iterate
+    that reached the best value, and its image is B @ maximizer.  Without
     convergence the last change is the one that failed the stop test.  The
-    zero matrix gives (0, True, 0, 0, start).  Bad exponents, limits or
-    starts raise DomainError; a value that is not finite raises
+    zero matrix gives (0, True, 0, 0, start, None).  Bad exponents, limits,
+    starts or images raise DomainError; a value that is not finite raises
     NumericalError.
     """
     if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
@@ -288,12 +318,20 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int
         if start_norm == 0.0:
             raise DomainError("start must not be the zero vector")
         v = v / start_norm
-    best, maximizer = 0.0, v
+    if image is not None:
+        if start is None:
+            raise DomainError("an image needs the start it belongs to")
+        if np.shape(image) != (B.shape[0],) or not np.all(np.isfinite(image)):
+            raise DomainError(f"image must be a finite vector of length {B.shape[0]}")
+    best, maximizer, best_image = 0.0, v, None
     gamma_prev = -np.inf
     delta = np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises
+        u = B @ v if image is None else image / start_norm
         for iteration in range(1, max_iter + 1):
-            gamma, u_dual = _norm_and_dual(B @ v, p2)
+            if iteration > 1:
+                u = B @ v
+            gamma, u_dual = _norm_and_dual(u, p2)
             if not math.isfinite(gamma):
                 raise NumericalError(f"operator norm overflows at iteration {iteration}")
             if gamma == 0.0:
@@ -301,18 +339,18 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int
                 # heaviest column, unless there is none
                 column_sums = np.sum(np.abs(B), axis=0)
                 if not column_sums.any():  # every unit vector is a maximizer
-                    return 0.0, True, 0, 0.0, v
+                    return 0.0, True, 0, 0.0, v, None
                 v = np.zeros(n)
                 v[int(np.argmax(column_sums))] = 1.0
                 continue
             if gamma > best:
-                best, maximizer = gamma, v
+                best, maximizer, best_image = gamma, v, u
             delta = abs(gamma - gamma_prev)
             if delta <= tol * gamma:
-                return best, True, iteration, delta, maximizer
+                return best, True, iteration, delta, maximizer, best_image
             gamma_prev = gamma
             _, v = _norm_and_dual(B.T @ u_dual, q1)
-    return best, False, max_iter, delta, maximizer
+    return best, False, max_iter, delta, maximizer, best_image
 
 
 def largest_singular_value(matrix, tol: float = POWER_TOL,
@@ -323,8 +361,8 @@ def largest_singular_value(matrix, tol: float = POWER_TOL,
     the change that failed the stop test, when the iteration does not
     converge within ``max_iter`` steps, whatever the matrix size.
     """
-    value, converged, iterations, delta, _ = _power_method(_as_matrix(matrix), 2.0, 2.0,
-                                                           tol, max_iter)
+    value, converged, iterations, delta, *_ = _power_method(_as_matrix(matrix), 2.0, 2.0,
+                                                            tol, max_iter)
     if not converged:
         raise ConvergenceError(f"power iteration did not converge in {max_iter} iterations",
                                iterations=iterations, last_value=value, last_delta=delta)
@@ -339,7 +377,9 @@ class PqNormEstimate:
     nonnegative matrix, converged iteration); otherwise the value is a
     lower bound.  ``maximizer`` is the unit-p1-norm vector that reached the
     value, one entry per column of the matrix (of the core, for an
-    operator); None only where an estimate is built by hand.
+    operator); None only where an estimate is built by hand.  ``image`` is
+    the matrix (core) times ``maximizer``, one entry per row; None also for
+    a zero matrix, where no iterate reached a positive value.
     """
 
     value: float
@@ -347,6 +387,7 @@ class PqNormEstimate:
     converged: bool
     iterations: int
     maximizer: np.ndarray | None = field(default=None, repr=False, compare=False)
+    image: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
@@ -362,32 +403,34 @@ def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
 
 
 def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
-             nonnegative: bool, mirrored: bool = False,
-             start: np.ndarray | None = None) -> PqNormEstimate:
+             nonnegative: bool, mirrored: bool = False, start: np.ndarray | None = None,
+             image: np.ndarray | None = None) -> PqNormEstimate:
     """Estimate from one power-method run on ``B``.  A mirrored core's value is
     multiplied once by 2^(1/p2 + 1/q1) (see the module docstring); NumericalError
     if that product overflows."""
-    value, converged, iterations, _, maximizer = _power_method(B, p1, p2, tol, max_iter,
-                                                               start)
+    value, converged, iterations, _, maximizer, image = _power_method(
+        B, p1, p2, tol, max_iter, start, image)
     if mirrored:
         value *= 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1))
         if not math.isfinite(value):
             raise NumericalError("operator norm overflows")
     return PqNormEstimate(value, certified=converged and nonnegative, converged=converged,
-                          iterations=iterations, maximizer=maximizer)
+                          iterations=iterations, maximizer=maximizer, image=image)
 
 
 def operator_norm_pq(op: DiscretizedOperator, tol: float = POWER_TOL,
-                     max_iter: int = POWER_MAX_ITER,
-                     start: np.ndarray | None = None) -> PqNormEstimate:
+                     max_iter: int = POWER_MAX_ITER, start: np.ndarray | None = None,
+                     image: np.ndarray | None = None) -> PqNormEstimate:
     """Discretized weighted-operator norm for general (p1, p2).
 
     The power method runs on ``op.core``, from ``start`` (a vector on the
     core's columns, e.g. a smaller radius's maximizer ``op.zero_padded``)
-    or, by default, from the all-ones vector.
+    or, by default, from the all-ones vector.  ``image``, if given, is
+    ``op.core @ start`` (e.g. ``op.padded_image``), and saves the first
+    matrix-vector product.
     """
     return _pq_norm(op.core, op.source_space.p, op.target_space.p, tol, max_iter,
-                    op.nonnegative, op.mirrored, start)
+                    op.nonnegative, op.mirrored, start, image)
 
 
 def empirical_ratio(op: DiscretizedOperator, f: SampledFunction) -> float:

@@ -2,12 +2,13 @@
 proof-step inequality checks and below-threshold probes.
 
 A sweep discretizes the same operator on a nested family of truncated
-grids and watches the norm estimates along the truncation schedule.  Each
-radius starts the power method from the previous one's maximizer, so those
-estimates can only grow with the radius, and a log-log growth exponent near
-zero is evidence of saturation, i.e. of a bounded operator.  Growth
-verdicts are reported but only asserted for pre-derived witness cases: the
-conditions checked here are sufficient, not necessary.
+grids (slices of the largest) and watches the norm estimates along the
+truncation schedule.  Each radius starts the power method from the previous
+one's maximizer and reuses its image, so those estimates can only grow with
+the radius, and a log-log growth exponent near zero is evidence of
+saturation, i.e. of a bounded operator.  Growth verdicts are reported but
+only asserted for pre-derived witness cases: the conditions checked here
+are sufficient, not necessary.
 """
 from __future__ import annotations
 
@@ -158,11 +159,17 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
     previous radius's maximizer, zero-padded onto the new nodes.  The
     previous matrix is a block of the new one, so the first warm iterate
     already reaches the previous value and the norms cannot decrease along
-    the schedule (up to rounding), whatever the kernel's signs.  For a
-    nonnegative kernel the values agree with a cold start per radius to
-    the power method's tolerance, not bitwise; a sign-changing kernel may
-    have local maxima that the two starts reach separately.  Cells whose
-    norm iteration did not converge are flagged and excluded from the fit.
+    the schedule (up to rounding), whatever the kernel's signs.  That
+    iterate's image is the previous image in the kept rows, so only the new
+    rows are multiplied (``padded_image``); a zero core has no image, and
+    the next radius computes its product in full.  For a nonnegative kernel
+    the values agree with a cold start per radius to the power method's
+    tolerance, not bitwise; a sign-changing kernel may have local maxima
+    that the two starts reach separately.  Cells whose
+    norm iteration did not converge are flagged and excluded from the fit,
+    as are cells whose value is not positive (a zero kernel, or entries
+    that underflow), which have no logarithm; with fewer than two points
+    left the verdict is inconclusive.
     Deterministic given the plan; wall-clock timing is off by
     default so reports are reproducible byte for byte.  With ``timing`` a
     cell's ``elapsed_ms`` covers its restriction and its norm; the cell at
@@ -184,14 +191,20 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
         for R, grid in zip(plan.R_schedule, grids):
             started = time.perf_counter()
             op = full.restrict(grid, grid)
-            start = None if previous is None else op.zero_padded(estimate.maximizer, previous)
-            estimate = operator_norm_pq(op, tol=tol, max_iter=max_iter, start=start)
+            start = image = None
+            if previous is not None:
+                start = op.zero_padded(estimate.maximizer, previous)
+                if estimate.image is not None:
+                    image = op.padded_image(estimate.maximizer, estimate.image,
+                                            previous, previous)
+            estimate = operator_norm_pq(op, tol=tol, max_iter=max_iter, start=start,
+                                        image=image)
             elapsed = (time.perf_counter() - started) * 1e3
             if grid is grids[-1]:
                 elapsed += assembly_ms
             cells.append(SweepCell(index, R, grid.size, estimate.value, estimate.certified,
                                    estimate.converged, elapsed if timing else None))
-            if estimate.converged:
+            if estimate.converged and estimate.value > 0.0:
                 fit_points.append((R, estimate.value))
             previous = grid
         del full, op  # free this query's matrix before the next query assembles its own

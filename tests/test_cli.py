@@ -149,6 +149,19 @@ def test_sweep_header_echoes_the_kernel_and_the_seed(tmp_path):
     assert header[position - 1].startswith("# gamma_growing=")
 
 
+@pytest.mark.parametrize("extra", [
+    ["--kernel", "envelope(1.5,0)", "--r-schedule", "10,40"],  # the zero kernel
+    ["--r-schedule", "1e250,4e250"],  # every kernel entry underflows to 0
+], ids=["zero-kernel", "underflow"])
+def test_sweep_of_zero_norms_is_inconclusive(capsys, extra):
+    assert run_cli(["sweep", "--query", QUERY, *extra]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")][1:]
+    assert [(row[0], row[10], row[-1]) for row in rows] == [
+        ("cell", "0.0", ""), ("cell", "0.0", ""), ("summary", "", "inconclusive")]
+    assert rows[-1][-2] == ""  # no gamma
+
+
 def test_sweep_bad_query_exit_1(capsys):
     assert run_cli(["sweep", "--query", "s1=-0.25"]) == 1
     assert "usage" in capsys.readouterr().err
@@ -378,6 +391,9 @@ APPLY_OVERFLOW_GAUSS = ["apply", "--kernel", "envelope(-400)", "--function", "ga
                         "--x", "0.5"]
 APPLY_OVERFLOW_INDICATOR = ["apply", "--kernel", "envelope(-100)", "--function",
                             "indicator(0,0)", "--x", "0.5"]
+# the column scaling overflows at the outer nodes, where the kernel underflows to 0
+GRID_OVERFLOW_OPNORM = ["opnorm", "--kernel", "envelope(2)", "--source", "H(-1)",
+                        "--target", "H(-1)", "--grid", "grid(1e300,10,1.3,8)"]
 # every block entry is finite, but B1 B2 in the Schur complement overflows
 CORNER_SCHUR_OVERFLOW = ["corner", "--kernel1", "envelope(2,1e300)", "--kernel2",
                          "envelope(2,1e300)", "--f", "gauss(1)", "--g", "powerlaw(1.5)",
@@ -481,9 +497,10 @@ def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, conf
                            "2 sigma^2 must be a finite positive normal float\n"),
     (CORNER_GAUSS_NARROW, 1, "error: usage: gauss width 1e-300 out of range: "
                              "2 sigma^2 must be a finite positive normal float\n"),
+    (GRID_OVERFLOW_OPNORM, 2, "error: numerical: non-finite operator entry at (80, 80)\n"),
 ], ids=["opnorm-cosmod", "corner-cosmod", "opnorm-radius", "norm-radius", "norm-power",
         "apply-gauss", "apply-indicator", "corner-schur-overflow", "norm-gauss-wide",
-        "norm-gauss-narrow", "corner-gauss-wide", "corner-gauss-narrow"])
+        "norm-gauss-narrow", "corner-gauss-wide", "corner-gauss-narrow", "opnorm-grid-overflow"])
 def test_overflow_prints_exactly_one_error_line(argv, code, stderr):
     # outside pytest's warning filters, where a numpy RuntimeWarning would print
     env = dict(os.environ, PYTHONPATH=str(Path(opnormlab.__file__).parents[1]))

@@ -100,6 +100,30 @@ def test_nested_grids_family():
         assert np.array_equal(large.weights[inner], small.weights)
 
 
+@pytest.mark.parametrize("schedule, panels, grading, order, extra", [
+    ((10.0, 40.0, 160.0, 640.0), 12, 1.3, 8, 2),
+    (tuple(10.0 * 4.0 ** k for k in range(8)), 40, 1.3, 8, 6),
+    ((0.5, 1.5, 4.5), 5, 1.0, 3, 1),
+    ((7.0,), 5, 1.7, 5, 2),
+])
+def test_nested_grids_are_the_build_and_extend_chain_bitwise(schedule, panels, grading,
+                                                             order, extra):
+    chain = [build_grid(schedule[0], panels, grading, order)]
+    for R in schedule[1:]:
+        chain.append(extend_grid(chain[-1], R, extra))
+    family = nested_grids(schedule, panels, grading, order, extra)
+    assert len(family) == len(chain)
+    for got, want in zip(family, chain):
+        assert type(got.R) is float and got.R == want.R
+        assert (got.grading, got.panel_order) == (want.grading, want.panel_order)
+        for name in ("nodes", "weights", "breakpoints"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert not getattr(got, name).flags.writeable
+        # the smaller grids skip the constructor; they still pass its checks
+        Grid(R=got.R, nodes=got.nodes, weights=got.weights, grading=got.grading,
+             panel_order=got.panel_order, breakpoints=got.breakpoints)
+
+
 def test_panel_rule_matches_per_panel_loop():
     # the eight radii of a long nested sweep, and two low orders
     families = [nested_grids([10.0 * 4.0 ** k for k in range(8)], 40, 1.3, 8, 6),

@@ -346,6 +346,7 @@ def test_pq_norm_rank_one_holder_equality():
 def test_pq_norm_zero_matrix():
     estimate = matrix_pq_norm(np.zeros((3, 3)), 2.5, 1.5)
     assert estimate.value == 0.0 and estimate.certified
+    assert estimate.image is None  # no iterate reached a positive value
 
 
 @pytest.mark.parametrize("tol, max_iter", [
@@ -795,6 +796,70 @@ def test_zero_padded_maximizer_reaches_the_smaller_value_at_once(kernel):
     assert first.value >= small.value * (1.0 - 1e-14)
     with pytest.raises(DomainError, match="length"):
         full.zero_padded(v[1:], NESTED[0])
+
+
+def lopsided_family() -> tuple[Grid, Grid]:
+    # lopsided_grid() as the centred slice of a larger grid that is not a
+    # mirror either: the core is the full matrix, with new rows at both ends
+    small = lopsided_grid()
+    large = Grid(R=3.0, nodes=np.concatenate([[-2.5], small.nodes, [2.5]]),
+                 weights=np.concatenate([[1.2], small.weights, [0.8]]), grading=1.0,
+                 panel_order=2, breakpoints=np.array([0.0, 3.0]))
+    return small, large
+
+
+def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("kernel, small, large", [
+    (KernelSpec(kappa=2.0), NESTED[0], NESTED[-1]),
+    (COSMOD, NESTED[0], NESTED[-1]),
+    (KernelSpec(kappa=2.0, modulation="alternating"), NESTED[0], NESTED[-1]),
+    (KernelSpec(kappa=2.0), *lopsided_family()),
+], ids=["envelope", "cosmod", "altmod", "lopsided"])
+def test_padded_image_is_handed_to_the_power_method_as_core_times_start(
+        monkeypatch, kernel, small, large):
+    source, target = SPACE_PAIRS[4]  # hsp 3 -> 2
+    full = assemble(kernel, source, target, large, large)
+    assert full.mirrored == (kernel.even and large is NESTED[-1])
+    block = full.restrict(small, small)
+    estimate = operator_norm_pq(block)
+    assert relative_gap(estimate.image, block.core @ estimate.maximizer) <= 1e-14
+    start = full.zero_padded(estimate.maximizer, small)
+    image = full.padded_image(estimate.maximizer, estimate.image, small, small)
+    handed = []
+
+    def recording(B, p1, p2, tol, max_iter, start=None, image=None):
+        handed.append((B, start, image))
+        return _power_method(B, p1, p2, tol, max_iter, start, image)
+
+    monkeypatch.setattr(opnormlab.operators, "_power_method", recording)
+    warm = operator_norm_pq(full, start=start, image=image)
+    B, handed_start, handed_image = handed[0]
+    assert B is full.core and handed_start is start and handed_image is image
+    assert relative_gap(image, full.core @ start) <= 1e-14
+    without = operator_norm_pq(full, start=start)
+    assert warm.iterations == without.iterations
+    assert warm.value == pytest.approx(without.value, rel=1e-14, abs=0.0)
+    # the image is scaled with the start: one iteration from 3 * start
+    first, first_without = (operator_norm_pq(full, tol=0.0, max_iter=1, start=3.0 * start,
+                                             image=scaled)
+                            for scaled in (3.0 * image, None))
+    assert first.value == pytest.approx(first_without.value, rel=1e-14, abs=0.0)
+    with pytest.raises(DomainError, match="lengths"):
+        full.padded_image(estimate.maximizer, estimate.image[1:], small, small)
+
+
+@pytest.mark.parametrize("start, image, message", [
+    (np.ones(8), np.ones(7), "image"), (np.ones(8), np.full(8, np.inf), "image"),
+    (None, np.ones(8), "start"),
+])
+def test_operator_norm_rejects_a_bad_image(start, image, message):
+    grid = build_grid(4.0, 2, 1.3, 4)
+    op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-0.5), SpaceSpec.h(-0.5), grid, grid)
+    with pytest.raises(DomainError, match=message):
+        operator_norm_pq(op, start=start, image=image)
 
 
 def test_restrict_passes_nonnegativity_down_and_rescans_otherwise():

@@ -1,20 +1,24 @@
 """Sweep machinery: growth fits, verdicts, proof-step checks, probes, CSV."""
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import opnormlab.operators
 import opnormlab.sweeps
 from opnormlab import (BoundednessQuery, DivergenceError, DomainError, GridPolicy,
                        KernelSpec, PlanError, SweepPlan, assemble, build_grid,
                        fit_growth_exponent, operator_norm_pq, query_spaces,
                        run_boundedness_sweep, sample, sample_spec, sharpness_probe,
                        sweep_csv_text, verify_holder_step)
-from opnormlab.sweeps import DEFAULT_R_SCHEDULE, SWEEP_CSV_COLUMNS, verdict_for
+from opnormlab.sweeps import DEFAULT_R_SCHEDULE, SWEEP_CSV_COLUMNS, QuerySummary, verdict_for
 from test_acceptance import SATURATION_QUERIES
 
 FAST_GRID = GridPolicy(panels_per_side=8, panel_order=6)
+COSMOD = KernelSpec(kappa=2.0, modulation="cosine", omega=1.5)
+ALTMOD = KernelSpec(kappa=2.0, modulation="alternating")
 
 
 def test_fit_exact_power_law():
@@ -202,6 +206,92 @@ def test_warm_starts_take_fewer_iterations_than_cold_starts(monkeypatch):
         run_boundedness_sweep(SweepPlan(queries=queries, R_schedule=DEFAULT_R_SCHEDULE))
     assert len(warm) == 9 * len(DEFAULT_R_SCHEDULE)
     assert sum(warm) < sum(cold)
+
+
+def record_images(monkeypatch) -> list:
+    """Patch the power method to record, per call, None without an image, else
+    the largest deviation of the image from B @ start relative to its largest entry."""
+    gaps = []
+    real = opnormlab.operators._power_method
+
+    def recording(B, p1, p2, tol, max_iter, start=None, image=None):
+        if image is None:
+            gaps.append(None)
+        else:
+            want = B @ start
+            gaps.append(float(np.max(np.abs(image - want)) / np.max(np.abs(want))))
+        return real(B, p1, p2, tol, max_iter, start, image)
+
+    monkeypatch.setattr(opnormlab.operators, "_power_method", recording)
+    return gaps
+
+
+@pytest.mark.parametrize("kernel", [None, COSMOD, ALTMOD], ids=["envelope", "cosmod", "altmod"])
+def test_sweep_hands_each_warm_radius_the_image_of_its_start(monkeypatch, kernel):
+    # envelope and cosmod cores are mirrored quadrants (new rows at the end),
+    # altmod's the full matrix (new rows at both ends)
+    gaps = record_images(monkeypatch)
+    queries = (query_thm1(1.5), BoundednessQuery("hps", -1.0, -1.0, 2.0, 2.0, 4.0),
+               BoundednessQuery("hsp", -0.5, 0.0, 2.5, 3.0, 2.0))
+    run_boundedness_sweep(SweepPlan(queries=queries, kernel=kernel,
+                                    R_schedule=(10.0, 40.0, 160.0), grid=FAST_GRID))
+    assert [gap is None for gap in gaps] == [True, False, False] * len(queries)
+    assert max(gap for gap in gaps if gap is not None) <= 1e-14
+
+
+def test_image_keeps_the_iteration_count_of_every_criterion_6_cell(monkeypatch):
+    pairs = []
+
+    def with_and_without_image(op, **kwargs):
+        estimate = operator_norm_pq(op, **kwargs)
+        without = operator_norm_pq(op, tol=kwargs["tol"], max_iter=kwargs["max_iter"],
+                                   start=kwargs["start"])
+        pairs.append((kwargs["image"] is not None, estimate, without))
+        return estimate
+
+    monkeypatch.setattr(opnormlab.sweeps, "operator_norm_pq", with_and_without_image)
+    for queries in SATURATION_QUERIES.values():
+        run_boundedness_sweep(SweepPlan(queries=queries, R_schedule=DEFAULT_R_SCHEDULE))
+    assert sum(imaged for imaged, _, _ in pairs) == 9 * (len(DEFAULT_R_SCHEDULE) - 1)
+    for _, estimate, without in pairs:
+        assert estimate.iterations == without.iterations
+        assert estimate.value == pytest.approx(without.value, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("kernel, schedule", [
+    (KernelSpec(kappa=1.5, c_lower=0.0, c_upper=0.0), (10.0, 40.0)),  # the zero kernel
+    (None, (1e250, 4e250)),  # every kernel entry underflows to 0
+], ids=["zero-kernel", "underflow"])
+def test_zero_norm_cells_are_left_out_of_the_fit(monkeypatch, kernel, schedule):
+    gaps = record_images(monkeypatch)
+    plan = SweepPlan(queries=(query_thm1(1.5),), kernel=kernel, R_schedule=schedule,
+                     grid=FAST_GRID)
+    result = run_boundedness_sweep(plan)
+    assert [(cell.value, cell.converged) for cell in result.cells] == [(0.0, True)] * 2
+    assert result.summaries == (QuerySummary(0, None, "inconclusive"),)
+    # a zero core has no image, so the second radius computes its first product
+    assert gaps == [None, None]
+    rows = [line for line in sweep_csv_text(result).splitlines() if not line.startswith("#")]
+    assert [row.split(",")[0] for row in rows[1:]] == ["cell", "cell", "summary"]
+
+
+@pytest.mark.parametrize("kernel", [None, ALTMOD], ids=["mirrored", "full"])
+def test_sweep_leaves_no_core_image_or_grid_behind(kernel):
+    queries = (query_thm1(1.5), BoundednessQuery("hps", -1.0, -1.0, 2.0, 2.0, 4.0))
+    plan = SweepPlan(queries=queries, kernel=kernel, R_schedule=(10.0, 40.0, 160.0, 640.0),
+                     grid=GridPolicy(panels_per_side=40, extra_panels=6))
+    run_boundedness_sweep(plan)  # fills the quadrature-rule cache
+    vector = plan.grid.final_node_count(len(plan.R_schedule)) * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_boundedness_sweep(plan)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the result itself takes about 6 KB; one grid is two vectors, a core
+    # at least n^2 / 4 entries
+    assert len(result.cells) == 8 and kept < 2 * vector
 
 
 def test_sweep_timing_charges_assembly_to_largest_radius(monkeypatch):
