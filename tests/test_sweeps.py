@@ -290,7 +290,7 @@ def test_sweep_leaves_no_core_image_or_grid_behind(kernel):
     finally:
         tracemalloc.stop()
     # the result itself takes about 6 KB; one grid is two vectors, a core
-    # at least n^2 / 4 entries
+    # at least n^2 / 4 entries, and so is an image that keeps its core alive
     assert len(result.cells) == 8 and kept < 2 * vector
 
 
