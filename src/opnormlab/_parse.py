@@ -9,7 +9,13 @@ _CALL = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)\s*$")
 
 
 def parse_call(text: str) -> tuple[str, list[float]]:
-    """Split ``name(a,b,...)`` into a lowercased name and float arguments."""
+    """Split ``name(a,b,...)`` into a lowercased name and float arguments.
+
+    Line breaks and other non-printable characters are rejected, so a spec
+    that reports echo stays on one line.
+    """
+    if not text.isprintable():
+        raise DomainError(f"spec {text!r} holds a line break or another non-printable character")
     m = _CALL.match(text)
     if not m:
         raise DomainError(f"cannot parse {text!r}; expected name(arg,...)")

@@ -53,8 +53,7 @@ class Grid:
             raise DomainError(f"truncation radius {float(self.R)!r} is too large: 2R overflows")
         if not (1 <= self.grading < np.inf):
             raise DomainError("panel grading must be finite and >= 1")
-        if self.panel_order < 2:
-            raise DomainError("panel order must be >= 2")
+        _whole(self.panel_order, 2, "panel order")
         if self.nodes.ndim != 1 or self.nodes.size == 0:
             raise DomainError("grid needs a non-empty 1-d node array")
         if self.weights.shape != self.nodes.shape:
@@ -131,8 +130,7 @@ def grid_from_breakpoints(breakpoints, grading: float = 1.0,
     directly when panel edges must align with features of the integrand
     (e.g. the endpoints of an indicator function).
     """
-    if panel_order < 2:  # before the rule, which has no order below 1
-        raise DomainError("panel order must be >= 2")
+    panel_order = _whole(panel_order, 2, "panel order")  # before the rule is built
     edges = np.asarray(breakpoints, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise DomainError("need at least two panel edges")
@@ -144,8 +142,15 @@ def grid_from_breakpoints(breakpoints, grading: float = 1.0,
     nodes = np.concatenate([-pos_nodes[::-1], pos_nodes])
     weights = np.concatenate([pos_weights[::-1], pos_weights])
     return Grid(R=float(edges[-1]), nodes=nodes, weights=weights,
-                grading=float(grading), panel_order=int(panel_order),
+                grading=float(grading), panel_order=panel_order,
                 breakpoints=edges)
+
+
+def _whole(value, least: int, what: str) -> int:
+    """``value`` as an int; DomainError unless it is a whole number >= ``least``."""
+    if not (value >= least and float(value).is_integer()):  # NaN fails too
+        raise DomainError(f"{what} must be a whole number >= {least}")
+    return int(value)
 
 
 def _geometric_fill(lo: float, hi: float, panels: int, grading: float) -> np.ndarray:
@@ -170,8 +175,7 @@ def half_line_breakpoints(R: float, panels: int, grading: float) -> np.ndarray:
     """Geometric panel edges on [0, R] with growth ratio ``grading``."""
     if not (np.isfinite(R) and R > 0):
         raise DomainError("truncation radius must be positive and finite")
-    if not panels >= 1:
-        raise DomainError("need at least one panel per side")
+    panels = _whole(panels, 1, "panels per side")
     if not (1 <= grading < np.inf):
         raise DomainError("panel grading must be finite and >= 1")
     return np.concatenate([[0.0], _geometric_fill(0.0, R, panels, grading)])
@@ -201,8 +205,7 @@ def _extension_edges(R: float, R_new: float, extra_panels: int, grading: float) 
     """The panel edges ``extend_grid`` adds on (R, R_new]."""
     if not (np.isfinite(R_new) and R_new > R):
         raise DomainError("extension radius must exceed the current radius")
-    if not extra_panels >= 1:
-        raise DomainError("need at least one extension panel")
+    extra_panels = _whole(extra_panels, 1, "extension panels")
     return _geometric_fill(R, R_new, extra_panels, grading)
 
 
@@ -234,19 +237,18 @@ def nested_grids(R_schedule, panels_per_side: int, grading: float = DEFAULT_GRAD
     grids = []
     for R, edges in zip(schedule[:-1], np.cumsum([part.size for part in chain])):
         block = slice(centre - (edges - 1) * order, centre + (edges - 1) * order)
-        grids.append(_trusted_grid(R, largest.nodes[block], largest.weights[block],
-                                   largest.grading, order, largest.breakpoints[:edges]))
+        grids.append(_trusted(Grid, R, largest.nodes[block], largest.weights[block],
+                              largest.grading, order, largest.breakpoints[:edges]))
     return grids + [largest]
 
 
-def _trusted_grid(R: float, nodes: np.ndarray, weights: np.ndarray, grading: float,
-                  panel_order: int, breakpoints: np.ndarray) -> Grid:
-    """A grid around read-only arrays that are already checked: no copy, no checks."""
-    grid = object.__new__(Grid)  # skips __init__ and its checks
-    for attribute, value in zip(fields(Grid),
-                                (R, nodes, weights, grading, panel_order, breakpoints)):
-        object.__setattr__(grid, attribute.name, value)
-    return grid
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass ``cls`` around ``values``, one per field,
+    that are already checked and read-only: no copy, no checks."""
+    instance = object.__new__(cls)  # skips __init__ and its checks
+    for attribute, value in zip(fields(cls), values, strict=True):
+        object.__setattr__(instance, attribute.name, value)
+    return instance
 
 
 def integrate(grid: Grid, g) -> float:
@@ -265,7 +267,4 @@ def parse_grid(spec: str) -> Grid:
     name, args = parse_call(spec)
     if name != "grid" or len(args) != 4:
         raise DomainError(f"unknown grid spec {spec!r}; expected grid(R,panels,grading,order)")
-    R, panels, grading, order = args
-    if not (float(panels).is_integer() and float(order).is_integer()):
-        raise DomainError("panel count and order must be integers")
-    return build_grid(R, int(panels), grading, int(order))
+    return build_grid(*args)

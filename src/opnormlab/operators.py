@@ -29,11 +29,14 @@ alternating modulation, which is not even, and grids that are not bitwise
 mirrors keep the full matrix as the core.
 
 A norm starts from the all-ones vector unless it is given a start on the
-core's columns; a sweep passes the previous radius's maximizer, padded with
-zeros by ``zero_padded`` where ``restrict`` takes its block, and with it the
-start's image from ``padded_image``: the previous radius's image (the
-estimate's ``image``) in the rows ``restrict`` keeps, and only the new rows
-computed, so the first iterate costs a product with the new rows alone.
+core's columns.  A sweep takes one nesting step per radius: ``restrict``
+views the block of the largest core that the radius's grid keeps, and
+``warm_start`` places the previous radius's estimate in that view: its
+maximizer, padded with zeros around the previous block, is the start, and
+its image fills that block's rows of the start's image, so only the new
+rows are computed and the first iterate costs a product with them alone.
+Each looks its block up once, through ``_block``, which checks the nesting
+in O(n).
 
 General p -> q matrix norms are NP-hard, so certification is restricted to
 entrywise-nonnegative matrices, where the nonlinear power method converges
@@ -45,12 +48,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
-from .grids import Grid, fold, is_mirror, unfold
+from .grids import Grid, _trusted, fold, is_mirror, unfold
 from .kernels import KernelSpec, kernel_eval
 from .spaces import (SampledFunction, SpaceSpec, conjugate_exponent, weight_exponent,
                      weighted_norm)
@@ -133,21 +136,22 @@ class DiscretizedOperator:
         matrix.flags.writeable = False
         return matrix
 
-    def restrict(self, source_grid: Grid, target_grid: Grid) -> DiscretizedOperator:
-        """The operator on grids nested in this one's, as a view of its core.
+    def restrict(self, grid: Grid) -> DiscretizedOperator:
+        """The operator on a grid nested in this one's, as a view of its core.
 
-        Each grid must equal the centred slice of the matching grid of this
-        operator, node for node and weight for weight, as the grids of one
-        ``nested_grids`` family do.  Every entry depends only on its own row
-        and column, so the centred block is exactly the matrix ``assemble``
-        builds on the smaller grids.  The half-line nodes of the smaller grid
-        are the leading ones of the larger, so a mirrored core restricts to
-        its leading block.  The view is neither copied nor re-checked: this
-        operator's core is already validated and read-only.
+        This operator must map one grid to itself, and ``grid`` must equal
+        its centred slice, node for node and weight for weight, as the grids
+        of one ``nested_grids`` family do; else DomainError.  Every entry
+        depends only on its own row and column, so the centred block is
+        exactly the matrix ``assemble`` builds on the smaller grid.  The
+        half-line nodes of the smaller grid are the leading ones of the
+        larger, so a mirrored core restricts to its leading block.  The view
+        is neither copied nor re-checked: this operator's core is already
+        validated and read-only.
         """
-        rows, cols = self._blocks(source_grid, target_grid)
-        op = _trusted_operator(self.core[rows, cols], self.source_space, self.target_space,
-                               source_grid, target_grid)
+        block = self._block(grid)
+        op = _trusted(DiscretizedOperator, self.core[block, block], self.source_space,
+                      self.target_space, grid, grid)
         if self.nonnegative:  # a block of a nonnegative core is nonnegative: no rescan
             op.__dict__["nonnegative"] = True
         return op
@@ -157,66 +161,50 @@ class DiscretizedOperator:
         """True when every entry of the core, hence of the matrix, is >= 0."""
         return bool(self.core.min() >= 0)
 
-    def zero_padded(self, v: np.ndarray, source_grid: Grid) -> np.ndarray:
-        """``v``, a vector on the core's columns of the restriction to
-        ``source_grid``, padded with zeros onto this core's columns: it fills
-        the entries ``restrict`` takes.
-        """
-        padded = np.zeros(self.core.shape[1])
-        cols = self._block(self.source_grid, source_grid)
-        if np.shape(v) != padded[cols].shape:
-            raise DomainError(f"vector must have length {padded[cols].size}")
-        padded[cols] = v
-        return padded
+    def warm_start(self, estimate: PqNormEstimate, grid: Grid
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(start, image) for this operator's norm from ``estimate``, the norm of
+        its restriction to ``grid`` (see ``restrict``, whose checks apply).
 
-    def padded_image(self, v: np.ndarray, image: np.ndarray, source_grid: Grid,
-                     target_grid: Grid) -> np.ndarray:
-        """``core @ self.zero_padded(v, source_grid)``, given ``image``, the product
-        of ``v`` with the core of the restriction to the two grids.  The rows
-        ``restrict`` keeps hold ``image``; only the new rows, the trailing ones
-        of a mirrored core and both ends of a full one, are computed, from
-        the columns that ``v`` fills.
+        ``start`` is the estimate's maximizer padded with zeros onto this
+        core's columns, in the block ``restrict`` keeps.  ``image`` is
+        ``core @ start``: the estimate's image in the rows of that block, and
+        only the new rows, the trailing ones of a mirrored core and both ends
+        of a full one, computed from the block's columns; None when the
+        estimate has no image (a zero core).  DomainError unless the
+        maximizer and the image have the block's length.
         """
-        rows, cols = self._blocks(source_grid, target_grid)
-        kept = self.core[rows, cols]
-        if np.shape(v) != kept.shape[1:] or np.shape(image) != kept.shape[:1]:
-            raise DomainError(f"vector and image must have lengths {kept.shape[::-1]}")
-        padded = np.empty(self.core.shape[0])
-        padded[:rows.start] = self.core[:rows.start, cols] @ v
-        padded[rows] = image
-        padded[rows.stop:] = self.core[rows.stop:, cols] @ v
-        return padded
+        block = self._block(grid)
+        v, kept = estimate.maximizer, estimate.image
+        length = block.stop - block.start
+        if np.shape(v) != (length,) or (kept is not None and np.shape(kept) != (length,)):
+            raise DomainError(f"maximizer and image must have length {length}")
+        start = np.zeros(self.core.shape[1])
+        start[block] = v
+        if kept is None:
+            return start, None
+        image = np.empty(self.core.shape[0])
+        image[:block.start] = self.core[:block.start, block] @ v
+        image[block] = kept
+        image[block.stop:] = self.core[block.stop:, block] @ v
+        return start, image
 
-    def _blocks(self, source_grid: Grid, target_grid: Grid) -> tuple[slice, slice]:
-        """The (row, column) ranges of ``_block`` for a restriction to the two
-        grids; one check serves both when both sides are the same grid pair."""
-        rows = self._block(self.target_grid, target_grid)
-        if source_grid is target_grid and self.source_grid is self.target_grid:
-            return rows, rows
-        return rows, self._block(self.source_grid, source_grid)
-
-    def _block(self, outer: Grid, inner: Grid) -> slice:
-        """The index range along one axis of the core that a restriction from
-        ``outer`` to ``inner`` keeps: the leading block of a mirrored core,
-        the centred block of a full one.  DomainError unless nested.
+    def _block(self, grid: Grid) -> slice:
+        """The index range, along both axes of the core, that a restriction to
+        ``grid`` keeps: the leading block of a mirrored core, the centred
+        block of a full one.  DomainError unless this operator maps one grid
+        to itself and ``grid`` is its centred slice.
         """
-        start, odd = divmod(outer.size - inner.size, 2)
-        block = slice(start, start + inner.size)
+        outer = self.source_grid
+        if self.target_grid is not outer:
+            raise DomainError("only an operator from one grid to itself can be restricted")
+        start, odd = divmod(outer.size - grid.size, 2)
+        block = slice(start, start + grid.size)
         if (start < 0 or odd
-                or not np.array_equal(outer.nodes[block], inner.nodes)
-                or not np.array_equal(outer.weights[block], inner.weights)):
+                or not np.array_equal(outer.nodes[block], grid.nodes)
+                or not np.array_equal(outer.weights[block], grid.weights)):
             raise DomainError("grid is not the centred slice of the operator's grid")
-        return slice(0, inner.size // 2) if self.mirrored else block
-
-
-def _trusted_operator(core: np.ndarray, source: SpaceSpec, target: SpaceSpec,
-                      source_grid: Grid, target_grid: Grid) -> DiscretizedOperator:
-    """An operator around a read-only core that is already checked: no copy, no re-scan."""
-    op = object.__new__(DiscretizedOperator)  # skips __init__ and its checks
-    for attribute, value in zip(fields(DiscretizedOperator),
-                                (core, source, target, source_grid, target_grid)):
-        object.__setattr__(op, attribute.name, value)
-    return op
+        return slice(0, grid.size // 2) if self.mirrored else block
 
 
 def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
@@ -243,7 +231,7 @@ def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
         core *= cols[None, :]
     check_finite_matrix(core, "operator", offset=(h, w))
     core.flags.writeable = False
-    return _trusted_operator(core, source, target, source_grid, target_grid)
+    return _trusted(DiscretizedOperator, core, source, target, source_grid, target_grid)
 
 
 def require_on_grid(f: SampledFunction, grid: Grid,
@@ -424,10 +412,9 @@ def operator_norm_pq(op: DiscretizedOperator, tol: float = POWER_TOL,
     """Discretized weighted-operator norm for general (p1, p2).
 
     The power method runs on ``op.core``, from ``start`` (a vector on the
-    core's columns, e.g. a smaller radius's maximizer ``op.zero_padded``)
-    or, by default, from the all-ones vector.  ``image``, if given, is
-    ``op.core @ start`` (e.g. ``op.padded_image``), and saves the first
-    matrix-vector product.
+    core's columns, e.g. from ``op.warm_start``) or, by default, from the
+    all-ones vector.  ``image``, if given, is ``op.core @ start`` (the other
+    half of ``op.warm_start``), and saves the first matrix-vector product.
     """
     return _pq_norm(op.core, op.source_space.p, op.target_space.p, tol, max_iter,
                     op.nonnegative, op.mirrored, start, image)

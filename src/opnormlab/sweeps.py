@@ -152,17 +152,18 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
     """Estimate each query's operator norm on nested grids and fit norm growth.
 
     Each query is assembled once, on the largest grid; every radius runs
-    the power method on the centred block of that matrix (a view, see
-    ``DiscretizedOperator.restrict``), which is bitwise the matrix the
+    the power method on the block of that core its grid keeps (a view, see
+    ``DiscretizedOperator.restrict``: the centred block of a full core, the
+    leading one of a mirrored quadrant), which is bitwise the core the
     smaller grid would assemble.  The radii run in increasing order: the
-    first starts from the all-ones vector, every later one from the
-    previous radius's maximizer, zero-padded onto the new nodes.  The
-    previous matrix is a block of the new one, so the first warm iterate
-    already reaches the previous value and the norms cannot decrease along
-    the schedule (up to rounding), whatever the kernel's signs.  That
-    iterate's image is the previous image in the kept rows, so only the new
-    rows are multiplied (``padded_image``); a zero core has no image, and
-    the next radius computes its product in full.  For a nonnegative kernel
+    first starts from the all-ones vector, every later one from
+    ``warm_start``, the previous radius's maximizer zero-padded onto the
+    new nodes.  The previous core is a block of the new one, so the first
+    warm iterate already reaches the previous value and the norms cannot
+    decrease along the schedule (up to rounding), whatever the kernel's
+    signs.  That iterate's image is the previous image in the kept rows, so
+    only the new rows are multiplied; a zero core has no image, and the
+    next radius computes its product in full.  For a nonnegative kernel
     the values agree with a cold start per radius to the power method's
     tolerance, not bitwise; a sign-changing kernel may have local maxima
     that the two starts reach separately.  Cells whose
@@ -190,13 +191,8 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
         estimate = previous = None
         for R, grid in zip(plan.R_schedule, grids):
             started = time.perf_counter()
-            op = full.restrict(grid, grid)
-            start = image = None
-            if previous is not None:
-                start = op.zero_padded(estimate.maximizer, previous)
-                if estimate.image is not None:
-                    image = op.padded_image(estimate.maximizer, estimate.image,
-                                            previous, previous)
+            op = full.restrict(grid)
+            start, image = (None, None) if previous is None else op.warm_start(estimate, previous)
             estimate = operator_norm_pq(op, tol=tol, max_iter=max_iter, start=start,
                                         image=image)
             elapsed = (time.perf_counter() - started) * 1e3
@@ -271,7 +267,7 @@ def sharpness_probe(query: BoundednessQuery, kernel: KernelSpec,
     for R, g in zip(plan.R_schedule, grids):
         try:
             witness = sample(g, lambda x: (1.0 + np.abs(x)) ** (-witness_exponent))
-            cells.append(ProbeCell(R, empirical_ratio(full.restrict(g, g), witness)))
+            cells.append(ProbeCell(R, empirical_ratio(full.restrict(g), witness)))
         except (DomainError, ArithmeticError) as exc:
             cells.append(ProbeCell(R, None, error=str(exc)))
     return cells

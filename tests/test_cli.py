@@ -316,6 +316,14 @@ QUERY = "thm=1,s1=-0.25,s2=-0.25,kappa=1.5"
     (["sweep", "--query", QUERY, "--order", "-1"], None),
     (["sweep", "--query", "thm=1,s1=-0.25,s1=-5,s2=-0.25,kappa=1.5"], None),
     (["sweep", "--query", "family=h,s1=-0.25,s2=-0.25,kappa=1.5"], None),
+    # a line break in a spec would break the one-line CSV header that echoes it
+    (["sweep", "--query", QUERY, "--kernel", "envelope(1.5,\n1)", "--r-schedule", "10,40",
+      "--panels", "4", "--order", "4"], None),
+    (["sweep", "--query", QUERY, "--kernel", "envelope(1.5)\n"], None),
+    (["sweep", "--query", QUERY, "--kernel", "envelope(1.5)\r"], None),
+    (["sweep", "--query", QUERY, "--kernel", "envelope(1.5)\u2028"], None),
+    (["norm", "--function", "gauss(1)", "--space", "H(-1)\n", "--grid", "grid(10,4,1.3,4)"],
+     None),
 ])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, config):
     if config is not None:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from opnormlab import (DomainError, Grid, NumericalError, build_grid, extend_grid,
+from opnormlab import (DomainError, Grid, GridPolicy, NumericalError, build_grid, extend_grid,
                        grid_from_breakpoints, integrate, nested_grids, parse_grid)
 from opnormlab.closed_forms import powerlaw_integral
 from opnormlab.grids import _reference_rule
@@ -175,10 +175,30 @@ def test_breakpoint_alignment_constructor():
     # grading ** panels overflows a float
     lambda: build_grid(10.0, 4, 1e300, 4),
     lambda: extend_grid(build_grid(10.0, 1, 1e300, 4), 20.0),
+    # counts and orders that are not whole numbers
+    lambda: build_grid(10.0, 2.5, 1.3, 4),
+    lambda: build_grid(10.0, 4, 1.3, 4.5),
+    lambda: build_grid(10.0, float("inf"), 1.3, 4),
+    lambda: build_grid(10.0, 4, 1.3, float("nan")),
+    lambda: grid_from_breakpoints([0.0, 1.0], panel_order=4.5),
+    lambda: extend_grid(build_grid(5.0, 3), 10.0, extra_panels=1.5),
+    lambda: nested_grids((10.0, 40.0), 2.5, 1.3, 4),
+    lambda: nested_grids((10.0, 40.0), 4, 1.3, 4, extra_panels=1.5),
+    lambda: GridPolicy(panels_per_side=2.5).build((10.0, 40.0)),
+    lambda: GridPolicy(panel_order=4.5).build((10.0, 40.0)),
+    lambda: _with(BASE, panel_order=2.5),
 ])
 def test_invalid_parameters_raise(bad):
     with pytest.raises(DomainError):
         bad()
+
+
+def test_whole_float_counts_build_the_int_grid():
+    want = build_grid(10.0, 4, 1.3, 4)
+    got = build_grid(10.0, 4.0, 1.3, 4.0)
+    assert type(got.panel_order) is int
+    for name in ("nodes", "weights", "breakpoints"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def _with(grid, **changes):
@@ -211,6 +231,7 @@ NON_FINITE_GRIDS = {
     "extend-panels-nan": lambda: extend_grid(BASE, 10.0, extra_panels=NAN),
     "grading-nan": lambda: _with(BASE, grading=NAN),
     "grading-inf": lambda: _with(BASE, grading=INF),
+    "order-nan": lambda: _with(BASE, panel_order=NAN),
     "first-node-nan": lambda: _with(BASE, nodes=_poisoned(BASE.nodes)),
     "last-node-nan": lambda: _with(BASE, nodes=_poisoned(BASE.nodes, -1)),
     "weight-nan": lambda: _with(BASE, weights=_poisoned(BASE.weights)),

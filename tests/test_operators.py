@@ -9,7 +9,7 @@ import pytest
 
 import opnormlab
 from opnormlab import (ConvergenceError, DiscretizedOperator, DomainError, Grid,
-                       KernelSpec, NumericalError, SampledFunction, SpaceSpec,
+                       KernelSpec, NumericalError, PqNormEstimate, SampledFunction, SpaceSpec,
                        apply_operator, assemble, build_grid, empirical_ratio,
                        envelope_indicator_image, extend_grid, kernel_eval,
                        largest_singular_value, matrix_pq_norm, nested_grids,
@@ -205,7 +205,7 @@ NESTED = nested_grids((10.0, 40.0, 160.0), 6, 1.3, 4, extra_panels=2)
 def test_restrict_equals_assembly_on_nested_grid(kernel, source, target):
     full = assemble(kernel, source, target, NESTED[-1], NESTED[-1])
     for grid in NESTED:
-        block = full.restrict(grid, grid)
+        block = full.restrict(grid)
         assert block.source_grid is grid and block.target_grid is grid
         assert block.source_space == source and block.target_space == target
         assert np.array_equal(full_matrix(block),
@@ -213,19 +213,23 @@ def test_restrict_equals_assembly_on_nested_grid(kernel, source, target):
 
 
 def test_restrict_distinct_source_and_target_grids():
-    full = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-0.5),
-                    NESTED[-1], NESTED[-1])
-    block = full.restrict(NESTED[0], NESTED[1])
-    assert full_matrix(block).shape == (NESTED[1].size, NESTED[0].size)
-    assert np.array_equal(full_matrix(block),
-                          full_matrix(assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0),
-                                               SpaceSpec.h(-0.5), NESTED[0], NESTED[1])))
+    # only an operator from one grid to itself restricts, whatever the grid
+    # asked for; warm_start takes the same block and rejects it too
+    kernel, source, target = KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-0.5)
+    estimate = operator_norm_pq(assemble(kernel, source, target, NESTED[0], NESTED[0]))
+    for source_grid, target_grid in ((NESTED[1], NESTED[2]), (NESTED[2], NESTED[1])):
+        op = assemble(kernel, source, target, source_grid, target_grid)
+        for grid in (NESTED[0], NESTED[1], NESTED[2]):
+            with pytest.raises(DomainError, match="one grid to itself"):
+                op.restrict(grid)
+            with pytest.raises(DomainError, match="one grid to itself"):
+                op.warm_start(estimate, grid)
 
 
 def test_restrict_is_a_read_only_view():
     full = assemble(KernelSpec(kappa=1.5), SpaceSpec.h(-0.25), SpaceSpec.h(-0.25),
                     NESTED[-1], NESTED[-1])
-    block = full.restrict(NESTED[0], NESTED[0])
+    block = full.restrict(NESTED[0])
     assert np.shares_memory(block.core, full.core)
     for array in (block.core, block.matrix):
         assert not array.flags.writeable
@@ -238,9 +242,9 @@ def test_restrict_rejects_grid_outside_the_family():
                     NESTED[1], NESTED[1])
     other = build_grid(10.0, 6, 1.5, 4)  # same size as NESTED[0], other grading
     assert other.size == NESTED[0].size
-    for source, target in ((other, NESTED[0]), (NESTED[0], other), (NESTED[2], NESTED[2])):
+    for grid in (other, NESTED[2]):
         with pytest.raises(DomainError):
-            full.restrict(source, target)
+            full.restrict(grid)
 
 
 # --- apply_operator ----------------------------------------------------------
@@ -708,7 +712,7 @@ def test_mirrored_restriction_keeps_the_quadrant_path():
     source, target = SPACE_PAIRS[7]  # hps 2 -> 4
     full = assemble(KernelSpec(kappa=2.0), source, target, NESTED[-1], NESTED[-1])
     for grid in NESTED:
-        block = full.restrict(grid, grid)
+        block = full.restrict(grid)
         assert block.mirrored
         assert block.core.shape == (grid.size // 2, grid.size // 2)
         assert np.shares_memory(block.core, full.core)
@@ -787,15 +791,13 @@ def test_zero_padded_maximizer_reaches_the_smaller_value_at_once(kernel):
     source, target = SPACE_PAIRS[4]  # hsp 3 -> 2
     full = assemble(kernel, source, target, NESTED[-1], NESTED[-1])
     assert full.mirrored == kernel.even
-    small = operator_norm_pq(full.restrict(NESTED[0], NESTED[0]))
+    small = operator_norm_pq(full.restrict(NESTED[0]))
     v = small.maximizer
     assert np.sum(np.abs(v) ** source.p) == pytest.approx(1.0, rel=1e-14)
-    start = full.zero_padded(v, NESTED[0])
+    start, _ = full.warm_start(small, NESTED[0])
     assert start.size == full.core.shape[1] and np.count_nonzero(start) == np.count_nonzero(v)
     first = operator_norm_pq(full, tol=0.0, max_iter=1, start=start)
     assert first.value >= small.value * (1.0 - 1e-14)
-    with pytest.raises(DomainError, match="length"):
-        full.zero_padded(v[1:], NESTED[0])
 
 
 def lopsided_family() -> tuple[Grid, Grid]:
@@ -823,11 +825,10 @@ def test_padded_image_is_handed_to_the_power_method_as_core_times_start(
     source, target = SPACE_PAIRS[4]  # hsp 3 -> 2
     full = assemble(kernel, source, target, large, large)
     assert full.mirrored == (kernel.even and large is NESTED[-1])
-    block = full.restrict(small, small)
+    block = full.restrict(small)
     estimate = operator_norm_pq(block)
     assert relative_gap(estimate.image, block.core @ estimate.maximizer) <= 1e-14
-    start = full.zero_padded(estimate.maximizer, small)
-    image = full.padded_image(estimate.maximizer, estimate.image, small, small)
+    start, image = full.warm_start(estimate, small)
     handed = []
 
     def recording(B, p1, p2, tol, max_iter, start=None, image=None):
@@ -847,8 +848,42 @@ def test_padded_image_is_handed_to_the_power_method_as_core_times_start(
                                              image=scaled)
                             for scaled in (3.0 * image, None))
     assert first.value == pytest.approx(first_without.value, rel=1e-14, abs=0.0)
-    with pytest.raises(DomainError, match="lengths"):
-        full.padded_image(estimate.maximizer, estimate.image[1:], small, small)
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec(kappa=2.0),
+                                    KernelSpec(kappa=2.0, modulation="alternating")],
+                         ids=["mirrored", "full"])
+def test_warm_start_rejects_a_grid_outside_the_family_and_a_wrong_length(kernel):
+    source, target = SPACE_PAIRS[4]  # hsp 3 -> 2
+    full = assemble(kernel, source, target, NESTED[-1], NESTED[-1])
+    estimate = operator_norm_pq(full.restrict(NESTED[0]))
+    other = build_grid(10.0, 6, 1.5, 4)  # same size as NESTED[0], other grading
+    assert other.size == NESTED[0].size
+    for grid in (other, lopsided_grid()):
+        with pytest.raises(DomainError, match="centred slice"):
+            full.warm_start(estimate, grid)
+    short = (estimate.maximizer[1:], estimate.image), (estimate.maximizer, estimate.image[1:])
+    for maximizer, image in short + ((None, estimate.image),):
+        wrong = PqNormEstimate(estimate.value, estimate.certified, estimate.converged,
+                               estimate.iterations, maximizer=maximizer, image=image)
+        with pytest.raises(DomainError, match="length"):
+            full.warm_start(wrong, NESTED[0])
+    # an estimate of the larger grid is not one of the smaller
+    with pytest.raises(DomainError, match="length"):
+        full.restrict(NESTED[1]).warm_start(operator_norm_pq(full.restrict(NESTED[1])),
+                                            NESTED[0])
+
+
+def test_warm_start_of_a_zero_core_has_no_image():
+    zero = KernelSpec(kappa=2.0, c_lower=0.0, c_upper=0.0)
+    full = assemble(zero, *SPACE_PAIRS[0], NESTED[-1], NESTED[-1])
+    estimate = operator_norm_pq(full.restrict(NESTED[0]))
+    assert (estimate.value, estimate.image) == (0.0, None)
+    start, image = full.warm_start(estimate, NESTED[0])
+    assert image is None
+    assert start.size == full.core.shape[1]
+    assert np.array_equal(start[:estimate.maximizer.size], estimate.maximizer)
+    assert not start[estimate.maximizer.size:].any()
 
 
 @pytest.mark.parametrize("start, image, message", [
@@ -864,14 +899,14 @@ def test_operator_norm_rejects_a_bad_image(start, image, message):
 
 def test_restrict_passes_nonnegativity_down_and_rescans_otherwise():
     envelope = assemble(KernelSpec(kappa=2.0), *SPACE_PAIRS[0], NESTED[-1], NESTED[-1])
-    block = envelope.restrict(NESTED[0], NESTED[0])
+    block = envelope.restrict(NESTED[0])
     assert vars(block)["nonnegative"] is True  # set by restrict, not scanned
     # a parent with a negative entry outside the block: the block is rescanned
     # and its norm is certified, the parent's is not
     core = full_matrix(envelope).copy()
     core[0, 0] = -core[0, 0]
     parent = DiscretizedOperator(core, *SPACE_PAIRS[0], NESTED[-1], NESTED[-1])
-    block = parent.restrict(NESTED[0], NESTED[0])
+    block = parent.restrict(NESTED[0])
     assert not parent.nonnegative and "nonnegative" not in vars(block)
     assert block.nonnegative
     assert operator_norm_pq(block).certified and not operator_norm_pq(parent).certified

@@ -239,6 +239,25 @@ def test_sweep_hands_each_warm_radius_the_image_of_its_start(monkeypatch, kernel
     assert max(gap for gap in gaps if gap is not None) <= 1e-14
 
 
+@pytest.mark.parametrize("kernel", [None, ALTMOD], ids=["mirrored", "full"])
+def test_sweep_checks_the_nesting_once_per_step(monkeypatch, kernel):
+    # one restrict per radius and one warm_start per radius after the first
+    blocks = []
+    real = opnormlab.operators.DiscretizedOperator._block
+
+    def counting(op, *grids):
+        blocks.append(grids[-1].size)  # the smaller grid
+        return real(op, *grids)
+
+    monkeypatch.setattr(opnormlab.operators.DiscretizedOperator, "_block", counting)
+    schedule = (10.0, 40.0, 160.0, 640.0)
+    run_boundedness_sweep(SweepPlan(queries=(query_thm1(1.5),), kernel=kernel,
+                                    R_schedule=schedule, grid=FAST_GRID))
+    assert len(blocks) == 2 * len(schedule) - 1  # the parent made 3K - 2 calls
+    sizes = [grid.size for grid in FAST_GRID.build(schedule)]
+    assert blocks == [sizes[0]] + [size for pair in zip(sizes[1:], sizes) for size in pair]
+
+
 def test_image_keeps_the_iteration_count_of_every_criterion_6_cell(monkeypatch):
     pairs = []
 
