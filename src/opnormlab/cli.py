@@ -139,8 +139,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kernel", required=True)
     p.add_argument("--source", required=True, help="source space spec")
     p.add_argument("--target", required=True, help="target space spec")
-    p.add_argument("--grid", help="source grid spec (default from config)")
-    p.add_argument("--target-grid", help="target grid spec (default: source grid)")
+    p.add_argument("--grid", help="grid spec of both spaces (default from config)")
 
     p = _command(sub, "sweep", _cmd_sweep, help="boundedness sweep over the truncation schedule",
                  description="CSV columns are fixed; elapsed_ms stays empty "
@@ -225,8 +224,11 @@ def _load_config(args) -> RunConfig:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -264,17 +266,15 @@ def _cmd_apply(args, config: RunConfig) -> int:
 
 
 def _cmd_opnorm(args, config: RunConfig) -> int:
-    source_grid = parse_grid(config.grid)
-    target_grid = parse_grid(args.target_grid) if args.target_grid else source_grid
+    grid = parse_grid(config.grid)
     kernel = parse_kernel(args.kernel)
     source = parse_space(args.source)
     target = parse_space(args.target)
-    op = assemble(kernel, source, target, source_grid, target_grid)
+    op = assemble(kernel, source, target, grid)
     estimate = operator_norm_pq(op, tol=config.power_tol, max_iter=config.power_max_iter)
     return _report(args, config, {
         "kernel": args.kernel, "source": args.source, "target": args.target,
-        "source_nodes": source_grid.size, "target_nodes": target_grid.size,
-        "value": estimate.value, "certified": estimate.certified,
+        "grid_nodes": grid.size, "value": estimate.value, "certified": estimate.certified,
         "converged": estimate.converged, "iterations": estimate.iterations})
 
 
@@ -388,6 +388,9 @@ def run_cli(argv) -> int:
         return 1
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: numerical: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,16 +1,17 @@
 """Nystrom discretization between weighted spaces and operator-norm estimation.
 
-Every discretized operator has the form diag(r) * K * diag(c): K is the
-bare kernel on the node grid, the row scaling r = w_out^(1/p2) *
-(1+|x|)^(w2/p2) carries the target quadrature and space weights, and the
-column scaling c = w_in^(1/q1) * (1+|y|)^(-w1/p1) the source ones.  Only
-the product is stored: ``assemble`` scales the one array ``kernel_eval``
-returns in place, so K never exists beside it.  The weighted operator norm
-then becomes a plain l^p1 -> l^p2 norm of a dense matrix, so all three
-space families share one nonlinear power method (Boyd, "The power method
-for l_p norms", 1974); p1 = p2 = 2 is its singular-value case.  The kernel
-is evaluated here only by ``assemble``, whose core carries every norm, sweep
-and test-function ratio, and by ``apply_operator``, (Kf)(x) at one point.
+Every discretized operator has the form diag(r) * K * diag(c) on one node
+grid, which samples both the source and the target space: K is the bare
+kernel on the grid, the row scaling r = w^(1/p2) * (1+|x|)^(w2/p2) carries
+the quadrature weights w and the target space's weight, and the column
+scaling c = w^(1/q1) * (1+|x|)^(-w1/p1) the source one.  Only the product
+is stored: ``assemble`` scales the one array ``kernel_eval`` returns in
+place, so K never exists beside it.  The weighted operator norm then becomes
+a plain l^p1 -> l^p2 norm of a dense matrix, so all three space families
+share one nonlinear power method (Boyd, "The power method for l_p norms",
+1974); p1 = p2 = 2 is its singular-value case.  The kernel is evaluated
+here only by ``assemble``, whose core carries every norm, sweep and
+test-function ratio, and by ``apply_operator``, (Kf)(x) at one point.
 
 Even kernels on mirrored grids are stored and normed as one quadrant.  The
 envelope and its cosine modulation are even in each variable, the scalings
@@ -89,38 +90,36 @@ def _as_matrix(matrix) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedOperator:
-    """Scaled Nystrom matrix diag(r) * K * diag(c) tying two spaces and two grids.
+    """Scaled Nystrom matrix diag(r) * K * diag(c) between two spaces on one grid.
 
-    Entry (i, j) is r_i * K(x_i, y_j) * c_j with r_i = (w_i^out)^(1/p2) *
-    (1+|x_i|)^(w2/p2) and c_j = (w_j^in)^(1/q1) * (1+|y_j|)^(-w1/p1), where
-    w1, w2 are the weight exponents of the source and target spaces; by
-    construction the l^p1 -> l^p2 norm of the matrix is the discretized
-    weighted-operator norm.  ``core`` is the read-only array the power method
-    runs on: the [0, R]^2 quadrant of a mirrored operator, else the full
-    matrix, which is all the constructor takes (and copies and checks).
+    Entry (i, j) is r_i * K(x_i, x_j) * c_j with r_i = w_i^(1/p2) *
+    (1+|x_i|)^(w2/p2) and c_j = w_j^(1/q1) * (1+|x_j|)^(-w1/p1), where x and
+    w are the grid's nodes and weights and w1, w2 the weight exponents of the
+    source and target spaces; by construction the l^p1 -> l^p2 norm of the
+    matrix is the discretized weighted-operator norm.  ``core`` is the
+    read-only array the power method runs on: the [0, R]^2 quadrant of a
+    mirrored operator, else the full matrix, which is all the constructor
+    takes (and copies and checks).
     """
 
     core: np.ndarray
     source_space: SpaceSpec
     target_space: SpaceSpec
-    source_grid: Grid
-    target_grid: Grid
+    grid: Grid
 
     def __post_init__(self):
         core = np.array(self.core, dtype=float)
         core.flags.writeable = False
         object.__setattr__(self, "core", core)
-        if core.shape != (self.target_grid.size, self.source_grid.size):
-            raise DomainError(
-                f"matrix shape {core.shape} does not match grids "
-                f"({self.target_grid.size}, {self.source_grid.size})"
-            )
+        n = self.grid.size
+        if core.shape != (n, n):
+            raise DomainError(f"matrix shape {core.shape} does not match grid ({n}, {n})")
         check_finite_matrix(core, "operator")
 
     @property
     def mirrored(self) -> bool:
-        """True when ``core`` is the quadrant: half the grid sizes on each side."""
-        return self.core.shape == (self.target_grid.size // 2, self.source_grid.size // 2)
+        """True when ``core`` is the quadrant: half the grid size on each side."""
+        return self.core.shape[0] == self.grid.size // 2
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -139,19 +138,18 @@ class DiscretizedOperator:
     def restrict(self, grid: Grid) -> DiscretizedOperator:
         """The operator on a grid nested in this one's, as a view of its core.
 
-        This operator must map one grid to itself, and ``grid`` must equal
-        its centred slice, node for node and weight for weight, as the grids
-        of one ``nested_grids`` family do; else DomainError.  Every entry
-        depends only on its own row and column, so the centred block is
-        exactly the matrix ``assemble`` builds on the smaller grid.  The
-        half-line nodes of the smaller grid are the leading ones of the
-        larger, so a mirrored core restricts to its leading block.  The view
-        is neither copied nor re-checked: this operator's core is already
-        validated and read-only.
+        ``grid`` must equal the centred slice of this operator's grid, node
+        for node and weight for weight, as the grids of one ``nested_grids``
+        family do; else DomainError.  Every entry depends only on its own row
+        and column, so the centred block is exactly the matrix ``assemble``
+        builds on the smaller grid.  The half-line nodes of the smaller grid
+        are the leading ones of the larger, so a mirrored core restricts to
+        its leading block.  The view is neither copied nor re-checked: this
+        operator's core is already validated and read-only.
         """
         block = self._block(grid)
         op = _trusted(DiscretizedOperator, self.core[block, block], self.source_space,
-                      self.target_space, grid, grid)
+                      self.target_space, grid)
         if self.nonnegative:  # a block of a nonnegative core is nonnegative: no rescan
             op.__dict__["nonnegative"] = True
         return op
@@ -192,12 +190,10 @@ class DiscretizedOperator:
     def _block(self, grid: Grid) -> slice:
         """The index range, along both axes of the core, that a restriction to
         ``grid`` keeps: the leading block of a mirrored core, the centred
-        block of a full one.  DomainError unless this operator maps one grid
-        to itself and ``grid`` is its centred slice.
+        block of a full one.  DomainError unless ``grid`` is the centred
+        slice of this operator's grid.
         """
-        outer = self.source_grid
-        if self.target_grid is not outer:
-            raise DomainError("only an operator from one grid to itself can be restricted")
+        outer = self.grid
         start, odd = divmod(outer.size - grid.size, 2)
         block = slice(start, start + grid.size)
         if (start < 0 or odd
@@ -208,30 +204,28 @@ class DiscretizedOperator:
 
 
 def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
-             source_grid: Grid, target_grid: Grid) -> DiscretizedOperator:
+             grid: Grid) -> DiscretizedOperator:
     """Assemble the scaled Nystrom matrix diag(r) * K * diag(c) between two spaces.
 
-    An even kernel on two mirrored grids is evaluated on the lower-right
+    An even kernel on a mirrored grid is evaluated on the lower-right
     quadrant only, which becomes the operator's core (see the module
     docstring); otherwise the core is the full matrix.  The kernel values
     are scaled in place, so the core is the only block-sized array kept
     (a modulated kernel needs one more while it is evaluated).
     """
-    h = w = 0
-    if k.even and is_mirror(target_grid) and is_mirror(source_grid):
-        h, w = target_grid.size // 2, source_grid.size // 2
-    x, y = target_grid.nodes[h:], source_grid.nodes[w:]
+    h = grid.size // 2 if k.even and is_mirror(grid) else 0
+    x, w = grid.nodes[h:], grid.weights[h:]
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports
-        rows = (target_grid.weights[h:] ** (1.0 / target.p)
-                * (1.0 + np.abs(x)) ** (weight_exponent(target) / target.p))
-        cols = (source_grid.weights[w:] ** (1.0 / conjugate_exponent(source.p))
-                * (1.0 + np.abs(y)) ** (-weight_exponent(source) / source.p))
-        core = kernel_eval(k, x[:, None], y[None, :])
+        base = 1.0 + np.abs(x)
+        rows = w ** (1.0 / target.p) * base ** (weight_exponent(target) / target.p)
+        cols = (w ** (1.0 / conjugate_exponent(source.p))
+                * base ** (-weight_exponent(source) / source.p))
+        core = kernel_eval(k, x[:, None], x[None, :])
         core *= rows[:, None]
         core *= cols[None, :]
-    check_finite_matrix(core, "operator", offset=(h, w))
+    check_finite_matrix(core, "operator", offset=(h, h))
     core.flags.writeable = False
-    return _trusted(DiscretizedOperator, core, source, target, source_grid, target_grid)
+    return _trusted(DiscretizedOperator, core, source, target, grid)
 
 
 def require_on_grid(f: SampledFunction, grid: Grid,
@@ -421,15 +415,15 @@ def operator_norm_pq(op: DiscretizedOperator, tol: float = POWER_TOL,
 
 
 def empirical_ratio(op: DiscretizedOperator, f: SampledFunction) -> float:
-    """||Kf||_target / ||f||_source for a function sampled on the source grid.
+    """||Kf||_target / ||f||_source for a function sampled on the operator's grid.
 
     The core maps u = f * w^(1/p1) * (1+|y|)^(w1/p1) to the target-weighted
     image r * Kf; a mirrored core takes u folded onto the half line and
     gives half of the even image, whose norm is scaled by 2^(1/p2).  A ratio
     that is not finite raises NumericalError.
     """
-    require_on_grid(f, op.source_grid)
-    source, target, grid = op.source_space, op.target_space, op.source_grid
+    require_on_grid(f, op.grid)
+    source, target, grid = op.source_space, op.target_space, op.grid
     denominator = weighted_norm(f, source)
     if denominator == 0.0:
         raise DomainError("test function has zero source norm")

@@ -185,7 +185,7 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
         kernel = plan.kernel if plan.kernel is not None else KernelSpec(kappa=query.kappa)
         reports.append(check_boundedness(query))
         started = time.perf_counter()
-        full = assemble(kernel, source, target, grids[-1], grids[-1])
+        full = assemble(kernel, source, target, grids[-1])
         assembly_ms = (time.perf_counter() - started) * 1e3
         fit_points = []
         estimate = previous = None
@@ -260,7 +260,7 @@ def sharpness_probe(query: BoundednessQuery, kernel: KernelSpec,
     source, target = query_spaces(query)
     grids = plan.grid.build(plan.R_schedule)
     try:
-        full = assemble(kernel, source, target, grids[-1], grids[-1])
+        full = assemble(kernel, source, target, grids[-1])
     except (DomainError, ArithmeticError) as exc:
         return [ProbeCell(R, None, error=str(exc)) for R in plan.R_schedule]
     cells: list[ProbeCell] = []

@@ -114,13 +114,14 @@ def test_opnorm_norm_whose_power_sum_overflows(capsys):
     assert scaled["iterations"] == plain["iterations"] == 6 and scaled["certified"]
 
 
-def test_opnorm_separate_target_grid(capsys):
+def test_opnorm_reports_its_one_grid_as_grid_nodes(capsys):
+    # the README example: both spaces are sampled on one grid, named with
+    # the key that norm and apply use
     code, payload = run_json(capsys, [
         "opnorm", "--kernel", "envelope(2)", "--source", "H(-1)",
-        "--target", "H(-1)", "--grid", "grid(40,10,1.3,8)",
-        "--target-grid", "grid(40,8,1.3,6)"])
-    assert code == 0
-    assert payload["source_nodes"] == 160 and payload["target_nodes"] == 96
+        "--target", "H(-1)", "--grid", "grid(40,10,1.3,8)"])
+    assert code == 0 and payload["grid_nodes"] == 160
+    assert "source_nodes" not in payload and "target_nodes" not in payload
 
 
 def test_sweep_writes_deterministic_csv(tmp_path):
@@ -324,6 +325,9 @@ QUERY = "thm=1,s1=-0.25,s2=-0.25,kappa=1.5"
     (["sweep", "--query", QUERY, "--kernel", "envelope(1.5)\u2028"], None),
     (["norm", "--function", "gauss(1)", "--space", "H(-1)\n", "--grid", "grid(10,4,1.3,4)"],
      None),
+    # an operator has one grid, which --grid sets
+    (["opnorm", "--kernel", "envelope(2)", "--source", "H(-1)", "--target", "H(-1)",
+      "--target-grid", "grid(40,8,1.3,6)"], None),
 ])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, config):
     if config is not None:
@@ -334,6 +338,34 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, config):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: usage: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "--thm", "1", "--s1", "-0.25", "--s2", "-0.25", "--kappa", "1.5"], "--out"),
+    (["corner", "--kernel1", "envelope(2)", "--kernel2", "envelope(2)", "--f", "gauss(1)",
+      "--g", "powerlaw(1.5)", "--grid1", "grid(20,10,1.3,5)", "--grid2", "grid(20,10,1.3,5)"],
+     "--dump-csv"),
+], ids=["check-out", "corner-dump-csv"])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag):
+    path = tmp_path / "missing" / "report"
+    assert run_cli(argv + [flag, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: usage: cannot write output file: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not path.parent.exists()
+
+
+def test_out_of_memory_is_one_numerical_error_line(capsys, monkeypatch):
+    # a grid too large for memory; the parser is stubbed, nothing large is allocated
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(opnormlab.cli, "parse_grid", no_memory)
+    assert run_cli(["norm", "--function", "gauss(1)", "--space", "H(-1)",
+                    "--grid", "grid(10,1e12,1,8)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: numerical: out of memory: Unable to allocate 7.28 TiB\n"
     assert captured.out == ""
 
 

@@ -188,7 +188,7 @@ def test_flatten_weights_identity_at_s0():
     k = KernelSpec(kappa=2.0)
     grid = unit_weight_grid(4)
     space = SpaceSpec.h(0.0)
-    op = assemble(k, space, space, grid, grid)
+    op = assemble(k, space, space, grid)
     assert np.array_equal(full_matrix(op),
                           kernel_eval(k, grid.nodes[:, None], grid.nodes[None, :]))
 
@@ -196,7 +196,7 @@ def test_flatten_weights_identity_at_s0():
 def test_flatten_weights_classic_exponents():
     k = KernelSpec(kappa=2.0)
     grid = unit_weight_grid(4)
-    op = assemble(k, SpaceSpec.h(-1.0), SpaceSpec.h(0.5), grid, grid)
+    op = assemble(k, SpaceSpec.h(-1.0), SpaceSpec.h(0.5), grid)
     # target exponent s2 = 0.5, source exponent -s1 = 1
     assert np.allclose(full_matrix(op), scaled_entries(0.5, 1.0, k, grid), rtol=1e-15, atol=0)
 
@@ -205,7 +205,7 @@ def test_flatten_weights_fixed_weight_source():
     k = KernelSpec(kappa=2.0)
     grid = unit_weight_grid(4)
     space = SpaceSpec.hps(4.0, -1.0)
-    op = assemble(k, space, space, grid, grid)
+    op = assemble(k, space, space, grid)
     # target exponent 2*s2/p2 = -0.5, source exponent -2*s1/p1 = 0.5
     assert np.allclose(full_matrix(op), scaled_entries(-0.5, 0.5, k, grid), rtol=1e-15, atol=0)
 
@@ -217,7 +217,7 @@ def test_flatten_weights_pointwise_product():
     target = SpaceSpec.hps(2.5, 0.4)
     grid = grid_from_breakpoints(np.concatenate([[0.0], np.cumsum(rng.uniform(1, 20, 10))]),
                                  panel_order=3)
-    op = assemble(k, source, target, grid, grid)
+    op = assemble(k, source, target, grid)
     # rows: w^(1/p2) (1+|x|)^(2*s2/p2); columns: w^(1/q1) (1+|y|)^(-s1)
     rows = grid.weights ** (1 / 2.5) * (1 + np.abs(grid.nodes)) ** (0.8 / 2.5)
     cols = grid.weights ** (2 / 3) * (1 + np.abs(grid.nodes)) ** 0.8

@@ -156,14 +156,14 @@ def test_sweep_assembles_once_per_query(monkeypatch, kernel):
     result = run_boundedness_sweep(plan)
     grids = FAST_GRID.build(plan.R_schedule)
     assert len(calls) == len(queries)
-    assert all(args[3].size == args[4].size == grids[-1].size for args in calls)
+    assert all(args[3].size == grids[-1].size for args in calls)
     assert len(normed) == len(result.cells)
     for cell, op in zip(result.cells, normed):
         query = queries[cell.query_index]
         grid = grids[plan.R_schedule.index(cell.R)]
         source, target = query_spaces(query)
         k = kernel if kernel is not None else KernelSpec(kappa=query.kappa)
-        own = assemble(k, source, target, grid, grid)
+        own = assemble(k, source, target, grid)
         # the restricted matrix is bitwise the one assembled per radius
         assert op.mirrored == own.mirrored and np.array_equal(op.core, own.core)
         reference = operator_norm_pq(own)
@@ -463,9 +463,9 @@ def test_probe_assembles_once_on_the_largest_grid(monkeypatch):
     sizes = []
     real = opnormlab.sweeps.assemble
 
-    def counting(kernel, source, target, source_grid, target_grid):
-        sizes.append(source_grid.size)
-        return real(kernel, source, target, source_grid, target_grid)
+    def counting(kernel, source, target, grid):
+        sizes.append(grid.size)
+        return real(kernel, source, target, grid)
 
     monkeypatch.setattr(opnormlab.sweeps, "assemble", counting)
     cells = sharpness_probe(query_thm1(2.5), KernelSpec(kappa=2.5), 1.0,
