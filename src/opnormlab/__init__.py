@@ -10,8 +10,8 @@ system the kernels come from.
 """
 
 from .closed_forms import (envelope_indicator_image, majorant_exponent,
-                           majorant_integral, powerlaw_integral, powerlaw_tail,
-                           powerlaw_weighted_norm, tail_bound)
+                           majorant_integral, powerlaw_integral, powerlaw_weighted_norm,
+                           tail_bound)
 from .conditions import (BoundednessQuery, ConditionReport, check_boundedness,
                          family_from_index, index_from_family, query_spaces,
                          threshold_h, threshold_hps, threshold_hsp)
@@ -21,7 +21,7 @@ from .errors import (ConvergenceError, DivergenceError, DomainError,
                      IllConditionedError, NumericalError, PlanError)
 from .grids import (Grid, build_grid, extend_grid, grid_from_breakpoints,
                     integrate, nested_grids, parse_grid)
-from .kernels import EnvelopeReport, KernelSpec, envelope_check, kernel_eval, parse_kernel
+from .kernels import KernelSpec, kernel_eval, parse_kernel
 from .operators import (DiscretizedOperator, PqNormEstimate, apply_operator, assemble,
                         empirical_ratio, largest_singular_value, matrix_pq_norm,
                         operator_norm_pq)

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -85,6 +86,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kw):  # subparsers are built with this class too
         kw.setdefault("epilog", EXIT_CODES)
         super().__init__(**kw)
+        # argparse's own pattern takes "-2" and "-.5" as values but "-1e-3" as
+        # an option name; take every negative float literal as a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):  # exit code 1 for usage problems, not argparse's 2
         raise UsageError(message)

@@ -61,11 +61,6 @@ def powerlaw_integral(a: float, R: float | None = None) -> float:
     return majorant_integral(0.0, a, R)
 
 
-def powerlaw_tail(a: float, R: float) -> float:
-    """Integral of (1+|x|)^(-a) over |x| > R; requires a > 1."""
-    return _power_integral(1.0, a, _radius(R), None, 2.0)
-
-
 def powerlaw_weighted_norm(t: float, space: SpaceSpec, R: float | None = None) -> float:
     """Weighted norm of x -> (1+|x|)^(-t), truncated to [-R, R] if R is given.
 

@@ -297,6 +297,16 @@ def test_output_file_byte_identical(tmp_path):
     assert run_cli(base + [str(first)]) == 0
     assert run_cli(base + [str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+    # a negative number in any float spelling is a value, not an option name
+    check = ["check", "--thm", "1", "--s2", "0", "--kappa", "2"]
+    apply = ["apply", "--kernel", "envelope(2)", "--function", "gauss(1)", *SMALL_GRID]
+    for argv, spaced, joined in ((check, ["--s1", "-1e-3"], ["--s1=-0.001"]),
+                                 (check, ["--s1", "-.5"], ["--s1=-0.5"]),
+                                 (check, ["--s1", "-2"], ["--s1=-2"]),
+                                 (apply, ["--x", "-1e1"], ["--x=-10"])):
+        assert run_cli(argv + spaced + ["--out", str(first)]) == 0
+        assert run_cli(argv + joined + ["--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
 
 QUERY = "thm=1,s1=-0.25,s2=-0.25,kappa=1.5"

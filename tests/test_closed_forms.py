@@ -11,7 +11,7 @@ import opnormlab.closed_forms
 import opnormlab.kernels
 from opnormlab import (DivergenceError, DomainError, KernelSpec, NumericalError, SpaceSpec,
                        envelope_indicator_image, majorant_exponent, majorant_integral,
-                       powerlaw_integral, powerlaw_tail, powerlaw_weighted_norm, tail_bound)
+                       powerlaw_integral, powerlaw_weighted_norm, tail_bound)
 
 
 @pytest.mark.parametrize("a", [1.2, 2.0, 3.7])
@@ -34,9 +34,11 @@ def test_powerlaw_integral_divergence():
 
 
 def test_tail_plus_truncation_is_total():
-    a, R = 2.3, 37.0
+    # with c_upper = 1 the tail bound is the tail of (1+|y|)^(-a) beyond R
+    source, k, R = SpaceSpec.hsp(-0.5, 3.0), KernelSpec(kappa=2.0), 37.0
+    a = majorant_exponent(source, k.kappa)
     total = powerlaw_integral(a)
-    assert powerlaw_integral(a, R) + powerlaw_tail(a, R) == pytest.approx(total, rel=1e-14)
+    assert powerlaw_integral(a, R) + tail_bound(k, source, R) == pytest.approx(total, rel=1e-14)
 
 
 def test_powerlaw_weighted_norm_values():
@@ -100,8 +102,9 @@ def test_majorant_exponent_values():
 
 def test_tail_bound_is_the_scaled_powerlaw_tail():
     source = SpaceSpec.hsp(-0.5, 3.0)
-    k = KernelSpec(kappa=2.0, c_lower=0.5, c_upper=0.5)
-    expected = 0.5 ** 1.5 * powerlaw_tail(majorant_exponent(source, 2.0), 10.0)
+    k = KernelSpec(kappa=2.0, c_upper=0.5)
+    a = majorant_exponent(source, 2.0)
+    expected = 0.5 ** 1.5 * 2.0 * 11.0 ** (1.0 - a) / (a - 1.0)
     assert tail_bound(k, source, 10.0) == pytest.approx(expected, rel=1e-15)
 
 
@@ -121,7 +124,7 @@ NON_FINITE = {
     "majorant-R-inf": lambda: majorant_integral(0.0, 0.5, math.inf),
     "majorant-R-nan": lambda: majorant_integral(0.0, 2.0, math.nan),
     "powerlaw-a-inf": lambda: powerlaw_integral(math.inf),
-    "tail-R-inf": lambda: powerlaw_tail(2.0, math.inf),
+    "tail-R-inf": lambda: tail_bound(KernelSpec(kappa=2.0), SpaceSpec.hsp(-0.5, 3.0), math.inf),
     "norm-t-nan": lambda: powerlaw_weighted_norm(math.nan, SpaceSpec.h(-1.0)),
     "indicator-kappa-nan": lambda: envelope_indicator_image(math.nan, 1.0),
     "indicator-x-inf": lambda: envelope_indicator_image(2.0, math.inf),
@@ -143,8 +146,8 @@ def test_non_finite_arguments_are_domain_errors(call):
     # (1+R)^2 = 1.44e308 is finite, twice it is not: float * gives inf, not an error
     lambda: majorant_integral(0.0, -1.0, 1.2e154),
     # c_upper^q1: float ** raises for 1e300^1.5; 1e308^(1 + 1e-7) is finite, twice it is not
-    lambda: tail_bound(KernelSpec(2.0, 1e300, 1e300), SpaceSpec.hsp(-0.5, 3.0), 10.0),
-    lambda: tail_bound(KernelSpec(2.0, 1e308, 1e308), SpaceSpec.hsp(-0.5, 1e7), 10.0),
+    lambda: tail_bound(KernelSpec(2.0, c_upper=1e300), SpaceSpec.hsp(-0.5, 3.0), 10.0),
+    lambda: tail_bound(KernelSpec(2.0, c_upper=1e308), SpaceSpec.hsp(-0.5, 1e7), 10.0),
 ], ids=["majorant", "powerlaw", "indicator", "factor-two", "tail-bound-power",
         "tail-bound-factor-two"])
 def test_overflow_is_a_numerical_error(call):

@@ -45,7 +45,7 @@ def test_block_dimensions():
 def test_coupling_entries_are_weight_times_kernel():
     grid1, grid2 = grids()
     k1 = KernelSpec(kappa=2.0)
-    k2 = KernelSpec(kappa=1.5, c_upper=0.5, c_lower=0.5)
+    k2 = KernelSpec(kappa=1.5, c_upper=0.5)
     a1, a2 = coupling_blocks(k1, k2, grid1, grid2)
     rng = np.random.default_rng(8)
     for _ in range(10):
@@ -162,7 +162,7 @@ def test_contraction_bound_on_condition():
     # equal small kernels on equal grids: ||A1|| = ||A2|| and the Neumann
     # bound (1+a)(1+b)/(1-ab) must dominate the 1-norm condition estimate
     grid = build_grid(20.0, 8, 1.3, 6)
-    k = KernelSpec(kappa=2.0, c_lower=0.25, c_upper=0.25)
+    k = KernelSpec(kappa=2.0, c_upper=0.25)
     a1, a2 = coupling_blocks(k, k, grid, grid)
     a = float(np.linalg.norm(a1, 1))
     b = float(np.linalg.norm(a2, 1))

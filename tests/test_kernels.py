@@ -1,11 +1,10 @@
-"""Kernel families, envelope checking, weight scaling and the majorant."""
+"""Kernel families, weight scaling and the majorant."""
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from opnormlab import (DivergenceError, DomainError, Grid, KernelSpec, NumericalError,
-                       SpaceSpec, assemble, build_grid, envelope_check,
-                       grid_from_breakpoints, integrate, kernel_eval,
+from opnormlab import (DivergenceError, DomainError, Grid, KernelSpec, SpaceSpec, assemble,
+                       build_grid, grid_from_breakpoints, integrate, kernel_eval,
                        majorant_integral, parse_kernel, tail_bound)
 
 from _dense import full_matrix
@@ -30,7 +29,7 @@ def test_alternating_modulation_changes_sign():
 
 
 def test_unmodulated_kernel_symmetric():
-    k = KernelSpec(kappa=1.7, c_upper=2.5, c_lower=2.5)
+    k = KernelSpec(kappa=1.7, c_upper=2.5)
     rng = np.random.default_rng(1)
     x, y = rng.uniform(-50, 50, size=(2, 100))
     assert np.array_equal(kernel_eval(k, x, y), kernel_eval(k, y, x))
@@ -84,86 +83,11 @@ def test_kernel_eval_reads_its_inputs_and_returns_a_fresh_array(spec):
 def test_kernel_validation():
     with pytest.raises(DomainError):
         KernelSpec(kappa=float("nan"))
-    with pytest.raises(DomainError):
-        KernelSpec(kappa=1.0, c_lower=-1.0)
-    with pytest.raises(DomainError):
-        KernelSpec(kappa=1.0, c_lower=2.0, c_upper=1.0)
-    for bad in (float("nan"), float("inf")):  # a NaN must fail the check, not slip past it
+    for bad in (float("nan"), float("inf"), -1.0):  # a NaN must fail the check, not slip past it
         with pytest.raises(DomainError):
             KernelSpec(kappa=1.0, c_upper=bad)
-        with pytest.raises(DomainError):
-            KernelSpec(kappa=1.0, c_lower=bad, c_upper=bad)
     with pytest.raises(DomainError):
         KernelSpec(kappa=1.0, modulation="square")
-
-
-# --- envelope check ----------------------------------------------------------
-
-def test_envelope_check_exact_envelope():
-    k = KernelSpec(kappa=2.0)
-    report = envelope_check(k, kappa_claimed=2.0, sample_count=500, seed=0)
-    assert report.upper_ok and report.lower_ok
-    assert report.worst_upper_ratio == pytest.approx(1.0, rel=1e-12)
-
-
-def test_envelope_check_cosine_fails_lower():
-    k = KernelSpec(kappa=2.0, modulation="cosine", omega=1.0)
-    report = envelope_check(k, kappa_claimed=2.0, sample_count=500, seed=0)
-    assert report.upper_ok
-    assert not report.lower_ok
-    # a sample sits near a cosine zero, so the worst lower ratio is tiny
-    assert report.worst_lower_ratio < 0.1
-
-
-def test_envelope_check_wrong_shape_fails_upper():
-    # K depends on x only: at x = 0 the claimed envelope decays but K does not
-    def kernel(x, y):
-        return (1.0 + np.abs(x)) ** -2.0
-    report = envelope_check(kernel, kappa_claimed=2.0, sample_count=500, seed=0)
-    assert not report.upper_ok
-    assert report.worst_upper_ratio > 1e3
-
-
-def test_envelope_check_takes_the_constants_of_a_spec():
-    k = KernelSpec(kappa=2.0, c_lower=0.5, c_upper=0.5)
-    report = envelope_check(k, 2.0, sample_count=200, seed=0)
-    assert report.upper_ok and report.lower_ok
-    assert report.worst_lower_ratio == pytest.approx(1.0, rel=1e-12)
-    # constants passed explicitly keep their values
-    assert not envelope_check(k, 2.0, c_lower=1.0, sample_count=200, seed=0).lower_ok
-
-
-def test_envelope_check_zero_constants():
-    # a zero bound is compared, not divided by: no NaN and no warning
-    report = envelope_check(KernelSpec.zero(), 2.0, c_lower=0.0, c_upper=0.0,
-                            sample_count=200, seed=0)
-    assert report.upper_ok and report.lower_ok
-    assert report.worst_upper_ratio == report.worst_lower_ratio == 1.0
-    positive = envelope_check(KernelSpec(kappa=2.0), 2.0, c_lower=0.0, c_upper=0.0,
-                              sample_count=200, seed=0)
-    assert positive.lower_ok and not positive.upper_ok
-    assert positive.worst_upper_ratio == np.inf
-
-
-def test_envelope_check_deterministic():
-    k = KernelSpec(kappa=1.5)
-    first = envelope_check(k, 1.5, sample_count=200, seed=42)
-    second = envelope_check(k, 1.5, sample_count=200, seed=42)
-    assert first == second
-
-
-def test_envelope_check_scalar_callable():
-    report = envelope_check(lambda x, y: (1.0 + abs(x) + abs(y)) ** -2.0,
-                            kappa_claimed=2.0, sample_count=50, seed=3)
-    assert report.upper_ok and report.lower_ok
-
-
-def test_envelope_check_non_finite_kernel():
-    def kernel(x, y):
-        with np.errstate(divide="ignore"):
-            return 1.0 / (np.abs(x) + np.abs(y))  # blows up at the origin
-    with pytest.raises(NumericalError):
-        envelope_check(kernel, kappa_claimed=0.0, sample_count=10, seed=0)
 
 
 # --- space weights scaled into the assembled matrix ---------------------------
@@ -212,7 +136,7 @@ def test_flatten_weights_fixed_weight_source():
 
 def test_flatten_weights_pointwise_product():
     rng = np.random.default_rng(2)
-    k = KernelSpec(kappa=1.3, c_upper=0.7, c_lower=0.7)
+    k = KernelSpec(kappa=1.3, c_upper=0.7)
     source = SpaceSpec.hsp(-0.8, 3.0)
     target = SpaceSpec.hps(2.5, 0.4)
     grid = grid_from_breakpoints(np.concatenate([[0.0], np.cumsum(rng.uniform(1, 20, 10))]),
@@ -292,7 +216,7 @@ def test_tail_bound_fixed_weight_family():
 
 def test_parse_kernel():
     assert parse_kernel("envelope(2)") == KernelSpec(kappa=2.0)
-    assert parse_kernel("envelope(2,0.5)") == KernelSpec(2.0, 0.5, 0.5)
+    assert parse_kernel("envelope(2,0.5)") == KernelSpec(2.0, c_upper=0.5)
     assert parse_kernel("cosmod(2,3)") == KernelSpec(2.0, modulation="cosine", omega=3.0)
     assert parse_kernel("altmod(1.5)") == KernelSpec(1.5, modulation="alternating")
     for bad in ("envelope()", "cosmod(2)", "box(1)"):

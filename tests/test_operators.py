@@ -50,7 +50,7 @@ def test_assemble_flattened_entry():
     # (1+1)^(w2/p2) * c * (1+2)^-2 * (1+1)^(-w1/p1)
     cases = (
         (KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(0.0), 2.0 / 9.0),
-        (KernelSpec(kappa=2.0, c_lower=0.5, c_upper=0.5), SpaceSpec.h(0.0),
+        (KernelSpec(kappa=2.0, c_upper=0.5), SpaceSpec.h(0.0),
          SpaceSpec.h(0.0), 0.5 / 9.0),
         (KernelSpec(kappa=2.0), SpaceSpec.hsp(-0.5, 4.0), SpaceSpec.hps(3.0, 0.5),
          2.0 ** (1 / 3) / 9.0 * 2.0 ** 0.5),
@@ -416,6 +416,14 @@ def test_pq_norm_sign_changing_not_certified():
     assert estimate.value > 0
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_pq_norm_certified_value_reaches_a_column():
+    # nonnegative, p1 < p2: from the all-ones start the power method settles at
+    # 0.849 although ||A e1||_4 = 1.0000000025, and still calls that certified
+    estimate = matrix_pq_norm([[1.0, 0.01], [0.01, 1.0]], 2.0, 4.0)
+    assert not estimate.certified or estimate.value >= 1.0
+
+
 def test_pq_norm_is_lower_bound_at_p2():
     # for p = 2 the true norm is computable: the estimate never exceeds it
     rng = np.random.default_rng(10)
@@ -438,7 +446,7 @@ def test_norm_scales_with_envelope_constant():
     grid = build_grid(40.0, 10, 1.3, 8)
     source, target = SpaceSpec.h(-1.0), SpaceSpec.h(-0.5)
     one = operator_norm_pq(assemble(KernelSpec(kappa=2.0), source, target, grid))
-    two = operator_norm_pq(assemble(KernelSpec(kappa=2.0, c_lower=2.0, c_upper=2.0),
+    two = operator_norm_pq(assemble(KernelSpec(kappa=2.0, c_upper=2.0),
                                     source, target, grid))
     assert two.value == pytest.approx(2.0 * one.value, rel=1e-12)
 
@@ -599,7 +607,6 @@ def test_kernel_eval_has_one_call_site_per_consumer():
         ("operators", "assemble"): 1,
         ("operators", "apply_operator"): 1,
         ("corner", "coupling_blocks"): 2,
-        ("kernels", "envelope_check"): 1,
     }
 
 
@@ -846,7 +853,7 @@ def test_warm_start_rejects_a_grid_outside_the_family_and_a_wrong_length(kernel)
 
 
 def test_warm_start_of_a_zero_core_has_no_image():
-    zero = KernelSpec(kappa=2.0, c_lower=0.0, c_upper=0.0)
+    zero = KernelSpec(kappa=2.0, c_upper=0.0)
     full = assemble(zero, *SPACE_PAIRS[0], NESTED[-1])
     estimate = operator_norm_pq(full.restrict(NESTED[0]))
     assert (estimate.value, estimate.image) == (0.0, None)

@@ -278,7 +278,7 @@ def test_image_keeps_the_iteration_count_of_every_criterion_6_cell(monkeypatch):
 
 
 @pytest.mark.parametrize("kernel, schedule", [
-    (KernelSpec(kappa=1.5, c_lower=0.0, c_upper=0.0), (10.0, 40.0)),  # the zero kernel
+    (KernelSpec(kappa=1.5, c_upper=0.0), (10.0, 40.0)),  # the zero kernel
     (None, (1e250, 4e250)),  # every kernel entry underflows to 0
 ], ids=["zero-kernel", "underflow"])
 def test_zero_norm_cells_are_left_out_of_the_fit(monkeypatch, kernel, schedule):
@@ -393,7 +393,7 @@ def test_holder_step_preconditions():
         verify_holder_step(KernelSpec(kappa=2.0, modulation="cosine", omega=1.0),
                            f, query, 0.0, grid)
     with pytest.raises(DomainError):
-        verify_holder_step(KernelSpec(kappa=2.0, c_lower=2.0, c_upper=2.0),
+        verify_holder_step(KernelSpec(kappa=2.0, c_upper=2.0),
                            f, query, 0.0, grid)
     with pytest.raises(DomainError):
         verify_holder_step(KernelSpec(kappa=3.0), f, query, 0.0, grid)
