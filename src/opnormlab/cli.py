@@ -3,8 +3,8 @@
 Subcommands expose the laboratory's operations with machine-readable
 output: JSON records for single-result commands, CSV for sweeps.  Exit
 codes: 0 success, 1 usage error, 2 numerical failure, 3 when a requested
-sufficient condition is inapplicable (s1 >= 0).  Identical arguments and
-seed produce byte-identical output files.
+sufficient condition is inapplicable (s1 >= 0).  Identical arguments
+produce byte-identical output files.
 """
 from __future__ import annotations
 
@@ -44,6 +44,13 @@ def _has_field_type(default, value) -> bool:
     return isinstance(value, type(default))
 
 
+def _fits_float(value) -> bool:
+    """Whether a number, or every number of a list, is at most the largest float."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_fits_float, value))
+    return abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Every default the CLI relies on, echoed as provenance in each report."""
@@ -57,7 +64,6 @@ class RunConfig:
     max_nodes: int = GridPolicy.max_nodes
     power_tol: float = POWER_TOL
     power_max_iter: int = POWER_MAX_ITER
-    seed: int = 0
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -73,6 +79,8 @@ class RunConfig:
         for key, value in data.items():
             if not _has_field_type(defaults[key], value):
                 raise DomainError(f"config key {key!r} has the wrong type: {value!r}")
+            if isinstance(defaults[key], (float, tuple)) and not _fits_float(value):
+                raise DomainError(f"config key {key!r} is too large for a float")
         if "r_schedule" in data:
             data = {**data, "r_schedule": tuple(float(R) for R in data["r_schedule"])}
         return cls(**data)
@@ -106,7 +114,6 @@ def _command(sub, name: str, handler, **kw) -> _Parser:
     parser = sub.add_parser(name, **kw)
     parser.add_argument("--config", help="JSON file of RunConfig overrides")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--seed", type=int, help="seed recorded in provenance")
     parser.set_defaults(handler=handler)
     return parser
 
@@ -145,9 +152,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target", required=True, help="target space spec")
     p.add_argument("--grid", help="grid spec of both spaces (default from config)")
 
-    p = _command(sub, "sweep", _cmd_sweep, help="boundedness sweep over the truncation schedule",
-                 description="CSV columns are fixed; elapsed_ms stays empty "
-                             "unless --timing is given so runs are byte-reproducible.")
+    p = _command(sub, "sweep", _cmd_sweep, help="boundedness sweep over the truncation schedule")
     p.add_argument("--query", action="append", required=True,
                    help="e.g. thm=1,s1=-0.25,s2=-0.25,kappa=1.5[,p1=2,p2=2]; repeatable")
     p.add_argument("--kernel", help="kernel for all queries (default: envelope per query kappa)")
@@ -161,10 +166,6 @@ def build_parser() -> _Parser:
                    help="panel quadrature order")
     p.add_argument("--extra-panels", type=int)
     p.add_argument("--max-nodes", type=int)
-    p.add_argument("--timing", action="store_true",
-                   help="record wall-clock per cell: its restriction and norm, plus the "
-                        "query's one assembly at the largest radius (breaks byte "
-                        "reproducibility)")
 
     p = _command(sub, "corner", _cmd_corner,
                  help="solve the coupled two-unknown integral system")
@@ -207,6 +208,16 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object of the config file; a key given twice is refused."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise UsageError(f"config key {key!r} is given twice")
+        data[key] = value
+    return data
+
+
 def _load_config(args) -> RunConfig:
     """The --config file (or the defaults), overridden by flags named after its fields."""
     config = RunConfig()
@@ -214,10 +225,12 @@ def _load_config(args) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 data = json.load(handle, parse_float=_finite_number,
-                                 parse_constant=_finite_number)
-        except OSError as exc:
+                                 parse_constant=_finite_number, object_pairs_hook=_unique_keys)
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except UsageError:
+            raise
+        except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")
@@ -318,9 +331,8 @@ def _cmd_sweep(args, config: RunConfig) -> int:
     policy = GridPolicy(**{f.name: getattr(config, f.name) for f in fields(GridPolicy)})
     plan = SweepPlan(queries=queries, kernel=kernel, R_schedule=config.r_schedule,
                      grid=policy)
-    result = run_boundedness_sweep(plan, timing=args.timing,
-                                   tol=config.power_tol, max_iter=config.power_max_iter)
-    provenance = {"seed": config.seed, "command": args.command,
+    result = run_boundedness_sweep(plan, tol=config.power_tol, max_iter=config.power_max_iter)
+    provenance = {"command": args.command,
                   "power_tol": repr(config.power_tol), "power_max_iter": config.power_max_iter}
     if args.kernel:
         provenance["kernel"] = args.kernel  # the user's spelling, as in the JSON reports

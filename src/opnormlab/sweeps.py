@@ -13,7 +13,6 @@ are sufficient, not necessary.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -33,8 +32,7 @@ GAMMA_GROWING = 0.1
 
 SWEEP_CSV_COLUMNS = (
     "row", "query", "family", "s1", "s2", "p1", "p2", "kappa",
-    "R", "nodes", "norm", "certified", "converged", "elapsed_ms",
-    "gamma", "verdict",
+    "R", "nodes", "norm", "certified", "converged", "gamma", "verdict",
 )
 
 
@@ -102,7 +100,6 @@ class SweepCell:
     value: float
     certified: bool
     converged: bool
-    elapsed_ms: float | None = None
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,7 @@ def verdict_for(gamma: float | None) -> str:
     return "inconclusive"
 
 
-def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
-                          tol: float = POWER_TOL,
+def run_boundedness_sweep(plan: SweepPlan, tol: float = POWER_TOL,
                           max_iter: int = POWER_MAX_ITER) -> SweepResult:
     """Estimate each query's operator norm on nested grids and fit norm growth.
 
@@ -170,11 +166,8 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
     norm iteration did not converge are flagged and excluded from the fit,
     as are cells whose value is not positive (a zero kernel, or entries
     that underflow), which have no logarithm; with fewer than two points
-    left the verdict is inconclusive.
-    Deterministic given the plan; wall-clock timing is off by
-    default so reports are reproducible byte for byte.  With ``timing`` a
-    cell's ``elapsed_ms`` covers its restriction and its norm; the cell at
-    the largest radius also carries the query's one assembly.
+    left the verdict is inconclusive.  Deterministic given the plan, and a
+    result holds no wall-clock time, so reports are reproducible byte for byte.
     """
     grids = plan.grid.build(plan.R_schedule)
     cells: list[SweepCell] = []
@@ -184,22 +177,16 @@ def run_boundedness_sweep(plan: SweepPlan, timing: bool = False,
         source, target = query_spaces(query)
         kernel = plan.kernel if plan.kernel is not None else KernelSpec(kappa=query.kappa)
         reports.append(check_boundedness(query))
-        started = time.perf_counter()
         full = assemble(kernel, source, target, grids[-1])
-        assembly_ms = (time.perf_counter() - started) * 1e3
         fit_points = []
         estimate = previous = None
         for R, grid in zip(plan.R_schedule, grids):
-            started = time.perf_counter()
             op = full.restrict(grid)
             start, image = (None, None) if previous is None else op.warm_start(estimate, previous)
             estimate = operator_norm_pq(op, tol=tol, max_iter=max_iter, start=start,
                                         image=image)
-            elapsed = (time.perf_counter() - started) * 1e3
-            if grid is grids[-1]:
-                elapsed += assembly_ms
             cells.append(SweepCell(index, R, grid.size, estimate.value, estimate.certified,
-                                   estimate.converged, elapsed if timing else None))
+                                   estimate.converged))
             if estimate.converged and estimate.value > 0.0:
                 fit_points.append((R, estimate.value))
             previous = grid
@@ -289,7 +276,7 @@ def sweep_csv_text(result: SweepResult, provenance: dict | None = None) -> str:
     """Serialize a sweep result as CSV text.
 
     Column order is fixed (see SWEEP_CSV_COLUMNS): cell rows fill the
-    R/nodes/norm/certified/converged/elapsed_ms columns, and each query's
+    R/nodes/norm/certified/converged columns, and each query's
     summary row fills gamma/verdict.  Header lines start with '#' and carry
     the provenance of every default that shaped the run; an entry of
     ``provenance`` replaces the plan's entry of the same key in place (the CLI
@@ -312,10 +299,10 @@ def sweep_csv_text(result: SweepResult, provenance: dict | None = None) -> str:
     for index, query in enumerate(plan.queries):
         echo = (index, query.family, query.s1, query.s2, query.p1, query.p2, query.kappa)
         records = [("cell", *echo, cell.R, cell.nodes, cell.value, cell.certified,
-                    cell.converged, cell.elapsed_ms, None, None)
+                    cell.converged, None, None)
                    for cell in result.cells if cell.query_index == index]
         summary = result.summaries[index]
-        records.append(("summary", *echo, None, None, None, None, None, None,
+        records.append(("summary", *echo, None, None, None, None, None,
                         summary.gamma, summary.verdict))
         lines += [",".join(map(_csv_value, record)) for record in records]
     return "\n".join(lines) + "\n"

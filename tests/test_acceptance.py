@@ -263,7 +263,7 @@ def test_criterion_10_sweep_determinism(tmp_path):
             "sweep",
             "--query", "thm=1,s1=-0.25,s2=-0.25,kappa=1.5",
             "--query", "thm=3,s1=-1,s2=-1,p1=2,p2=4,kappa=2",
-            "--panels", "8", "--order", "6", "--seed", "42",
+            "--panels", "8", "--order", "6",
             "--out", str(path)])
         assert code == 0
         outputs.append(path.read_bytes())

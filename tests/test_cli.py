@@ -31,7 +31,7 @@ def test_check_satisfied(capsys):
     assert code == 0
     assert payload["satisfied"] is True
     assert payload["margin"] == pytest.approx(0.5)
-    assert payload["provenance"]["seed"] == 0
+    assert payload["provenance"] == RunConfig().to_dict()
 
 
 def test_check_inapplicable_exit_3(capsys):
@@ -139,15 +139,17 @@ def test_sweep_writes_deterministic_csv(tmp_path):
     assert text.startswith("# opnormlab sweep report")
 
 
-def test_sweep_header_echoes_the_kernel_and_the_seed(tmp_path):
+def test_sweep_header_echoes_the_kernel(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep", "--query", "thm=2,s1=-0.5,s2=0,p1=3,p2=2,kappa=2",
                     "--kernel", "cosmod(2,1.5)", "--r-schedule", "10,40", "--panels", "8",
-                    "--order", "6", "--seed", "5", "--out", str(out)]) == 0
+                    "--order", "6", "--out", str(out)]) == 0
     header = [line for line in out.read_text().splitlines() if line.startswith("# ")]
     assert "# kernel=cosmod(2,1.5)" in header
-    position = header.index("# seed=5")
+    # the CLI's provenance follows the plan's entries, and no entry is a seed
+    position = header.index("# command=sweep")
     assert header[position - 1].startswith("# gamma_growing=")
+    assert not any(line.startswith("# seed=") for line in header)
 
 
 @pytest.mark.parametrize("extra", [
@@ -191,8 +193,8 @@ def test_corner_roundtrip(capsys, tmp_path):
 def test_consecutive_calls_share_one_parser(capsys):
     assert build_parser() is build_parser()
     code, payload = run_json(capsys, ["check", "--thm", "3", "--s1", "-1", "--s2", "-1",
-                                      "--p1", "4", "--p2", "2", "--kappa", "2", "--seed", "7"])
-    assert code == 0 and payload["p1"] == 4.0 and payload["provenance"]["seed"] == 7
+                                      "--p1", "4", "--p2", "2", "--kappa", "2"])
+    assert code == 0 and payload["p1"] == 4.0
     assert run_cli(["check", "--thm", "1", "--nope", "1"]) == 1
     assert "error: usage" in capsys.readouterr().err
     code, payload = run_json(capsys, ["oracle", "majorant", "--x", "0", "--a", "2"])
@@ -200,7 +202,7 @@ def test_consecutive_calls_share_one_parser(capsys):
     # nothing carries over from the earlier calls: defaults are back
     code, payload = run_json(capsys, ["check", "--thm", "1", "--s1", "-0.25",
                                       "--s2", "-0.25", "--kappa", "1.5"])
-    assert code == 0 and payload["p1"] == 2.0 and payload["provenance"]["seed"] == 0
+    assert code == 0 and payload["p1"] == 2.0
     assert run_cli(["oracle", "majorant", "--x", "0", "--a", "1"]) == 2
 
 
@@ -255,13 +257,18 @@ def test_help_exits_zero(capsys):
 
 def test_config_file_and_override(capsys, tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"seed": 5, "panels_per_side": 9}))
+    config.write_text(json.dumps({"panels_per_side": 5, "grading": 1.4}))
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--query", QUERY, "--r-schedule", "10,40", "--order", "4",
+                    "--config", str(config), "--panels", "7", "--out", str(out)]) == 0
+    header = out.read_text().splitlines()
+    assert "# panels_per_side=7" in header  # flag wins over file
+    assert "# grading=1.4" in header
     code, payload = run_json(capsys, [
         "check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2",
-        "--config", str(config), "--seed", "7"])
+        "--config", str(config)])
     assert code == 0
-    assert payload["provenance"]["seed"] == 7  # flag wins over file
-    assert payload["provenance"]["panels_per_side"] == 9
+    assert payload["provenance"]["panels_per_side"] == 5
 
 
 def test_config_unknown_key_exit_1(capsys, tmp_path):
@@ -272,10 +279,12 @@ def test_config_unknown_key_exit_1(capsys, tmp_path):
 
 
 def test_runconfig_round_trip():
-    config = RunConfig(seed=3, r_schedule=(10.0, 40.0))
+    config = RunConfig(power_max_iter=3, r_schedule=(10.0, 40.0))
     assert RunConfig.from_dict(config.to_dict()) == config
     with pytest.raises(DomainError):
         RunConfig.from_dict({"nope": 1})
+    with pytest.raises(DomainError, match="'power_tol' is too large for a float"):
+        RunConfig.from_dict({"power_tol": 10 ** 400})
     # values of the field's type pass through unchanged: an int grading is echoed as 1
     out = RunConfig.from_dict({"grading": 1, "r_schedule": [10, 40.0]}).to_dict()
     assert type(out["grading"]) is int and out["r_schedule"] == [10.0, 40.0]
@@ -310,6 +319,9 @@ def test_output_file_byte_identical(tmp_path):
 
 
 QUERY = "thm=1,s1=-0.25,s2=-0.25,kappa=1.5"
+SMALL_GRID = ["--grid", "grid(10,4,1.3,4)"]
+OPNORM = ["opnorm", "--kernel", "envelope(2)", "--source", "H(-0.25)",
+          "--target", "H(-0.25)", *SMALL_GRID]
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -317,8 +329,8 @@ QUERY = "thm=1,s1=-0.25,s2=-0.25,kappa=1.5"
     (["sweep", "--query", "thm=1,s1=abc,s2=-0.25,kappa=1.5"], None),
     (["sweep", "--query", QUERY, "--r-schedule", "10,x"], None),
     (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"r_schedule": ["a"]}),
-    (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"seed": "x"}),
-    (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"seed": True}),
+    (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"power_max_iter": "x"}),
+    (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"power_max_iter": True}),
     (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"panels_per_side": 9.0}),
     (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"grid": 3}),
     (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"grading": "1.3"}),
@@ -338,6 +350,13 @@ QUERY = "thm=1,s1=-0.25,s2=-0.25,kappa=1.5"
     # an operator has one grid, which --grid sets
     (["opnorm", "--kernel", "envelope(2)", "--source", "H(-1)", "--target", "H(-1)",
       "--target-grid", "grid(40,8,1.3,6)"], None),
+    # no report depends on a seed or a clock, so neither can be set
+    (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2", "--seed", "1"], None),
+    (["sweep", "--query", QUERY, "--r-schedule", "10,40", "--timing"], None),
+    (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"seed": 0}),
+    # an int literal past the largest float, which no float field can hold
+    (OPNORM, {"power_tol": 10 ** 400}),
+    (["sweep", "--query", QUERY], {"r_schedule": [10, 10 ** 400]}),
 ])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, config):
     if config is not None:
@@ -349,6 +368,22 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, config):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: usage: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"\xff\xfe{}", "cannot read config file: 'utf-8' codec can't decode"),
+    (b'{"grading": 1.2, "grading": 1.4}', "config key 'grading' is given twice"),
+    # past the digit limit newer Pythons set on int parsing; a Python
+    # without that limit parses it and refuses it as too large for a float
+    (b'{"power_tol": 1' + b"0" * 5000 + b"}", ""),
+], ids=["not-utf8", "repeated-key", "int-digit-limit"])
+def test_bad_config_file_is_one_usage_line(capsys, tmp_path, text, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert run_cli([*OPNORM, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: usage: " + message)
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -399,7 +434,7 @@ def test_corner_condition_estimate_is_reproducible(monkeypatch, tmp_path):
 
 def test_sweep_flags_set_runconfig_fields(tmp_path):
     config_fields = {f.name for f in fields(RunConfig)}
-    not_config = {"help", "query", "kernel", "timing", "config", "out"}
+    not_config = {"help", "query", "kernel", "config", "out"}
     subcommands, = (a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
     dests = {a.dest for a in subcommands.choices["sweep"]._actions} - not_config
@@ -409,7 +444,7 @@ def test_sweep_flags_set_runconfig_fields(tmp_path):
     settings = [("--panels", "6", "panels_per_side", 6), ("--order", "5", "panel_order", 5),
                 ("--r-schedule", "10,40", "r_schedule", [10, 40]),
                 ("--grading", "1.4", "grading", 1.4), ("--extra-panels", "3", "extra_panels", 3),
-                ("--max-nodes", "3000", "max_nodes", 3000), ("--seed", "9", "seed", 9)]
+                ("--max-nodes", "3000", "max_nodes", 3000)]
     flags = [token for flag, text, _, _ in settings for token in (flag, text)]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: value for _, _, key, value in settings}))
@@ -421,9 +456,6 @@ def test_sweep_flags_set_runconfig_fields(tmp_path):
     assert "# panels_per_side=6\n" in by_flag.read_text()
 
 
-SMALL_GRID = ["--grid", "grid(10,4,1.3,4)"]
-OPNORM = ["opnorm", "--kernel", "envelope(2)", "--source", "H(-0.25)",
-          "--target", "H(-0.25)", *SMALL_GRID]
 APPLY = ["apply", "--kernel", "envelope(2)", "--function", "gauss(1)", *SMALL_GRID]
 # omega * x * y overflows, so cos gives NaN entries
 COSMOD_OVERFLOW_OPNORM = ["opnorm", "--kernel", "cosmod(2,1e308)", "--source", "H(-0.5)",
