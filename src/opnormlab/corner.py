@@ -11,9 +11,9 @@ Nystrom quadrature and stacking the unknown as (C, D) gives the matrix
 M = [[I, A2], [A1, I]] of size n1 + n2, with the identities on the block
 diagonal.
 
-With even kernels on two mirrored grids only a half-size system is
-solved.  The envelope and its cosine modulation are even in each variable
-and every graded grid is a bitwise mirror about 0, so A1 = [J; I] Q1 [J, I]
+With two even kernels only a half-size system is solved.  The envelope
+and its cosine modulation are even in each variable and every grid is a
+bitwise mirror about 0 by construction, so A1 = [J; I] Q1 [J, I]
 with J the reversal and Q1 the [0, R] x [0, R] quadrant of A1, and likewise
 A2.  Both couplings map every odd vector to 0 and every even vector to an
 even one.  The odd parts of the system therefore solve themselves,
@@ -24,8 +24,8 @@ values on the positive nodes, solve
 
 with the folded data (g[h:] + g[:h][::-1]) / 2 on the right.  For this
 solve only the quadrants Q1 and Q2 are evaluated, a quarter of the kernel
-entries of the full blocks.  The alternating modulation, which is not
-even, and grids that are not bitwise mirrors solve M with the full blocks.
+entries of the full blocks.  With the alternating modulation, which is
+not even, M is solved with the full blocks.
 
 Both systems read [[I, B2], [B1, I]] (x, y) = (g, f), with B = 2Q on the
 half path and B = A otherwise, and neither is ever stacked.  Eliminating x
@@ -74,7 +74,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DomainError, IllConditionedError
-from .grids import Grid, fold, is_mirror, unfold
+from .grids import Grid, fold, unfold
 from .kernels import KernelSpec, kernel_eval
 from .operators import check_finite_matrix, require_on_grid
 from .spaces import SampledFunction, SpaceSpec, weighted_norm
@@ -268,8 +268,7 @@ def solve_corner(system: CornerSystem, grid1: Grid, grid2: Grid) -> CornerSoluti
     require_on_grid(system.g_data, grid1, "g_data must be sampled on the first grid")
     require_on_grid(system.f_data, grid2, "f_data must be sampled on the second grid")
     # the one test for the half path, shared by the solve and the residuals
-    halved = (system.kernel_1.even and system.kernel_2.even
-              and is_mirror(grid1) and is_mirror(grid2))
+    halved = system.kernel_1.even and system.kernel_2.even
     c_values, d_values, condition = _solve_unknowns(system, grid1, grid2, halved)
     c = SampledFunction(grid1, c_values)
     d = SampledFunction(grid2, d_values)

@@ -2,15 +2,17 @@
 
 The integrands of interest are smooth power laws, so a mesh is built from
 panels that grow geometrically away from the origin, each carrying a
-fixed-order Gauss-Legendre rule, mirrored so the mesh is exactly symmetric
-about zero.  Extending a mesh outward reuses its panel breakpoints, which
-keeps node sets nested across truncation radii; truncation studies rely on
-that nesting.
+fixed-order Gauss-Legendre rule.  A grid is built from its panel edges on
+[0, R] alone and mirrored, so every grid is a bitwise mirror about zero.
+Extending a mesh outward reuses its panel breakpoints, which keeps node
+sets nested across truncation radii; truncation studies rely on that
+nesting.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,50 +31,53 @@ def _frozen_array(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Symmetric quadrature mesh on [-R, R].
+    """Symmetric quadrature mesh on [-R, R], built from its panel edges.
 
-    ``breakpoints`` are the panel edges on [0, R] (both endpoints included);
-    the negative side is their mirror image.  Weights integrate the constant
-    function exactly, so they sum to 2R.
+    ``breakpoints`` are the panel edges on [0, R]: the first is 0, they
+    strictly increase and 2R is finite.  Each panel carries the
+    ``panel_order``-point Gauss-Legendre rule, and the negative side is the
+    mirror image of the positive one, so the grid is a bitwise mirror: an
+    even number of nodes, ``nodes[:h] == -nodes[h:][::-1]`` and palindromic
+    weights.  The weights integrate the constant function exactly, so they
+    sum to 2R.  ``grading`` (>= 1) is the growth ratio ``extend_grid`` gives
+    new panels; it does not enter the nodes.  Pass edges that align with
+    features of the integrand (e.g. the endpoints of an indicator function)
+    to keep them out of every panel's interior.
     """
 
-    R: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    grading: float
-    panel_order: int
     breakpoints: np.ndarray
+    panel_order: int = DEFAULT_PANEL_ORDER
+    grading: float = 1.0
+    nodes: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _frozen_array(self.nodes))
-        object.__setattr__(self, "weights", _frozen_array(self.weights))
-        object.__setattr__(self, "breakpoints", _frozen_array(self.breakpoints))
-        if not (np.isfinite(self.R) and self.R > 0):
-            raise DomainError("truncation radius must be positive and finite")
-        if not np.isfinite(2.0 * self.R):
-            raise DomainError(f"truncation radius {float(self.R)!r} is too large: 2R overflows")
+        edges = _frozen_array(self.breakpoints)
+        if edges.ndim != 1 or edges.size < 2:
+            raise DomainError("need at least two panel edges")
+        if edges[0] != 0.0:
+            raise DomainError("first panel edge must be 0")
+        if not np.all(edges[1:] > edges[:-1]):  # a NaN fails this
+            raise DomainError("panel edges must be strictly increasing")
+        R = float(edges[-1])
+        if not math.isfinite(2.0 * R):  # a Python float overflows without a warning
+            raise DomainError(f"truncation radius {R!r} is too large: 2R overflows")
+        order = _whole(self.panel_order, 2, "panel order")
         if not (1 <= self.grading < np.inf):
             raise DomainError("panel grading must be finite and >= 1")
-        _whole(self.panel_order, 2, "panel order")
-        if self.nodes.ndim != 1 or self.nodes.size == 0:
-            raise DomainError("grid needs a non-empty 1-d node array")
-        if self.weights.shape != self.nodes.shape:
-            raise DomainError("one weight per node required")
-        # every check is written so that a NaN fails it
-        if not np.all(np.diff(self.nodes) > 0):
-            raise DomainError("grid nodes must be strictly increasing")
-        if not np.all(np.abs(self.nodes) <= self.R):
-            raise DomainError("grid nodes must lie in [-R, R]")
-        if not np.all(self.weights > 0):
-            raise DomainError("grid weights must be positive")
-        with np.errstate(over="ignore"):  # an infinite sum fails the check below
-            total = float(np.sum(self.weights))
-        if not abs(total - 2.0 * self.R) <= 1e-10 * 2.0 * self.R:
-            raise DomainError(
-                f"weights sum to {total!r}, expected 2R = {2.0 * self.R!r}"
-            )
-        if not float(np.max(np.abs(self.nodes + self.nodes[::-1]))) <= 1e-14 * max(1.0, self.R):
-            raise DomainError("grid nodes must be symmetric about zero")
+        pos_nodes, pos_weights = _panel_rule(edges, order)
+        nodes = np.concatenate([-pos_nodes[::-1], pos_nodes])
+        weights = np.concatenate([pos_weights[::-1], pos_weights])
+        nodes.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "breakpoints", edges)
+        object.__setattr__(self, "panel_order", order)
+        object.__setattr__(self, "grading", float(self.grading))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def R(self) -> float:
+        return float(self.breakpoints[-1])
 
     @property
     def size(self) -> int:
@@ -81,17 +86,6 @@ class Grid:
     @property
     def panels_per_side(self) -> int:
         return int(self.breakpoints.size - 1)
-
-
-def is_mirror(grid: Grid) -> bool:
-    """Even size, nodes[:h] == -nodes[h:][::-1] and palindromic weights, bitwise.
-
-    Every grid built by :func:`grid_from_breakpoints` passes.
-    """
-    h, odd = divmod(grid.size, 2)
-    return (not odd
-            and np.array_equal(grid.nodes[:h], -grid.nodes[h:][::-1])
-            and np.array_equal(grid.weights[:h], grid.weights[h:][::-1]))
 
 
 def fold(values: np.ndarray) -> np.ndarray:
@@ -121,31 +115,6 @@ def _panel_rule(breakpoints: np.ndarray, order: int) -> tuple[np.ndarray, np.nda
     return ((a + b) / 2.0 + ref_x * half).ravel(), (ref_w * half).ravel()
 
 
-def grid_from_breakpoints(breakpoints, grading: float = 1.0,
-                          panel_order: int = DEFAULT_PANEL_ORDER) -> Grid:
-    """Build a symmetric grid from explicit panel edges on [0, R].
-
-    The first edge must be 0 and edges must be strictly increasing.  This is
-    the primitive behind :func:`build_grid` and :func:`extend_grid`; use it
-    directly when panel edges must align with features of the integrand
-    (e.g. the endpoints of an indicator function).
-    """
-    panel_order = _whole(panel_order, 2, "panel order")  # before the rule is built
-    edges = np.asarray(breakpoints, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise DomainError("need at least two panel edges")
-    if edges[0] != 0.0:
-        raise DomainError("first panel edge must be 0")
-    if not np.all(np.diff(edges) > 0):
-        raise DomainError("panel edges must be strictly increasing")
-    pos_nodes, pos_weights = _panel_rule(edges, panel_order)
-    nodes = np.concatenate([-pos_nodes[::-1], pos_nodes])
-    weights = np.concatenate([pos_weights[::-1], pos_weights])
-    return Grid(R=float(edges[-1]), nodes=nodes, weights=weights,
-                grading=float(grading), panel_order=panel_order,
-                breakpoints=edges)
-
-
 def _whole(value, least: int, what: str) -> int:
     """``value`` as an int; DomainError unless it is a whole number >= ``least``."""
     if not (value >= least and float(value).is_integer()):  # NaN fails too
@@ -166,7 +135,8 @@ def _geometric_fill(lo: float, hi: float, panels: int, grading: float) -> np.nda
             first = span * (grading - 1.0) / (grading ** panels - 1.0)
         except OverflowError:  # float ** raises where numpy would warn
             raise DomainError(f"panel grading {grading!r} overflows over {panels} panels") from None
-    edges = lo + np.cumsum(first * grading ** np.arange(panels))
+    with np.errstate(over="ignore"):  # only past 2R = inf, which Grid rejects
+        edges = lo + np.cumsum(first * grading ** np.arange(panels))
     edges[-1] = hi
     return edges
 
@@ -185,7 +155,7 @@ def build_grid(R: float, panels_per_side: int, grading: float = DEFAULT_GRADING,
                panel_order: int = DEFAULT_PANEL_ORDER) -> Grid:
     """Graded Gauss-Legendre mesh on [-R, R]."""
     edges = half_line_breakpoints(R, panels_per_side, grading)
-    return grid_from_breakpoints(edges, grading=grading, panel_order=panel_order)
+    return Grid(edges, panel_order, grading)
 
 
 def extend_grid(grid: Grid, R_new: float, extra_panels: int = 2) -> Grid:
@@ -198,7 +168,7 @@ def extend_grid(grid: Grid, R_new: float, extra_panels: int = 2) -> Grid:
     """
     edges = np.concatenate([grid.breakpoints,
                             _extension_edges(grid.R, R_new, extra_panels, grid.grading)])
-    return grid_from_breakpoints(edges, grading=grid.grading, panel_order=grid.panel_order)
+    return Grid(edges, grid.panel_order, grid.grading)
 
 
 def _extension_edges(R: float, R_new: float, extra_panels: int, grading: float) -> np.ndarray:
@@ -214,15 +184,11 @@ def nested_grids(R_schedule, panels_per_side: int, grading: float = DEFAULT_GRAD
     """Nested grid family over an increasing truncation schedule.
 
     The members are, bitwise, ``build_grid`` at the first radius followed by
-    ``extend_grid`` to each later one.  Only the largest grid is built and
-    validated, from the whole chain of breakpoints; a panel's nodes and
-    weights depend on its own two edges only, so each smaller grid is the
-    centred slice of the largest grid's nodes and weights and a prefix of
-    its breakpoints, taken as read-only views without re-running the
-    constructor's checks.  A centred slice of a valid grid is increasing,
-    positive and symmetric, and each of its panels keeps its nodes inside
-    it and its weights summing to its width, so the slice lies in
-    [-R_k, R_k] with weights summing to 2 R_k.
+    ``extend_grid`` to each later one: the panel edges are chained once, and
+    each member is the ``Grid`` on its prefix of the chain.  A panel's nodes
+    and weights depend on its own two edges only, so each smaller grid is
+    bitwise the centred slice of every larger one, which
+    ``DiscretizedOperator.restrict`` relies on.
     """
     schedule = [float(R) for R in R_schedule]
     if not schedule:
@@ -232,14 +198,9 @@ def nested_grids(R_schedule, panels_per_side: int, grading: float = DEFAULT_GRAD
     chain = [half_line_breakpoints(schedule[0], panels_per_side, grading)]
     chain += [_extension_edges(R, R_new, extra_panels, float(grading))
               for R, R_new in zip(schedule, schedule[1:])]
-    largest = grid_from_breakpoints(np.concatenate(chain), grading, panel_order)
-    centre, order = largest.size // 2, largest.panel_order
-    grids = []
-    for R, edges in zip(schedule[:-1], np.cumsum([part.size for part in chain])):
-        block = slice(centre - (edges - 1) * order, centre + (edges - 1) * order)
-        grids.append(_trusted(Grid, R, largest.nodes[block], largest.weights[block],
-                              largest.grading, order, largest.breakpoints[:edges]))
-    return grids + [largest]
+    edges = np.concatenate(chain)
+    return [Grid(edges[:count], panel_order, grading)
+            for count in np.cumsum([part.size for part in chain])]
 
 
 def _trusted(cls, *values):

@@ -13,10 +13,10 @@ share one nonlinear power method (Boyd, "The power method for l_p norms",
 here only by ``assemble``, whose core carries every norm, sweep and
 test-function ratio, and by ``apply_operator``, (Kf)(x) at one point.
 
-Even kernels on mirrored grids are stored and normed as one quadrant.  The
-envelope and its cosine modulation are even in each variable, the scalings
-r and c depend only on |x| and the quadrature weights, and every graded
-grid is a bitwise mirror about 0.  The matrix is then [J; I] B [J, I], with
+Even kernels are stored and normed as one quadrant.  The envelope and its
+cosine modulation are even in each variable, the scalings r and c depend
+only on |x| and the quadrature weights, and every grid is a bitwise mirror
+about 0 by construction.  The matrix is then [J; I] B [J, I], with
 J the reversal and B its [0, R] x [0, R] quadrant, and its l^p1 -> l^p2 norm
 is exactly 2^(1/p2 + 1/q1) ||B||.  ``assemble`` evaluates the kernel on B
 only and the operator keeps B as its ``core`` (``mirrored`` is then true);
@@ -26,8 +26,8 @@ stop test compares each change with the value itself, so the factor cancels
 from it: the iteration count and, up to rounding, the value are those of
 the full matrix.  The full matrix is built from reversed copies of B only
 when ``.matrix`` is read, which only the benchmark's tracer does.  The
-alternating modulation, which is not even, and grids that are not bitwise
-mirrors keep the full matrix as the core.
+alternating modulation, which is not even, keeps the full matrix as the
+core.
 
 A norm starts from the all-ones vector unless it is given a start on the
 core's columns.  A sweep takes one nesting step per radius: ``restrict``
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
-from .grids import Grid, _trusted, fold, is_mirror, unfold
+from .grids import Grid, _trusted, fold, unfold
 from .kernels import KernelSpec, kernel_eval
 from .spaces import (SampledFunction, SpaceSpec, conjugate_exponent, weight_exponent,
                      weighted_norm)
@@ -207,13 +207,13 @@ def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
              grid: Grid) -> DiscretizedOperator:
     """Assemble the scaled Nystrom matrix diag(r) * K * diag(c) between two spaces.
 
-    An even kernel on a mirrored grid is evaluated on the lower-right
-    quadrant only, which becomes the operator's core (see the module
-    docstring); otherwise the core is the full matrix.  The kernel values
-    are scaled in place, so the core is the only block-sized array kept
-    (a modulated kernel needs one more while it is evaluated).
+    An even kernel is evaluated on the lower-right quadrant only, which
+    becomes the operator's core (see the module docstring); the alternating
+    modulation's core is the full matrix.  The kernel values are scaled in
+    place, so the core is the only block-sized array kept (a modulated
+    kernel needs one more while it is evaluated).
     """
-    h = grid.size // 2 if k.even and is_mirror(grid) else 0
+    h = grid.size // 2 if k.even else 0
     x, w = grid.nodes[h:], grid.weights[h:]
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports
         base = 1.0 + np.abs(x)

@@ -467,6 +467,10 @@ COSMOD_OVERFLOW_CORNER = ["corner", "--kernel1", "cosmod(2,1e308)", "--kernel2",
 RADIUS_OVERFLOW_OPNORM = OPNORM[:-1] + ["grid(1e308,4,1.3,4)"]
 RADIUS_OVERFLOW_NORM = ["norm", "--function", "gauss(1)", "--space", "H(-0.5)",
                         "--grid", "grid(1e308,4,1.3,4)"]
+# the sum of a panel's two edges overflows too, so the radius is checked first
+RADIUS_OVERFLOW_PANEL = OPNORM[:-1] + ["grid(1.7e308,4,1.3,4)"]
+RADIUS_OVERFLOW_SWEEP = ["sweep", "--query", "thm=1,s1=-0.25,s2=-0.25,kappa=1.5",
+                         "--r-schedule", "1e300,1.7e308"]
 # the power of the samples, and the product of a kernel row with them, overflow
 POWER_OVERFLOW_NORM = ["norm", "--function", "powerlaw(-40)", "--space", "H(-1)"]
 APPLY_OVERFLOW_GAUSS = ["apply", "--kernel", "envelope(-400)", "--function", "gauss(1)",
@@ -580,9 +584,14 @@ def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, conf
     (CORNER_GAUSS_NARROW, 1, "error: usage: gauss width 1e-300 out of range: "
                              "2 sigma^2 must be a finite positive normal float\n"),
     (GRID_OVERFLOW_OPNORM, 2, "error: numerical: non-finite operator entry at (80, 80)\n"),
+    (RADIUS_OVERFLOW_PANEL, 1,
+     "error: usage: truncation radius 1.7e+308 is too large: 2R overflows\n"),
+    (RADIUS_OVERFLOW_SWEEP, 1,
+     "error: usage: truncation radius 1.7e+308 is too large: 2R overflows\n"),
 ], ids=["opnorm-cosmod", "corner-cosmod", "opnorm-radius", "norm-radius", "norm-power",
         "apply-gauss", "apply-indicator", "corner-schur-overflow", "norm-gauss-wide",
-        "norm-gauss-narrow", "corner-gauss-wide", "corner-gauss-narrow", "opnorm-grid-overflow"])
+        "norm-gauss-narrow", "corner-gauss-wide", "corner-gauss-narrow", "opnorm-grid-overflow",
+        "opnorm-panel-overflow", "sweep-radius-overflow"])
 def test_overflow_prints_exactly_one_error_line(argv, code, stderr):
     # outside pytest's warning filters, where a numpy RuntimeWarning would print
     env = dict(os.environ, PYTHONPATH=str(Path(opnormlab.__file__).parents[1]))

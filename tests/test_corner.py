@@ -9,7 +9,6 @@ from opnormlab import (CornerSystem, DomainError, Grid, IllConditionedError, Ker
                        NumericalError, SpaceSpec, build_grid, coupling_blocks,
                        kernel_eval, manufactured_case, parse_kernel, sample,
                        sample_spec, solve_corner, weighted_norm)
-from opnormlab.grids import is_mirror
 
 from _dense import stacked_corner_matrix
 
@@ -186,9 +185,11 @@ def test_singular_system_rejected():
 
 
 def test_exact_zero_pivot_rejected_without_a_warning():
-    # one node per side: S = 1 - (2 R1)(2 R2) = 0 exactly
-    grid = Grid(R=0.5, nodes=[-0.25, 0.25], weights=[0.5, 0.5], grading=1.0,
-                panel_order=2, breakpoints=[0.0, 0.5])
+    # one panel [0, 0.5] of order 2: four nodes of weight 1/4, so on the half
+    # path B1 = B2 = 2 Q = (1/2) 11^T and S = I - (1/2) 11^T, whose second
+    # pivot is 1/2 - 1/2 = 0 exactly
+    grid = Grid([0.0, 0.5], 2)
+    assert np.array_equal(grid.weights, np.full(4, 0.25))
     k = KernelSpec(kappa=0.0)
     system = CornerSystem(k, k, sample_spec(grid, "gauss(1)"),
                           sample_spec(grid, "gauss(1)"), SPACE)
@@ -198,20 +199,19 @@ def test_exact_zero_pivot_rejected_without_a_warning():
 
 
 def test_singular_system_rejected_on_the_full_path():
-    # the same singular system as above, with one node moved one ulp off its
-    # mirror image: the constant kernels ignore the nodes, but the solve takes
-    # the full path
+    # altmod(0) scaled by c on one grid gives A1 = A2 = c A with A_ij =
+    # w_j sign(sin(x_i + x_j)); A = Sigma W with Sigma symmetric, so its
+    # eigenvalues are real, and c = 1 / |lambda| for the largest of them
+    # makes I - A1 A2 singular.  altmod takes the full path
     grid = build_grid(0.5, 4, 1.3, 6)
-    nodes = grid.nodes.copy()
-    nodes[0] = np.nextafter(nodes[0], 0.0)
-    moved = Grid(R=grid.R, nodes=nodes, weights=grid.weights, grading=grid.grading,
-                 panel_order=grid.panel_order, breakpoints=grid.breakpoints)
-    k = KernelSpec(kappa=0.0)
-    system = CornerSystem(k, k, sample_spec(moved, "gauss(1)"),
-                          sample_spec(moved, "gauss(1)"), SPACE)
-    assert not is_mirror(moved)
+    unit = KernelSpec(kappa=0.0, modulation="alternating")
+    a, _ = coupling_blocks(unit, unit, grid, grid)
+    largest = float(np.max(np.abs(np.linalg.eigvals(a))))
+    k = KernelSpec(kappa=0.0, c_upper=1.0 / largest, modulation="alternating")
+    system = CornerSystem(k, k, sample_spec(grid, "gauss(1)"),
+                          sample_spec(grid, "gauss(1)"), SPACE)
     with pytest.raises(IllConditionedError) as err:
-        solve_corner(system, moved, moved)
+        solve_corner(system, grid, grid)
     assert err.value.estimate >= 1e12
 
 
@@ -295,20 +295,11 @@ def test_space_validation():
                      SpaceSpec.hsp(-0.25, 3.0))
 
 
-def _unmirrored(grid: Grid) -> Grid:
-    """The grid with one weight moved off its mirror image by a relative 1e-12."""
-    weights = grid.weights.copy()
-    weights[0] *= 1.0 + 1e-12
-    return Grid(R=grid.R, nodes=grid.nodes, weights=weights, grading=grid.grading,
-                panel_order=grid.panel_order, breakpoints=grid.breakpoints)
-
-
 PAIRS = [("envelope(2)", "envelope(2.5)"), ("cosmod(2,1.5)", "envelope(1.5)"),
          ("cosmod(2.5,3)", "cosmod(2,0.5)"), ("altmod(2)", "envelope(2)"),
          ("envelope(2)", "altmod(2.5)"), ("altmod(2)", "altmod(1.5)")]
 GRID_PAIRS = {"equal": lambda: grids(8, 8), "larger-first": lambda: grids(8, 6),
-              "larger-second": lambda: grids(5, 9),
-              "unmirrored": lambda: (grids()[0], _unmirrored(grids()[1]))}
+              "larger-second": lambda: grids(5, 9)}
 
 
 @pytest.mark.parametrize("grid_pair", GRID_PAIRS)
@@ -325,7 +316,7 @@ def test_solve_matches_dense_reference(monkeypatch, specs, grid_pair):
                         lambda matrix: sizes.append(matrix.shape) or real(matrix))
     solution = solve_corner(system, grid1, grid2)
     n1, n2 = grid1.size, grid2.size
-    halved = k1.even and k2.even and grid_pair != "unmirrored"
+    halved = k1.even and k2.even
     # the Schur complement lives on the smaller unknown of the system solved
     schur_size = min(n1, n2) // 2 if halved else min(n1, n2)
     assert sizes == [(schur_size, schur_size)]
@@ -357,7 +348,7 @@ def test_odd_data_pass_through(specs):
     assert np.array_equal(solution.d.values, f.values)
 
 
-@pytest.mark.parametrize("grid_pair", ["larger-first", "larger-second", "unmirrored"])
+@pytest.mark.parametrize("grid_pair", ["larger-first", "larger-second"])
 @pytest.mark.parametrize("specs", [PAIRS[1], PAIRS[3]])
 def test_kernel_entries_per_solve(monkeypatch, specs, grid_pair):
     # the solve and the residuals each evaluate the quadrants on the half
@@ -377,7 +368,7 @@ def test_kernel_entries_per_solve(monkeypatch, specs, grid_pair):
     monkeypatch.setattr(opnormlab.corner, "kernel_eval", counting)
     solve_corner(system, grid1, grid2)
     n1, n2 = grid1.size, grid2.size
-    halved = k1.even and k2.even and grid_pair != "unmirrored"
+    halved = k1.even and k2.even
     solve_entries = 2 * (n1 // 2) * (n2 // 2) if halved else 2 * n1 * n2
     assert sum(entries) == 2 * solve_entries
 

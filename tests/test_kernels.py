@@ -4,7 +4,7 @@ import pytest
 from scipy.integrate import quad
 
 from opnormlab import (DivergenceError, DomainError, Grid, KernelSpec, SpaceSpec, assemble,
-                       build_grid, grid_from_breakpoints, integrate, kernel_eval,
+                       build_grid, integrate, kernel_eval,
                        majorant_integral, parse_kernel, tail_bound)
 
 from _dense import full_matrix
@@ -95,10 +95,10 @@ def test_kernel_validation():
 # (1+|x_i|)^(w2/p2) * K(x_i, y_j) * (1+|y_j|)^(-w1/p1).
 
 def unit_weight_grid(m: int) -> Grid:
-    # nodes +-1, ..., +-m, each carrying weight 1
-    nodes = np.concatenate([-np.arange(m, 0, -1.0), np.arange(1.0, m + 1)])
-    return Grid(R=float(m), nodes=nodes, weights=np.ones(2 * m), grading=1.0,
-                panel_order=2, breakpoints=np.arange(m + 1.0))
+    # m panels of width 2 on each side, two Gauss nodes of weight 1 on each
+    grid = Grid(np.arange(0.0, 2 * m + 1, 2.0), 2)
+    assert np.array_equal(grid.weights, np.ones(4 * m))
+    return grid
 
 
 def scaled_entries(x_power: float, y_power: float, k: KernelSpec, grid: Grid) -> np.ndarray:
@@ -139,8 +139,7 @@ def test_flatten_weights_pointwise_product():
     k = KernelSpec(kappa=1.3, c_upper=0.7)
     source = SpaceSpec.hsp(-0.8, 3.0)
     target = SpaceSpec.hps(2.5, 0.4)
-    grid = grid_from_breakpoints(np.concatenate([[0.0], np.cumsum(rng.uniform(1, 20, 10))]),
-                                 panel_order=3)
+    grid = Grid(np.concatenate([[0.0], np.cumsum(rng.uniform(1, 20, 10))]), 3)
     op = assemble(k, source, target, grid)
     # rows: w^(1/p2) (1+|x|)^(2*s2/p2); columns: w^(1/q1) (1+|y|)^(-s1)
     rows = grid.weights ** (1 / 2.5) * (1 + np.abs(grid.nodes)) ** (0.8 / 2.5)

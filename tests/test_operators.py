@@ -21,43 +21,44 @@ from opnormlab.spaces import conjugate_exponent, weight_exponent
 from _dense import full_matrix
 
 
-def single_node_grid(weight: float = 2.0) -> Grid:
-    # one node at the origin carrying the full measure of [-R, R]
-    R = weight / 2.0
-    return Grid(R=R, nodes=np.array([0.0]), weights=np.array([weight]),
-                grading=1.0, panel_order=2, breakpoints=np.array([0.0, R]))
-
-
 def pair_grid() -> Grid:
-    # nodes at -1 and 1 with unit weights
-    return Grid(R=1.0, nodes=np.array([-1.0, 1.0]), weights=np.array([1.0, 1.0]),
-                grading=1.0, panel_order=2, breakpoints=np.array([0.0, 1.0]))
+    # one panel [0, 2] of order 2: nodes -+(1 -+ 1/sqrt(3)), each of weight 1
+    grid = Grid([0.0, 2.0], 2)
+    assert np.array_equal(grid.weights, np.ones(4))
+    return grid
 
 
 def test_assemble_single_entry():
-    grid = single_node_grid(weight=2.0)
+    # one panel [0, 4] of order 2: nodes -+(2 -+ 2/sqrt(3)), each of weight 2
+    grid = Grid([0.0, 4.0], 2)
+    assert np.array_equal(grid.weights, np.full(4, 2.0))
+    x = float(grid.nodes[2])  # the inner positive node
+    assert x == pytest.approx(2.0 - 2.0 / np.sqrt(3.0), rel=1e-15)
     space = SpaceSpec.hsp(0.0, 4.0)
     op = assemble(KernelSpec(kappa=2.0), space, space, grid)
     q1 = 4.0 / 3.0
-    assert full_matrix(op).shape == (1, 1)
-    assert full_matrix(op)[0, 0] == pytest.approx(2.0 ** (1 / 4.0) * 1.0 * 2.0 ** (1 / q1),
-                                                  rel=1e-15)
+    assert full_matrix(op).shape == (4, 4)
+    assert full_matrix(op)[2, 2] == pytest.approx(
+        2.0 ** (1 / 4.0) * (1.0 + 2.0 * x) ** -2.0 * 2.0 ** (1 / q1), rel=1e-15)
 
 
 def test_assemble_flattened_entry():
     grid = pair_grid()
-    # entry at x = 1, y = 1 with unit weights:
-    # (1+1)^(w2/p2) * c * (1+2)^-2 * (1+1)^(-w1/p1)
+    x = float(grid.nodes[3])  # the outer positive node
+    assert x == pytest.approx(1.0 + 1.0 / np.sqrt(3.0), rel=1e-15)
+    # entry at x = y = 1 + 1/sqrt(3) with unit weights:
+    # (1+x)^(w2/p2) * c * (1+2x)^-2 * (1+x)^(-w1/p1)
+    kernel = (1.0 + 2.0 * x) ** -2.0
     cases = (
-        (KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(0.0), 2.0 / 9.0),
+        (KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(0.0), kernel * (1.0 + x)),
         (KernelSpec(kappa=2.0, c_upper=0.5), SpaceSpec.h(0.0),
-         SpaceSpec.h(0.0), 0.5 / 9.0),
+         SpaceSpec.h(0.0), 0.5 * kernel),
         (KernelSpec(kappa=2.0), SpaceSpec.hsp(-0.5, 4.0), SpaceSpec.hps(3.0, 0.5),
-         2.0 ** (1 / 3) / 9.0 * 2.0 ** 0.5),
+         (1.0 + x) ** (1 / 3) * kernel * (1.0 + x) ** 0.5),
     )
     for k, source, target, expected in cases:
         op = assemble(k, source, target, grid)
-        assert full_matrix(op)[1, 1] == pytest.approx(expected, rel=1e-15)
+        assert full_matrix(op)[3, 3] == pytest.approx(expected, rel=1e-15)
 
 
 def test_assemble_peak_memory():
@@ -89,28 +90,21 @@ def test_assemble_mirrored_peak_memory():
 
 
 def test_assemble_full_path_peak_memory():
-    # graded nodes with two weights swapped: not a bitwise mirror, so the
-    # full matrix is assembled.  The envelope keeps one n x n array alive
-    # (kernel values, scaled in place); a modulation adds its factor as a
-    # second
+    # altmod is not even, so the full matrix is assembled: the kernel
+    # values, scaled in place, and the sign factor of the modulation are
+    # the two n x n arrays alive at once
     grid = build_grid(640.0, 82, 1.3, 8)
-    weights = grid.weights.copy()
-    weights[[0, 1]] = weights[[1, 0]]
-    grid = Grid(R=grid.R, nodes=grid.nodes, weights=weights, grading=grid.grading,
-                panel_order=grid.panel_order, breakpoints=grid.breakpoints)
     n = grid.size
     assert n == 1312
-    for kernel, bound in ((KernelSpec(kappa=1.5), 1.25), (COSMOD, 2.25),
-                          (KernelSpec(kappa=1.5, modulation="alternating"), 2.25)):
-        tracemalloc.start()
-        try:
-            op = assemble(kernel, SpaceSpec.hps(4.0, -0.5), SpaceSpec.hps(2.0, 0.25), grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not op.mirrored
-        assert peak < bound * n * n * 8, kernel
-        del op
+    tracemalloc.start()
+    try:
+        op = assemble(KernelSpec(kappa=1.5, modulation="alternating"),
+                      SpaceSpec.hps(4.0, -0.5), SpaceSpec.hps(2.0, 0.25), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not op.mirrored
+    assert peak < 2.25 * n * n * 8
 
 
 @pytest.mark.parametrize("kernel, bound", [
@@ -121,9 +115,9 @@ def test_assemble_full_path_peak_memory():
 def test_assemble_allocates_one_block(kernel, bound):
     # kernel_eval returns one fresh array, a modulation adds one scratch
     # array of the same size, and assemble scales the result in place: 1 or
-    # 2 blocks, plus 0.25 of a block for the O(n) vectors (scalings, mirror
-    # test).  The core is the quadrant for the even kernels, the full matrix
-    # for altmod
+    # 2 blocks, plus 0.25 of a block for the O(n) vectors (the scalings).
+    # The core is the quadrant for the even kernels, the full matrix for
+    # altmod
     grid = build_grid(640.0, 50, 1.3, 8)
     assert grid.size == 800
     tracemalloc.start()
@@ -155,10 +149,17 @@ def test_assemble_overflow_names_entry():
         assemble(KernelSpec(kappa=-400.0), SpaceSpec.h(0.0), SpaceSpec.h(0.0), grid)
 
 
+def two_entry_matrix(value: float) -> np.ndarray:
+    # a 4 x 4 matrix for pair_grid() whose first row starts with two ``value``s
+    matrix = np.zeros((4, 4))
+    matrix[0, :2] = value
+    return matrix
+
+
 def test_finite_entries_with_overflowing_sum_accepted():
     space = SpaceSpec.h(0.0)
-    op = DiscretizedOperator(np.array([[1e308, 1e308], [0.0, 0.0]]), space, space, pair_grid())
-    assert np.array_equal(full_matrix(op), [[1e308, 1e308], [0.0, 0.0]])
+    op = DiscretizedOperator(two_entry_matrix(1e308), space, space, pair_grid())
+    assert np.array_equal(full_matrix(op), two_entry_matrix(1e308))
 
 
 def test_constructor_rejects_shape_mismatch():
@@ -562,19 +563,20 @@ def test_empirical_ratio_requires_the_source_grid():
 
 
 def test_empirical_ratio_rescales_an_overflowing_power_sum():
-    # the image 2e200 is finite, its fourth power is not
-    op = DiscretizedOperator(np.array([[1e200, 1e200], [0.0, 0.0]]), SpaceSpec.h(0.0),
+    # the image 2e200 is finite, its fourth power is not; ||1|| = 2 on four
+    # unit weights
+    op = DiscretizedOperator(two_entry_matrix(1e200), SpaceSpec.h(0.0),
                              SpaceSpec.hps(4.0, 0.0), pair_grid())
-    f = sample(pair_grid(), np.ones(2))
-    assert empirical_ratio(op, f) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    f = sample(pair_grid(), np.ones(4))
+    assert empirical_ratio(op, f) == pytest.approx(1e200, rel=1e-15)
 
 
 def test_empirical_ratio_overflowing_image_is_a_numerical_error():
     # every entry and the source norm are finite, the image 2e308 is not
-    op = DiscretizedOperator(np.array([[1e308, 1e308], [0.0, 0.0]]), SpaceSpec.h(0.0),
+    op = DiscretizedOperator(two_entry_matrix(1e308), SpaceSpec.h(0.0),
                              SpaceSpec.h(0.0), pair_grid())
     with pytest.raises(NumericalError, match="not finite"):
-        empirical_ratio(op, sample(pair_grid(), np.ones(2)))
+        empirical_ratio(op, sample(pair_grid(), np.ones(4)))
 
 
 class _KernelEvalCalls(ast.NodeVisitor):
@@ -703,27 +705,18 @@ def test_mirrored_restriction_keeps_the_quadrant_path():
         assert got.iterations == want.iterations
 
 
-def odd_grid() -> Grid:
-    # Gauss-Legendre order 5 on [-1, 1]: a node at 0, so no even split
-    nodes, weights = np.polynomial.legendre.leggauss(5)
-    return Grid(R=1.0, nodes=nodes, weights=weights, grading=1.0, panel_order=5,
-                breakpoints=np.array([0.0, 1.0]))
-
-
-def lopsided_grid() -> Grid:
-    # mirrored nodes, weights that are not a palindrome
-    return Grid(R=2.0, nodes=np.array([-1.5, -0.5, 0.5, 1.5]),
-                weights=np.array([0.9, 1.1, 1.0, 1.0]), grading=1.0, panel_order=2,
-                breakpoints=np.array([0.0, 2.0]))
+ALTMOD = KernelSpec(kappa=2.0, modulation="alternating")
 
 
 @pytest.mark.parametrize("kernel, grid", [
-    (KernelSpec(kappa=2.0, modulation="alternating"), NESTED[1]),
-    (KernelSpec(kappa=2.0), odd_grid()),
-    (KernelSpec(kappa=2.0), lopsided_grid()),
-    (COSMOD, lopsided_grid()),
+    (ALTMOD, NESTED[1]),
+    (ALTMOD, pair_grid()),
+    (KernelSpec(kappa=1.5, c_upper=0.5, modulation="alternating"),
+     Grid([0.0, 0.5, 1.0, 2.0, 4.0], 5)),
+    (KernelSpec(kappa=3.0, modulation="alternating"), build_grid(7.0, 5, 1.7, 3)),
 ])
 def test_full_path_when_not_mirror_symmetric(kernel, grid):
+    # the alternating modulation is not even: its core is the full matrix
     source, target = SpaceSpec.hsp(-0.5, 3.0), SpaceSpec.hsp(-0.25, 1.5)
     op = assemble(kernel, source, target, grid)
     assert not op.mirrored and op.core is op.matrix
@@ -779,14 +772,10 @@ def test_zero_padded_maximizer_reaches_the_smaller_value_at_once(kernel):
     assert first.value >= small.value * (1.0 - 1e-14)
 
 
-def lopsided_family() -> tuple[Grid, Grid]:
-    # lopsided_grid() as the centred slice of a larger grid that is not a
-    # mirror either: the core is the full matrix, with new rows at both ends
-    small = lopsided_grid()
-    large = Grid(R=3.0, nodes=np.concatenate([[-2.5], small.nodes, [2.5]]),
-                 weights=np.concatenate([[1.2], small.weights, [0.8]]), grading=1.0,
-                 panel_order=2, breakpoints=np.array([0.0, 3.0]))
-    return small, large
+def edge_family() -> tuple[Grid, Grid]:
+    # pair_grid() as the centred slice of a grid with one more panel [2, 3]:
+    # an altmod core is the full matrix, with new rows at both ends
+    return pair_grid(), Grid([0.0, 2.0, 3.0], 2)
 
 
 def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
@@ -797,13 +786,13 @@ def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
     (KernelSpec(kappa=2.0), NESTED[0], NESTED[-1]),
     (COSMOD, NESTED[0], NESTED[-1]),
     (KernelSpec(kappa=2.0, modulation="alternating"), NESTED[0], NESTED[-1]),
-    (KernelSpec(kappa=2.0), *lopsided_family()),
-], ids=["envelope", "cosmod", "altmod", "lopsided"])
+    (ALTMOD, *edge_family()),
+], ids=["envelope", "cosmod", "altmod", "altmod-edges"])
 def test_padded_image_is_handed_to_the_power_method_as_core_times_start(
         monkeypatch, kernel, small, large):
     source, target = SPACE_PAIRS[4]  # hsp 3 -> 2
     full = assemble(kernel, source, target, large)
-    assert full.mirrored == (kernel.even and large is NESTED[-1])
+    assert full.mirrored == kernel.even
     block = full.restrict(small)
     estimate = operator_norm_pq(block)
     assert relative_gap(estimate.image, block.core @ estimate.maximizer) <= 1e-14
@@ -838,7 +827,7 @@ def test_warm_start_rejects_a_grid_outside_the_family_and_a_wrong_length(kernel)
     estimate = operator_norm_pq(full.restrict(NESTED[0]))
     other = build_grid(10.0, 6, 1.5, 4)  # same size as NESTED[0], other grading
     assert other.size == NESTED[0].size
-    for grid in (other, lopsided_grid()):
+    for grid in (other, pair_grid()):
         with pytest.raises(DomainError, match="centred slice"):
             full.warm_start(estimate, grid)
     short = (estimate.maximizer[1:], estimate.image), (estimate.maximizer, estimate.image[1:])
