@@ -19,7 +19,7 @@ from .corner import (CornerSolution, CornerSystem, coupling_blocks, manufactured
                      solve_corner)
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      IllConditionedError, NumericalError, PlanError)
-from .grids import Grid, build_grid, extend_grid, integrate, nested_grids, parse_grid
+from .grids import Grid, build_grid, integrate, nested_grids, parse_grid
 from .kernels import KernelSpec, kernel_eval, parse_kernel
 from .operators import (DiscretizedOperator, PqNormEstimate, apply_operator, assemble,
                         empirical_ratio, largest_singular_value, matrix_pq_norm,

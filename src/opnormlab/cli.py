@@ -157,7 +157,7 @@ def build_parser() -> _Parser:
                    help="e.g. thm=1,s1=-0.25,s2=-0.25,kappa=1.5[,p1=2,p2=2]; repeatable")
     p.add_argument("--kernel", help="kernel for all queries (default: envelope per query kappa)")
     p.add_argument("--r-schedule", type=_schedule,
-                   help="comma-separated radii, fixed multiple apart (default "
+                   help="comma-separated strictly increasing radii (default "
                         + ",".join(f"{R:g}" for R in DEFAULT_R_SCHEDULE) + ")")
     p.add_argument("--panels", dest="panels_per_side", metavar="PANELS", type=int,
                    help="base panels per side")

@@ -2,11 +2,12 @@
 
 The integrands of interest are smooth power laws, so a mesh is built from
 panels that grow geometrically away from the origin, each carrying a
-fixed-order Gauss-Legendre rule.  A grid is built from its panel edges on
-[0, R] alone and mirrored, so every grid is a bitwise mirror about zero.
-Extending a mesh outward reuses its panel breakpoints, which keeps node
-sets nested across truncation radii; truncation studies rely on that
-nesting.
+fixed-order Gauss-Legendre rule.  A grid is its panel edges on [0, R] and
+its panel order; it is mirrored, so every grid is a bitwise mirror about
+zero.  Grids grow one way: ``nested_grids`` chains the edges of a whole
+truncation schedule, so each member reuses the breakpoints of the smaller
+ones and the node sets nest; truncation studies rely on that nesting, and
+``build_grid`` is the family of one radius.
 """
 from __future__ import annotations
 
@@ -39,15 +40,13 @@ class Grid:
     mirror image of the positive one, so the grid is a bitwise mirror: an
     even number of nodes, ``nodes[:h] == -nodes[h:][::-1]`` and palindromic
     weights.  The weights integrate the constant function exactly, so they
-    sum to 2R.  ``grading`` (>= 1) is the growth ratio ``extend_grid`` gives
-    new panels; it does not enter the nodes.  Pass edges that align with
-    features of the integrand (e.g. the endpoints of an indicator function)
-    to keep them out of every panel's interior.
+    sum to 2R.  Pass edges that align with features of the integrand (e.g.
+    the endpoints of an indicator function) to keep them out of every
+    panel's interior.
     """
 
     breakpoints: np.ndarray
     panel_order: int = DEFAULT_PANEL_ORDER
-    grading: float = 1.0
     nodes: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
 
@@ -63,15 +62,12 @@ class Grid:
         if not math.isfinite(2.0 * R):  # a Python float overflows without a warning
             raise DomainError(f"truncation radius {R!r} is too large: 2R overflows")
         order = _whole(self.panel_order, 2, "panel order")
-        if not (1 <= self.grading < np.inf):
-            raise DomainError("panel grading must be finite and >= 1")
         pos_nodes, pos_weights = _panel_rule(edges, order)
         nodes = np.concatenate([-pos_nodes[::-1], pos_nodes])
         weights = np.concatenate([pos_weights[::-1], pos_weights])
         nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "breakpoints", edges)
         object.__setattr__(self, "panel_order", order)
-        object.__setattr__(self, "grading", float(self.grading))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -125,8 +121,16 @@ def _whole(value, least: int, what: str) -> int:
 def _geometric_fill(lo: float, hi: float, panels: int, grading: float) -> np.ndarray:
     """Right edges of m = ``panels`` panels of ratio g = ``grading`` filling (lo, hi].
 
-    The first panel has width (hi-lo)(g-1)/(g^m - 1); g = 1 is uniform.
+    ``hi`` must be finite and above ``lo``, m a whole number >= 1 and g
+    finite and >= 1.  The first panel has width (hi-lo)(g-1)/(g^m - 1);
+    g = 1 is uniform.
     """
+    if not (math.isfinite(hi) and hi > lo):  # a NaN fails this
+        raise DomainError(f"truncation radius {hi!r} must be finite and above {lo!r}")
+    panels = _whole(panels, 1, "panel count")
+    grading = float(grading)
+    if not (1 <= grading < np.inf):
+        raise DomainError("panel grading must be finite and >= 1")
     span = hi - lo
     if grading == 1.0:
         first = span / panels
@@ -141,66 +145,32 @@ def _geometric_fill(lo: float, hi: float, panels: int, grading: float) -> np.nda
     return edges
 
 
-def half_line_breakpoints(R: float, panels: int, grading: float) -> np.ndarray:
-    """Geometric panel edges on [0, R] with growth ratio ``grading``."""
-    if not (np.isfinite(R) and R > 0):
-        raise DomainError("truncation radius must be positive and finite")
-    panels = _whole(panels, 1, "panels per side")
-    if not (1 <= grading < np.inf):
-        raise DomainError("panel grading must be finite and >= 1")
-    return np.concatenate([[0.0], _geometric_fill(0.0, R, panels, grading)])
-
-
 def build_grid(R: float, panels_per_side: int, grading: float = DEFAULT_GRADING,
                panel_order: int = DEFAULT_PANEL_ORDER) -> Grid:
-    """Graded Gauss-Legendre mesh on [-R, R]."""
-    edges = half_line_breakpoints(R, panels_per_side, grading)
-    return Grid(edges, panel_order, grading)
-
-
-def extend_grid(grid: Grid, R_new: float, extra_panels: int = 2) -> Grid:
-    """Enlarge a grid to [-R_new, R_new], reusing all existing breakpoints.
-
-    The annulus (R, R_new] gets ``extra_panels`` new geometric panels with
-    the grid's own growth ratio.  Because the inner breakpoints are reused
-    verbatim, the inner nodes and weights of the result coincide bitwise
-    with the original grid's: the grids nest.
-    """
-    edges = np.concatenate([grid.breakpoints,
-                            _extension_edges(grid.R, R_new, extra_panels, grid.grading)])
-    return Grid(edges, grid.panel_order, grid.grading)
-
-
-def _extension_edges(R: float, R_new: float, extra_panels: int, grading: float) -> np.ndarray:
-    """The panel edges ``extend_grid`` adds on (R, R_new]."""
-    if not (np.isfinite(R_new) and R_new > R):
-        raise DomainError("extension radius must exceed the current radius")
-    extra_panels = _whole(extra_panels, 1, "extension panels")
-    return _geometric_fill(R, R_new, extra_panels, grading)
+    """Graded Gauss-Legendre mesh on [-R, R]: the one-radius nested family."""
+    return nested_grids((R,), panels_per_side, grading, panel_order)[0]
 
 
 def nested_grids(R_schedule, panels_per_side: int, grading: float = DEFAULT_GRADING,
                  panel_order: int = DEFAULT_PANEL_ORDER, extra_panels: int = 2) -> list[Grid]:
-    """Nested grid family over an increasing truncation schedule.
+    """Nested grid family over a strictly increasing truncation schedule.
 
-    The members are, bitwise, ``build_grid`` at the first radius followed by
-    ``extend_grid`` to each later one: the panel edges are chained once, and
-    each member is the ``Grid`` on its prefix of the chain.  A panel's nodes
-    and weights depend on its own two edges only, so each smaller grid is
-    bitwise the centred slice of every larger one, which
+    The panel edges are chained once: ``panels_per_side`` geometric panels
+    fill [0, R_0], and each annulus (R_{i-1}, R_i] gets ``extra_panels`` more
+    of the same ratio (``_geometric_fill`` checks each radius against the one
+    before it).  Each member is the ``Grid`` on its prefix of the chain.  A panel's nodes and weights depend on its own two edges only, so
+    each smaller grid is bitwise the centred slice of every larger one, which
     ``DiscretizedOperator.restrict`` relies on.
     """
     schedule = [float(R) for R in R_schedule]
     if not schedule:
         raise DomainError("empty truncation schedule")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError("truncation schedule must be strictly increasing")
-    chain = [half_line_breakpoints(schedule[0], panels_per_side, grading)]
-    chain += [_extension_edges(R, R_new, extra_panels, float(grading))
-              for R, R_new in zip(schedule, schedule[1:])]
+    counts = [panels_per_side] + [extra_panels] * (len(schedule) - 1)
+    chain = [np.zeros(1)] + [_geometric_fill(lo, hi, panels, grading)
+                             for lo, hi, panels in zip([0.0] + schedule, schedule, counts)]
     edges = np.concatenate(chain)
-    return [Grid(edges[:count], panel_order, grading)
-            for count in np.cumsum([part.size for part in chain])]
+    return [Grid(edges[:count], panel_order)
+            for count in np.cumsum([part.size for part in chain])[1:]]
 
 
 def _trusted(cls, *values):

@@ -24,7 +24,8 @@ class KernelSpec:
     """Kernel family with decay exponent kappa and envelope constant c_upper.
 
     ``c_upper`` = 0 denotes the degenerate zero kernel, which the
-    coupled-system solver accepts as a decoupled case.
+    coupled-system solver accepts as a decoupled case.  ``omega`` is the
+    frequency of the cosine modulation and must be 0 for the others.
     """
 
     kappa: float
@@ -41,6 +42,8 @@ class KernelSpec:
             raise DomainError(f"unknown modulation {self.modulation!r}")
         if self.modulation == "cosine" and not math.isfinite(self.omega):
             raise DomainError("cosine modulation needs a finite frequency")
+        if self.modulation != "cosine" and self.omega != 0.0:  # NaN fails too
+            raise DomainError(f"frequency omega = {self.omega!r} needs cosine modulation")
 
     @property
     def even(self) -> bool:

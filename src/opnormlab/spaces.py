@@ -111,15 +111,28 @@ def sample(grid: Grid, f) -> SampledFunction:
 
 
 def weighted_norm(f: SampledFunction, space: SpaceSpec) -> float:
-    """Grid approximation of (integral |f|^p (1+|x|)^w dx)^(1/p)."""
-    w = weight_exponent(space)
-    x = f.grid.nodes
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total raises
-        integrand = np.abs(f.values) ** space.p * (1.0 + np.abs(x)) ** w
-        total = float(np.dot(f.grid.weights, integrand))
-    if not math.isfinite(total):
+    """Grid approximation of (integral |f|^p (1+|x|)^w dx)^(1/p).
+
+    Where the quadrature sum overflows, or underflows below the normal
+    range, for a nonzero f, it is taken once more on f / max|f|: the norm is
+    homogeneous of degree 1.  A norm that is not finite even then (an
+    overflowing weight factor, or a norm past the largest float) raises
+    NumericalError.
+    """
+    scale, total = 1.0, _weighted_power_sum(f.values, f.grid, space)
+    if not sys.float_info.min <= total < math.inf and (peak := np.max(np.abs(f.values))) > 0:
+        scale, total = float(peak), _weighted_power_sum(f.values / peak, f.grid, space)
+    norm = scale * total ** (1.0 / space.p)  # inf or NaN stays so, without an exception
+    if not math.isfinite(norm):
         raise NumericalError("weighted norm integrand overflowed")
-    return total ** (1.0 / space.p)
+    return norm
+
+
+def _weighted_power_sum(values: np.ndarray, grid: Grid, space: SpaceSpec) -> float:
+    """Quadrature sum of |values|^p (1+|x|)^w, possibly inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):  # weighted_norm raises on those
+        integrand = np.abs(values) ** space.p * (1.0 + np.abs(grid.nodes)) ** weight_exponent(space)
+        return float(np.dot(grid.weights, integrand))
 
 
 # --- function mini-language ---------------------------------------------

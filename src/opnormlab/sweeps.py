@@ -60,8 +60,8 @@ class SweepPlan:
     """Queries, kernel and truncation schedule of one sweep.
 
     ``kernel`` = None means each query runs against the pure envelope
-    kernel with its own decay exponent.  Schedule radii must grow by a
-    fixed multiple so the grids nest along a single geometric progression.
+    kernel with its own decay exponent.  Schedule radii must be positive,
+    finite and strictly increasing; any such schedule nests its grids.
     """
 
     queries: tuple[BoundednessQuery, ...]
@@ -79,9 +79,6 @@ class SweepPlan:
             raise PlanError("schedule radii must be positive and finite")
         if any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise PlanError("truncation schedule must be strictly increasing")
-        ratios = [b / a for a, b in zip(schedule, schedule[1:])]
-        if ratios and any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
-            raise PlanError("schedule radii must grow by a fixed multiple")
         final = self.grid.final_node_count(len(schedule))
         if final > self.grid.max_nodes:
             raise PlanError(

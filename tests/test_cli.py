@@ -8,13 +8,15 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import opnormlab
 import opnormlab.cli
+import opnormlab.sweeps
 from opnormlab.cli import RunConfig, build_parser, run_cli
 from opnormlab.errors import DomainError
-from opnormlab.grids import parse_grid
+from opnormlab.grids import build_grid, parse_grid
 from opnormlab.operators import POWER_MAX_ITER, POWER_TOL
 from opnormlab.sweeps import GridPolicy
 
@@ -295,7 +297,9 @@ def test_runconfig_defaults_match_library():
     for field in fields(GridPolicy):
         assert getattr(config, field.name) == getattr(policy, field.name)
     grid = parse_grid(config.grid)
-    assert (grid.grading, grid.panel_order) == (policy.grading, policy.panel_order)
+    want = build_grid(grid.R, grid.panels_per_side, policy.grading, policy.panel_order)
+    assert np.array_equal(grid.breakpoints, want.breakpoints)
+    assert grid.panel_order == policy.panel_order
     assert (config.power_tol, config.power_max_iter) == (POWER_TOL, POWER_MAX_ITER)
 
 
@@ -471,8 +475,8 @@ RADIUS_OVERFLOW_NORM = ["norm", "--function", "gauss(1)", "--space", "H(-0.5)",
 RADIUS_OVERFLOW_PANEL = OPNORM[:-1] + ["grid(1.7e308,4,1.3,4)"]
 RADIUS_OVERFLOW_SWEEP = ["sweep", "--query", "thm=1,s1=-0.25,s2=-0.25,kappa=1.5",
                          "--r-schedule", "1e300,1.7e308"]
-# the power of the samples, and the product of a kernel row with them, overflow
-POWER_OVERFLOW_NORM = ["norm", "--function", "powerlaw(-40)", "--space", "H(-1)"]
+# the norm of the samples (about 1e321), and the product of a kernel row with them, overflow
+POWER_OVERFLOW_NORM = ["norm", "--function", "powerlaw(-70)", "--space", "H(10)"]
 APPLY_OVERFLOW_GAUSS = ["apply", "--kernel", "envelope(-400)", "--function", "gauss(1)",
                         "--x", "0.5"]
 APPLY_OVERFLOW_INDICATOR = ["apply", "--kernel", "envelope(-100)", "--function",
@@ -598,3 +602,35 @@ def test_overflow_prints_exactly_one_error_line(argv, code, stderr):
     result = subprocess.run([sys.executable, "-m", "opnormlab", *argv], env=env,
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (code, "", stderr)
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    # replaces module.name by a wrapper that records each call, as a tracer does
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_sweep_builds_its_grids_through_the_sweeps_module(monkeypatch, tmp_path):
+    # a tracer that wraps opnormlab.sweeps.nested_grids sees every grid a sweep builds
+    calls = _count_calls(monkeypatch, opnormlab.sweeps, "nested_grids")
+    assert run_cli(["sweep", "--query", QUERY, "--r-schedule", "10,40", "--panels", "4",
+                    "--order", "4", "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(calls) == 1 and calls[0][0] == (10.0, 40.0)
+
+
+@pytest.mark.parametrize("argv", [
+    OPNORM, ["norm", "--function", "gauss(1)", "--space", "H(-1)", *SMALL_GRID],
+    APPLY + ["--x", "0.5"],
+], ids=["opnorm", "norm", "apply"])
+def test_one_grid_commands_parse_their_grid_through_the_cli_module(monkeypatch, tmp_path,
+                                                                   argv):
+    # a tracer that wraps opnormlab.cli.parse_grid sees the one grid of each command
+    calls = _count_calls(monkeypatch, opnormlab.cli, "parse_grid")
+    assert run_cli(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert calls == [("grid(10,4,1.3,4)",)]

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnormlab import (DomainError, Grid, GridPolicy, NumericalError, build_grid, extend_grid,
-                       integrate, nested_grids, parse_grid)
+from opnormlab import (DomainError, Grid, GridPolicy, NumericalError, build_grid, integrate,
+                       nested_grids, parse_grid)
 from opnormlab.closed_forms import powerlaw_integral
 from opnormlab.grids import _reference_rule
 
@@ -82,9 +82,9 @@ def test_refinement_convergence(a):
     assert errors[0] > errors[1] > errors[2] > errors[3]
 
 
-def test_extend_grid_nests_bitwise():
+def test_nested_grid_extends_build_grid_bitwise():
     base = build_grid(10.0, 12, 1.3, 8)
-    bigger = extend_grid(base, 40.0, extra_panels=2)
+    bigger = nested_grids((10.0, 40.0), 12, 1.3, 8, extra_panels=2)[-1]
     assert bigger.R == 40.0
     assert bigger.panels_per_side == 14
     inner = slice(bigger.size // 2 - base.size // 2, bigger.size // 2 + base.size // 2)
@@ -114,10 +114,9 @@ ORDERS = st.integers(2, 8)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12), ORDERS,
-       st.floats(1.0, 3.0))
-def test_every_grid_is_a_bitwise_mirror(widths, order, grading):
-    grid = Grid(np.concatenate([[0.0], np.cumsum(widths)]), order, grading)
+@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12), ORDERS)
+def test_every_grid_is_a_bitwise_mirror(widths, order):
+    grid = Grid(np.concatenate([[0.0], np.cumsum(widths)]), order)
     assert grid.panels_per_side == len(widths)
     assert_bitwise_mirror(grid)
 
@@ -150,17 +149,30 @@ def test_nested_members_are_centred_slices_of_the_largest(first, ratios, panels,
 ])
 def test_nested_grids_are_the_build_and_extend_chain_bitwise(schedule, panels, grading,
                                                              order, extra):
-    chain = [build_grid(schedule[0], panels, grading, order)]
-    for R in schedule[1:]:
-        chain.append(extend_grid(chain[-1], R, extra))
+    def fill(lo, hi, m):
+        # right edges of m geometric panels of ratio `grading` on (lo, hi]
+        if grading == 1.0:
+            first = (hi - lo) / m
+        else:
+            first = (hi - lo) * (grading - 1.0) / (grading ** m - 1.0)
+        edges = lo + np.cumsum(first * grading ** np.arange(m))
+        edges[-1] = hi
+        return edges
+
+    parts = [np.zeros(1), fill(0.0, schedule[0], panels)]
+    parts += [fill(lo, hi, extra) for lo, hi in zip(schedule, schedule[1:])]
     family = nested_grids(schedule, panels, grading, order, extra)
-    assert len(family) == len(chain)
-    for got, want in zip(family, chain):
-        assert type(got.R) is float and got.R == want.R
-        assert (got.grading, got.panel_order) == (want.grading, want.panel_order)
+    assert len(family) == len(schedule)
+    for k, got in enumerate(family):
+        want = Grid(np.concatenate(parts[:k + 2]), order)
+        assert type(got.R) is float and got.R == schedule[k] == want.R
+        assert got.panel_order == want.panel_order == order
         for name in ("nodes", "weights", "breakpoints"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
             assert not getattr(got, name).flags.writeable
+    first = build_grid(schedule[0], panels, grading, order)
+    for name in ("nodes", "weights", "breakpoints"):
+        assert np.array_equal(getattr(family[0], name), getattr(first, name))
 
 
 def test_panel_rule_matches_per_panel_loop():
@@ -210,22 +222,23 @@ def test_breakpoint_alignment_constructor():
     lambda: build_grid(5.0, 3, 1.3, 1),
     lambda: Grid([0.5, 1.0]),
     lambda: Grid([0.0, 1.0, 1.0]),
-    lambda: extend_grid(build_grid(5.0, 3), 4.0),
+    # a radius not above the one before it
+    lambda: nested_grids((5.0, 4.0), 3),
     # grading ** panels overflows a float
     lambda: build_grid(10.0, 4, 1e300, 4),
-    lambda: extend_grid(build_grid(10.0, 1, 1e300, 4), 20.0),
+    lambda: nested_grids((10.0, 20.0), 1, 1e300, 4),
     # counts and orders that are not whole numbers
     lambda: build_grid(10.0, 2.5, 1.3, 4),
     lambda: build_grid(10.0, 4, 1.3, 4.5),
     lambda: build_grid(10.0, float("inf"), 1.3, 4),
     lambda: build_grid(10.0, 4, 1.3, float("nan")),
     lambda: Grid([0.0, 1.0], 4.5),
-    lambda: extend_grid(build_grid(5.0, 3), 10.0, extra_panels=1.5),
+    lambda: nested_grids((5.0, 10.0), 3, extra_panels=1.5),
     lambda: nested_grids((10.0, 40.0), 2.5, 1.3, 4),
     lambda: nested_grids((10.0, 40.0), 4, 1.3, 4, extra_panels=1.5),
     lambda: GridPolicy(panels_per_side=2.5).build((10.0, 40.0)),
     lambda: GridPolicy(panel_order=4.5).build((10.0, 40.0)),
-    lambda: _with(BASE, panel_order=2.5),
+    lambda: Grid(BASE.breakpoints, 2.5),
     # 2R overflows: rejected before any node is computed, without a numpy warning
     lambda: Grid([0.0, 1.0, float("inf")]),
     lambda: Grid([0.0, 1.0, 1.7e308]),
@@ -244,11 +257,14 @@ def test_whole_float_counts_build_the_int_grid():
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
-def _with(grid, **changes):
-    # the grid's settable fields, some replaced, through the constructor
-    fields = dict(breakpoints=grid.breakpoints, panel_order=grid.panel_order,
-                  grading=grid.grading)
-    return Grid(**{**fields, **changes})
+def test_int_grading_builds_the_float_grading_grid():
+    # a --config file may give an int grading; powered as an int64, 3 ** 44 wraps
+    for panels in (12, 45):
+        want = nested_grids((10.0, 40.0), panels, 3.0, 8)
+        got = nested_grids((10.0, 40.0), panels, 3, 8)
+        for small, large in zip(got, want):
+            for name in ("nodes", "weights", "breakpoints"):
+                assert np.array_equal(getattr(small, name), getattr(large, name))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -265,11 +281,12 @@ NON_FINITE_GRIDS = {
     "first-edge-nan": lambda: Grid([NAN, 1.0]),
     "inner-edge-nan": lambda: Grid([0.0, NAN, 1.0]),
     "outer-edge-nan": lambda: Grid([0.0, 1.0, NAN]),
-    "extend-radius-nan": lambda: extend_grid(BASE, NAN),
-    "extend-panels-nan": lambda: extend_grid(BASE, 10.0, extra_panels=NAN),
-    "grading-nan": lambda: _with(BASE, grading=NAN),
-    "grading-inf": lambda: _with(BASE, grading=INF),
-    "order-nan": lambda: _with(BASE, panel_order=NAN),
+    # the radius and panel count of an annulus past the first radius
+    "extend-radius-nan": lambda: nested_grids((5.0, NAN), 3),
+    "extend-panels-nan": lambda: nested_grids((5.0, 10.0), 3, extra_panels=NAN),
+    "grading-nan": lambda: nested_grids((5.0, 10.0), 3, NAN, 4),
+    "grading-inf": lambda: build_grid(5.0, 3, INF, 4),
+    "order-nan": lambda: Grid(BASE.breakpoints, NAN),
 }
 
 

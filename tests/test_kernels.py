@@ -90,6 +90,17 @@ def test_kernel_validation():
         KernelSpec(kappa=1.0, modulation="square")
 
 
+@pytest.mark.parametrize("modulation", ["none", "alternating"])
+def test_frequency_needs_cosine_modulation(modulation):
+    # an omega that changes no value would still change equality and the echo
+    for omega in (3.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="needs cosine modulation"):
+            KernelSpec(2.0, modulation=modulation, omega=omega)
+    assert KernelSpec(2.0, modulation=modulation, omega=0.0) == KernelSpec(
+        2.0, modulation=modulation)
+    assert parse_kernel("cosmod(2,0)") == KernelSpec(2.0, modulation="cosine", omega=0.0)
+
+
 # --- space weights scaled into the assembled matrix ---------------------------
 # On a unit-weight grid the quadrature factors are 1, so entry (i, j) is
 # (1+|x_i|)^(w2/p2) * K(x_i, y_j) * (1+|y_j|)^(-w1/p1).

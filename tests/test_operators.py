@@ -11,7 +11,7 @@ import opnormlab
 from opnormlab import (ConvergenceError, DiscretizedOperator, DomainError, Grid,
                        KernelSpec, NumericalError, PqNormEstimate, SampledFunction, SpaceSpec,
                        apply_operator, assemble, build_grid, empirical_ratio,
-                       envelope_indicator_image, extend_grid, kernel_eval,
+                       envelope_indicator_image, kernel_eval,
                        largest_singular_value, matrix_pq_norm, nested_grids,
                        operator_norm_pq, sample, sample_spec, weighted_norm)
 from opnormlab.conditions import BoundednessQuery, query_spaces
@@ -233,7 +233,7 @@ def test_restrict_rejects_grid_outside_the_family():
 
 def aligned_indicator_grid() -> Grid:
     # panel edge at 1 keeps the indicator jump out of every panel interior
-    return extend_grid(build_grid(1.0, 6, 1.2, 8), 16.0, extra_panels=6)
+    return nested_grids((1.0, 16.0), 6, 1.2, 8, extra_panels=6)[-1]
 
 
 def test_apply_zero_function():
@@ -454,7 +454,7 @@ def test_norm_scales_with_envelope_constant():
 
 def test_monotone_truncation_nested_grids():
     base = build_grid(10.0, 12, 1.3, 8)
-    bigger = extend_grid(base, 40.0, extra_panels=2)
+    bigger = nested_grids((10.0, 40.0), 12, 1.3, 8, extra_panels=2)[-1]
     source, target = SpaceSpec.hsp(-0.5, 4.0), SpaceSpec.hsp(-0.5, 4.0)
     k = KernelSpec(kappa=1.75)
     small = operator_norm_pq(assemble(k, source, target, base)).value

@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from opnormlab import (DomainError, NumericalError, SampledFunction, SpaceSpec,
-                       build_grid, conjugate_exponent, function_from_spec, gauss,
-                       parse_space, sample, sample_spec, weight_exponent,
-                       weighted_norm)
+from opnormlab import (DomainError, KernelSpec, NumericalError, SampledFunction, SpaceSpec,
+                       assemble, build_grid, conjugate_exponent, empirical_ratio,
+                       function_from_spec, gauss, nested_grids, parse_space, sample,
+                       sample_spec, weight_exponent, weighted_norm)
 
 BIG_GRID = build_grid(1e4, 40, 1.3, 8)
 
@@ -60,8 +60,7 @@ def test_norm_powerlaw_fixed_weight():
 
 def test_norm_indicator_unweighted():
     # panel edge at 1 so the jump never lands inside a panel
-    from opnormlab import extend_grid
-    grid = extend_grid(build_grid(1.0, 4, 1.3, 8), 16.0, extra_panels=4)
+    grid = nested_grids((1.0, 16.0), 4, 1.3, 8, extra_panels=4)[-1]
     f = sample_spec(grid, "indicator(0,1)")
     assert weighted_norm(f, SpaceSpec.h(0.0)) == pytest.approx(1.0, rel=1e-12)
 
@@ -102,6 +101,28 @@ def test_homogeneity_and_triangle():
             abs(c) * weighted_norm(f, space), rel=1e-12, abs=1e-300)
         assert (weighted_norm(fg, space)
                 <= weighted_norm(f, space) + weighted_norm(g, space) + 1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1e120])
+def test_homogeneity_where_the_power_sum_leaves_the_float_range(scale):
+    # |f|^3 underflows to 0 or overflows to inf, but the norm and the ratio fit
+    grid = build_grid(40.0, 10, 1.3, 8)
+    space = SpaceSpec.hsp(-0.5, 3.0)
+    f = sample(grid, lambda x: np.exp(-x ** 2))
+    scaled = SampledFunction(grid, scale * f.values)
+    assert weighted_norm(scaled, space) == pytest.approx(scale * weighted_norm(f, space),
+                                                         rel=1e-14)
+    op = assemble(KernelSpec(2.0), space, space, grid)
+    assert empirical_ratio(op, f) == 0.7146874043250832
+    assert empirical_ratio(op, scaled) == pytest.approx(0.7146874043250832, rel=1e-14)
+
+
+def test_overflowing_weight_still_raises():
+    # (1+|x|)^80 overflows at the outer nodes: rescaling f cannot help
+    grid = build_grid(1e4, 10, 1.3, 8)
+    f = sample(grid, lambda x: np.ones_like(x))
+    with pytest.raises(NumericalError, match="weighted norm integrand overflowed"):
+        weighted_norm(f, SpaceSpec.h(40.0))
 
 
 # --- sampled functions and the mini-language --------------------------------

@@ -64,8 +64,24 @@ def test_plan_rejects_bad_schedules():
         SweepPlan(queries=(query_thm1(),), R_schedule=())
     with pytest.raises(PlanError):
         SweepPlan(queries=(query_thm1(),), R_schedule=(10.0, 5.0))
-    with pytest.raises(PlanError):
-        SweepPlan(queries=(query_thm1(),), R_schedule=(10.0, 30.0, 160.0))
+    for radius in (-10.0, 0.0, math.inf, math.nan):
+        with pytest.raises(PlanError):
+            SweepPlan(queries=(query_thm1(),), R_schedule=(radius, 40.0))
+        with pytest.raises(PlanError):
+            SweepPlan(queries=(query_thm1(),), R_schedule=(1.0, radius))
+
+
+def test_sweep_on_a_schedule_that_is_not_geometric_nests():
+    # any strictly increasing schedule chains its panel edges, so the grids
+    # nest and the warm-started estimates cannot decrease
+    plan = SweepPlan(queries=(query_thm1(1.5),), R_schedule=(10.0, 30.0, 160.0),
+                     grid=FAST_GRID)
+    result = run_boundedness_sweep(plan)
+    assert [cell.R for cell in result.cells] == [10.0, 30.0, 160.0]
+    assert [cell.nodes for cell in result.cells] == [96, 120, 144]
+    values = [cell.value for cell in result.cells]
+    assert all(b >= a * (1 - 1e-12) for a, b in zip(values, values[1:]))
+    assert result.summaries[0].verdict == "saturating"
 
 
 def test_plan_rejects_node_budget():
@@ -429,9 +445,8 @@ def test_probe_single_radius():
 
 
 @pytest.mark.parametrize("schedule, policy", [
-    ((10.0, 30.0, 160.0), FAST_GRID),  # not a geometric progression
     (tuple(10.0 * 1.1 ** k for k in range(200)), GridPolicy()),  # 6560 nodes > 4000
-], ids=["non-geometric", "over-budget"])
+], ids=["over-budget"])
 def test_probe_schedule_follows_the_sweep_rules(schedule, policy):
     with pytest.raises(PlanError):
         sharpness_probe(query_thm1(2.0), KernelSpec(kappa=2.0), 1.0, schedule, policy)
