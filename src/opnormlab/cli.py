@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -33,27 +32,13 @@ class UsageError(ValueError):
     pass
 
 
-def _has_field_type(default, value) -> bool:
-    """Whether a config value has the type of its field's default (JSON spelling)."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_has_field_type(0.0, v) for v in value)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
-def _fits_float(value) -> bool:
-    """Whether a number, or every number of a list, is at most the largest float."""
-    if isinstance(value, (list, tuple)):
-        return all(map(_fits_float, value))
-    return abs(value) <= sys.float_info.max
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Every default the CLI relies on, echoed as provenance in each report."""
+    """Every default the CLI relies on, echoed as provenance in each report.
+
+    Flags named after a field override it.  No flag sets ``power_tol`` or
+    ``power_max_iter``: they are the laboratory's fixed stop rule.
+    """
 
     grid: str = f"grid(10000,40,{GridPolicy.grading:g},{GridPolicy.panel_order})"
     r_schedule: tuple[float, ...] = DEFAULT_R_SCHEDULE
@@ -69,21 +54,6 @@ class RunConfig:
         out = asdict(self)
         out["r_schedule"] = list(self.r_schedule)
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = set(data) - set(defaults)
-        if unknown:
-            raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            if not _has_field_type(defaults[key], value):
-                raise DomainError(f"config key {key!r} has the wrong type: {value!r}")
-            if isinstance(defaults[key], (float, tuple)) and not _fits_float(value):
-                raise DomainError(f"config key {key!r} is too large for a float")
-        if "r_schedule" in data:
-            data = {**data, "r_schedule": tuple(float(R) for R in data["r_schedule"])}
-        return cls(**data)
 
 
 EXIT_CODES = ("exit codes: 0 success, 1 usage error, 2 numerical failure, "
@@ -112,7 +82,6 @@ def _schedule(text: str) -> tuple[float, ...]:
 def _command(sub, name: str, handler, **kw) -> _Parser:
     """Add one subcommand with the flags every report shares."""
     parser = sub.add_parser(name, **kw)
-    parser.add_argument("--config", help="JSON file of RunConfig overrides")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.set_defaults(handler=handler)
     return parser
@@ -150,7 +119,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kernel", required=True)
     p.add_argument("--source", required=True, help="source space spec")
     p.add_argument("--target", required=True, help="target space spec")
-    p.add_argument("--grid", help="grid spec of both spaces (default from config)")
+    p.add_argument("--grid", help=f"grid spec of both spaces (default {RunConfig.grid})")
 
     p = _command(sub, "sweep", _cmd_sweep, help="boundedness sweep over the truncation schedule")
     p.add_argument("--query", action="append", required=True,
@@ -200,43 +169,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _finite_number(text: str) -> float:
-    """A JSON number of the config file; NaN, Infinity and overflowing literals are refused."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise UsageError(f"config file holds a non-finite number: {text}")
-    return value
-
-
-def _unique_keys(pairs) -> dict:
-    """A JSON object of the config file; a key given twice is refused."""
-    data = {}
-    for key, value in pairs:
-        if key in data:
-            raise UsageError(f"config key {key!r} is given twice")
-        data[key] = value
-    return data
-
-
 def _load_config(args) -> RunConfig:
-    """The --config file (or the defaults), overridden by flags named after its fields."""
-    config = RunConfig()
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as handle:
-                data = json.load(handle, parse_float=_finite_number,
-                                 parse_constant=_finite_number, object_pairs_hook=_unique_keys)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read config file: {exc}") from exc
-        except UsageError:
-            raise
-        except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
-            raise UsageError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise UsageError("config file must hold a JSON object")
-        config = RunConfig.from_dict(data)
-    return replace(config, **{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                              if getattr(args, f.name, None) is not None})
+    """The defaults, overridden by the flags named after their fields."""
+    return replace(RunConfig(), **{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                                   if getattr(args, f.name, None) is not None})
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -68,6 +68,8 @@ def powerlaw_weighted_norm(t: float, space: SpaceSpec, R: float | None = None) -
     of :func:`powerlaw_integral`.
     """
     a = space.p * t - weight_exponent(space)
+    if math.isfinite(t) and not math.isfinite(a):  # a non-finite t is a DomainError below
+        raise NumericalError(f"exponent p*t - w overflows for t = {t!r}")
     return powerlaw_integral(a, R) ** (1.0 / space.p)
 
 
@@ -84,8 +86,14 @@ def envelope_indicator_image(kappa: float, x: float, lo: float = 0.0,
 
 
 def majorant_exponent(source: SpaceSpec, kappa: float) -> float:
-    """Exponent a = q1*(w1/p1 + kappa) of the dual-exponent majorant (1+|x|+|y|)^(-a)."""
-    return conjugate_exponent(source.p) * (weight_exponent(source) / source.p + kappa)
+    """Exponent a = q1*(w1/p1 + kappa) of the dual-exponent majorant (1+|x|+|y|)^(-a).
+
+    NumericalError if a finite kappa gives a non-finite a.
+    """
+    a = conjugate_exponent(source.p) * (weight_exponent(source) / source.p + kappa)
+    if math.isfinite(kappa) and not math.isfinite(a):
+        raise NumericalError(f"majorant exponent overflows for kappa = {kappa!r}")
+    return a
 
 
 def _integrable_exponent(source: SpaceSpec, kappa: float) -> float:

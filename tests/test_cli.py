@@ -1,4 +1,4 @@
-"""CLI subcommands: outputs, exit codes, config handling, determinism."""
+"""CLI subcommands: outputs, exit codes, provenance, determinism."""
 import argparse
 import json
 import math
@@ -15,7 +15,6 @@ import opnormlab
 import opnormlab.cli
 import opnormlab.sweeps
 from opnormlab.cli import RunConfig, build_parser, run_cli
-from opnormlab.errors import DomainError
 from opnormlab.grids import build_grid, parse_grid
 from opnormlab.operators import POWER_MAX_ITER, POWER_TOL
 from opnormlab.sweeps import GridPolicy
@@ -257,41 +256,6 @@ def test_help_exits_zero(capsys):
         assert "usage" in capsys.readouterr().out
 
 
-def test_config_file_and_override(capsys, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"panels_per_side": 5, "grading": 1.4}))
-    out = tmp_path / "sweep.csv"
-    assert run_cli(["sweep", "--query", QUERY, "--r-schedule", "10,40", "--order", "4",
-                    "--config", str(config), "--panels", "7", "--out", str(out)]) == 0
-    header = out.read_text().splitlines()
-    assert "# panels_per_side=7" in header  # flag wins over file
-    assert "# grading=1.4" in header
-    code, payload = run_json(capsys, [
-        "check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2",
-        "--config", str(config)])
-    assert code == 0
-    assert payload["provenance"]["panels_per_side"] == 5
-
-
-def test_config_unknown_key_exit_1(capsys, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"mystery": 1}))
-    assert run_cli(["check", "--thm", "1", "--s1", "-1", "--s2", "-1",
-                    "--kappa", "2", "--config", str(config)]) == 1
-
-
-def test_runconfig_round_trip():
-    config = RunConfig(power_max_iter=3, r_schedule=(10.0, 40.0))
-    assert RunConfig.from_dict(config.to_dict()) == config
-    with pytest.raises(DomainError):
-        RunConfig.from_dict({"nope": 1})
-    with pytest.raises(DomainError, match="'power_tol' is too large for a float"):
-        RunConfig.from_dict({"power_tol": 10 ** 400})
-    # values of the field's type pass through unchanged: an int grading is echoed as 1
-    out = RunConfig.from_dict({"grading": 1, "r_schedule": [10, 40.0]}).to_dict()
-    assert type(out["grading"]) is int and out["r_schedule"] == [10.0, 40.0]
-
-
 def test_runconfig_defaults_match_library():
     config, policy = RunConfig(), GridPolicy()
     for field in fields(GridPolicy):
@@ -328,10 +292,56 @@ OPNORM = ["opnorm", "--kernel", "envelope(2)", "--source", "H(-0.25)",
           "--target", "H(-0.25)", *SMALL_GRID]
 
 
+# one command line per JSON subcommand; norm, apply and opnorm take the default grid
+JSON_COMMANDS = {
+    "check": ["check", "--thm", "1", "--s1", "-0.25", "--s2", "-0.25", "--kappa", "1.5"],
+    "norm": ["norm", "--function", "gauss(1)", "--space", "H(-1)"],
+    "apply": ["apply", "--kernel", "envelope(2)", "--function", "gauss(1)", "--x", "0.5"],
+    "opnorm": OPNORM[:-2],
+    "corner": ["corner", "--kernel1", "envelope(2)", "--kernel2", "envelope(2)",
+               "--f", "gauss(1)", "--g", "powerlaw(1.5)",
+               "--grid1", "grid(20,5,1.3,4)", "--grid2", "grid(20,5,1.3,4)"],
+    "oracle-majorant": ["oracle", "majorant", "--x", "0", "--a", "2"],
+    "oracle-powerlaw-norm": ["oracle", "powerlaw-norm", "--t", "1", "--space", "H(-1)"],
+    "oracle-indicator-image": ["oracle", "indicator-image", "--kappa", "2", "--x", "1"],
+}
+COMMANDS = {**JSON_COMMANDS, "sweep": ["sweep", "--query", QUERY, "--r-schedule", "10,40",
+                                       "--panels", "4", "--order", "4"]}
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS.values(), ids=JSON_COMMANDS.keys())
+def test_every_json_report_echoes_the_default_config(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["provenance"] == RunConfig().to_dict()
+
+
+def test_runconfig_round_trip(tmp_path):
+    # the provenance of a report rebuilds the RunConfig of its run, flags included
+    out = tmp_path / "report.json"
+    assert run_cli(OPNORM + ["--out", str(out)]) == 0
+    provenance = json.loads(out.read_text())["provenance"]
+    rebuilt = RunConfig(**{**provenance, "r_schedule": tuple(provenance["r_schedule"])})
+    assert rebuilt == replace(RunConfig(), grid=SMALL_GRID[1])
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+def test_config_option_is_a_usage_error(capsys, tmp_path, argv):
+    # flags are the only way to set a run: a settings file is refused, even a valid one
+    config, out = tmp_path / "config.json", tmp_path / "report"
+    config.write_text(json.dumps({"power_tol": 0.5}))
+    assert run_cli(argv + ["--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: usage: unrecognized arguments: --config ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, config", [
     (["sweep", "--query", "thm=x,s1=-0.25,s2=-0.25,kappa=1.5"], None),
     (["sweep", "--query", "thm=1,s1=abc,s2=-0.25,kappa=1.5"], None),
     (["sweep", "--query", QUERY, "--r-schedule", "10,x"], None),
+    # a --config file is refused whole, whatever it holds: flags are the only way to set a run
     (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"r_schedule": ["a"]}),
     (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"power_max_iter": "x"}),
     (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"power_max_iter": True}),
@@ -358,9 +368,11 @@ OPNORM = ["opnorm", "--kernel", "envelope(2)", "--source", "H(-0.25)",
     (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2", "--seed", "1"], None),
     (["sweep", "--query", QUERY, "--r-schedule", "10,40", "--timing"], None),
     (["check", "--thm", "1", "--s1", "-1", "--s2", "-1", "--kappa", "2"], {"seed": 0}),
-    # an int literal past the largest float, which no float field can hold
+    # numbers past the largest float: the stop rule has no flag, a schedule refuses them
     (OPNORM, {"power_tol": 10 ** 400}),
     (["sweep", "--query", QUERY], {"r_schedule": [10, 10 ** 400]}),
+    (["sweep", "--query", QUERY, "--r-schedule", "10,1e400"], None),
+    (["sweep", "--query", QUERY, "--panels", "9.0"], None),
 ])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, config):
     if config is not None:
@@ -372,22 +384,7 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, config):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: usage: ") and captured.err.count("\n") == 1
     assert captured.out == ""
-
-
-@pytest.mark.parametrize("text, message", [
-    (b"\xff\xfe{}", "cannot read config file: 'utf-8' codec can't decode"),
-    (b'{"grading": 1.2, "grading": 1.4}', "config key 'grading' is given twice"),
-    # past the digit limit newer Pythons set on int parsing; a Python
-    # without that limit parses it and refuses it as too large for a float
-    (b'{"power_tol": 1' + b"0" * 5000 + b"}", ""),
-], ids=["not-utf8", "repeated-key", "int-digit-limit"])
-def test_bad_config_file_is_one_usage_line(capsys, tmp_path, text, message):
-    path = tmp_path / "config.json"
-    path.write_bytes(text)
-    assert run_cli([*OPNORM, "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: usage: " + message)
-    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert config is None or "unrecognized arguments: --config" in captured.err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -438,26 +435,24 @@ def test_corner_condition_estimate_is_reproducible(monkeypatch, tmp_path):
 
 def test_sweep_flags_set_runconfig_fields(tmp_path):
     config_fields = {f.name for f in fields(RunConfig)}
-    not_config = {"help", "query", "kernel", "config", "out"}
+    not_config = {"help", "query", "kernel", "out"}
     subcommands, = (a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
     dests = {a.dest for a in subcommands.choices["sweep"]._actions} - not_config
     assert dests <= config_fields
     assert {"panels_per_side", "panel_order", "r_schedule"} <= dests
-    # the same setting as a flag or as a --config key gives the same report
-    settings = [("--panels", "6", "panels_per_side", 6), ("--order", "5", "panel_order", 5),
-                ("--r-schedule", "10,40", "r_schedule", [10, 40]),
-                ("--grading", "1.4", "grading", 1.4), ("--extra-panels", "3", "extra_panels", 3),
-                ("--max-nodes", "3000", "max_nodes", 3000)]
-    flags = [token for flag, text, _, _ in settings for token in (flag, text)]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({key: value for _, _, key, value in settings}))
-    by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
-    assert run_cli(["sweep", "--query", QUERY, *flags, "--out", str(by_flag)]) == 0
-    assert run_cli(["sweep", "--query", QUERY, "--config", str(config),
-                    "--out", str(by_config)]) == 0
-    assert by_flag.read_bytes() == by_config.read_bytes()
-    assert "# panels_per_side=6\n" in by_flag.read_text()
+    # each flag overrides its field, which the sweep header echoes; the stop rule stays fixed
+    settings = [("--panels", "6", "panels_per_side=6"), ("--order", "5", "panel_order=5"),
+                ("--r-schedule", "10,40", "R_schedule=10.0:40.0"),
+                ("--grading", "1.4", "grading=1.4"), ("--extra-panels", "3", "extra_panels=3"),
+                ("--max-nodes", "3000", "max_nodes=3000")]
+    flags = [token for flag, text, _ in settings for token in (flag, text)]
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--query", QUERY, *flags, "--out", str(out)]) == 0
+    header = {line for line in out.read_text().splitlines() if line.startswith("# ")}
+    echoes = [echo for _, _, echo in settings] + [f"power_tol={POWER_TOL!r}",
+                                                   f"power_max_iter={POWER_MAX_ITER}"]
+    assert {f"# {echo}" for echo in echoes} <= header
 
 
 APPLY = ["apply", "--kernel", "envelope(2)", "--function", "gauss(1)", *SMALL_GRID]
@@ -497,6 +492,8 @@ CORNER_GAUSS_WIDE = ["corner", "--kernel1", "envelope(2)", "--kernel2", "envelop
 CORNER_GAUSS_NARROW = ["corner", "--kernel1", "envelope(2)", "--kernel2", "envelope(2)",
                        "--f", "gauss(1)", "--g", "gauss(1e-300)",
                        "--grid1", "grid(20,5,1.3,4)", "--grid2", "grid(20,5,1.3,4)"]
+# t is finite, p*t - w is not
+POWERLAW_NORM_OVERFLOW = ["oracle", "powerlaw-norm", "--t", "1e308", "--space", "Hsp(-1,3)"]
 
 
 @pytest.mark.parametrize("argv, config_text, code", [
@@ -507,6 +504,7 @@ CORNER_GAUSS_NARROW = ["corner", "--kernel1", "envelope(2)", "--kernel2", "envel
     (["oracle", "majorant", "--x", "0", "--a", "-400", "--R", "1e300"], None, 2),
     (APPLY + ["--x", "inf"], None, 1),
     (APPLY + ["--x", "nan"], None, 1),
+    # a --config file is refused whole, so no non-finite stop rule reaches a run
     (OPNORM, '{"power_tol": NaN}', 1),
     (OPNORM, '{"power_tol": Infinity}', 1),
     (OPNORM, '{"grading": -Infinity}', 1),
@@ -542,6 +540,9 @@ CORNER_GAUSS_NARROW = ["corner", "--kernel1", "envelope(2)", "--kernel2", "envel
     (POWER_OVERFLOW_NORM, None, 2),
     (APPLY_OVERFLOW_GAUSS, None, 2),
     (APPLY_OVERFLOW_INDICATOR, None, 2),
+    (["sweep", "--query", QUERY, "--grading=-inf"], None, 1),
+    (POWERLAW_NORM_OVERFLOW, None, 2),
+    (["oracle", "powerlaw-norm", "--t", "-1e308", "--space", "Hsp(-1,3)"], None, 2),
 ], ids=["majorant-R-inf", "majorant-x-nan", "indicator-kappa-nan", "powerlaw-norm-t-nan",
         "majorant-overflow", "apply-x-inf", "apply-x-nan", "config-nan", "config-infinity",
         "config-minus-infinity", "config-overflowing-literal", "config-max-iter-0",
@@ -550,7 +551,8 @@ CORNER_GAUSS_NARROW = ["corner", "--kernel1", "envelope(2)", "--kernel2", "envel
         "kernel-c-nan", "kernel-c-inf", "opnorm-norm-overflow", "corner-kernel-overflow",
         "norm-function-overflow", "opnorm-cosmod-overflow", "corner-cosmod-overflow",
         "opnorm-radius-overflow", "norm-radius-overflow", "norm-power-overflow",
-        "apply-gauss-overflow", "apply-indicator-overflow"])
+        "apply-gauss-overflow", "apply-indicator-overflow", "sweep-grading-minus-inf",
+        "powerlaw-norm-exponent-overflow", "powerlaw-norm-exponent-minus-overflow"])
 def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, config_text, code):
     # no NaN or Infinity reaches a report, and nothing escapes as a traceback
     if config_text is not None:
@@ -563,6 +565,7 @@ def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, conf
     prefix = "error: usage: " if code == 1 else "error: numerical: "
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
     assert captured.out == ""
+    assert config_text is None or "unrecognized arguments: --config" in captured.err
 
 
 @pytest.mark.parametrize("argv, code, stderr", [
@@ -592,10 +595,11 @@ def test_non_finite_input_exits_with_one_error_line(capsys, tmp_path, argv, conf
      "error: usage: truncation radius 1.7e+308 is too large: 2R overflows\n"),
     (RADIUS_OVERFLOW_SWEEP, 1,
      "error: usage: truncation radius 1.7e+308 is too large: 2R overflows\n"),
+    (POWERLAW_NORM_OVERFLOW, 2, "error: numerical: exponent p*t - w overflows for t = 1e+308\n"),
 ], ids=["opnorm-cosmod", "corner-cosmod", "opnorm-radius", "norm-radius", "norm-power",
         "apply-gauss", "apply-indicator", "corner-schur-overflow", "norm-gauss-wide",
         "norm-gauss-narrow", "corner-gauss-wide", "corner-gauss-narrow", "opnorm-grid-overflow",
-        "opnorm-panel-overflow", "sweep-radius-overflow"])
+        "opnorm-panel-overflow", "sweep-radius-overflow", "powerlaw-norm-exponent"])
 def test_overflow_prints_exactly_one_error_line(argv, code, stderr):
     # outside pytest's warning filters, where a numpy RuntimeWarning would print
     env = dict(os.environ, PYTHONPATH=str(Path(opnormlab.__file__).parents[1]))

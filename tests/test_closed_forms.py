@@ -148,8 +148,13 @@ def test_non_finite_arguments_are_domain_errors(call):
     # c_upper^q1: float ** raises for 1e300^1.5; 1e308^(1 + 1e-7) is finite, twice it is not
     lambda: tail_bound(KernelSpec(2.0, c_upper=1e300), SpaceSpec.hsp(-0.5, 3.0), 10.0),
     lambda: tail_bound(KernelSpec(2.0, c_upper=1e308), SpaceSpec.hsp(-0.5, 1e7), 10.0),
+    # finite arguments whose exponent a overflows
+    lambda: powerlaw_weighted_norm(1e308, SpaceSpec.hsp(-1.0, 3.0)),
+    lambda: powerlaw_weighted_norm(-1e308, SpaceSpec.hsp(-1.0, 3.0)),
+    lambda: majorant_exponent(SpaceSpec.h(-1.0), 1.7e308),
 ], ids=["majorant", "powerlaw", "indicator", "factor-two", "tail-bound-power",
-        "tail-bound-factor-two"])
+        "tail-bound-factor-two", "powerlaw-norm-exponent", "powerlaw-norm-exponent-minus",
+        "majorant-exponent"])
 def test_overflow_is_a_numerical_error(call):
     with pytest.raises(NumericalError):
         call()

@@ -258,7 +258,7 @@ def test_whole_float_counts_build_the_int_grid():
 
 
 def test_int_grading_builds_the_float_grading_grid():
-    # a --config file may give an int grading; powered as an int64, 3 ** 44 wraps
+    # a library caller may pass an int grading; powered as an int64, 3 ** 44 wraps
     for panels in (12, 45):
         want = nested_grids((10.0, 40.0), panels, 3.0, 8)
         got = nested_grids((10.0, 40.0), panels, 3, 8)
