@@ -158,8 +158,9 @@ def nested_grids(R_schedule, panels_per_side: int, grading: float = DEFAULT_GRAD
     The panel edges are chained once: ``panels_per_side`` geometric panels
     fill [0, R_0], and each annulus (R_{i-1}, R_i] gets ``extra_panels`` more
     of the same ratio (``_geometric_fill`` checks each radius against the one
-    before it).  Each member is the ``Grid`` on its prefix of the chain.  A panel's nodes and weights depend on its own two edges only, so
-    each smaller grid is bitwise the centred slice of every larger one, which
+    before it).  Each member is the ``Grid`` on its prefix of the chain.  A
+    panel's nodes and weights depend on its own two edges only, so each
+    smaller grid is bitwise the centred slice of every larger one, which
     ``DiscretizedOperator.restrict`` relies on.
     """
     schedule = [float(R) for R in R_schedule]

@@ -4,46 +4,60 @@ Every discretized operator has the form diag(r) * K * diag(c) on one node
 grid, which samples both the source and the target space: K is the bare
 kernel on the grid, the row scaling r = w^(1/p2) * (1+|x|)^(w2/p2) carries
 the quadrature weights w and the target space's weight, and the column
-scaling c = w^(1/q1) * (1+|x|)^(-w1/p1) the source one.  Only the product
-is stored: ``assemble`` scales the one array ``kernel_eval`` returns in
-place, so K never exists beside it.  The weighted operator norm then becomes
-a plain l^p1 -> l^p2 norm of a dense matrix, so all three space families
-share one nonlinear power method (Boyd, "The power method for l_p norms",
-1974); p1 = p2 = 2 is its singular-value case.  The kernel is evaluated
-here only by ``assemble``, whose core carries every norm, sweep and
+scaling c = w^(1/q1) * (1+|x|)^(-w1/p1) the source one.  An operator keeps
+K as its ``core`` and r and c as the O(n) vectors ``rows`` and ``cols``;
+the product is never stored, and every product with the operator is
+r * (K (c * v)) or, transposed, c * (K^T (r * u)).  The weighted operator
+norm is a plain l^p1 -> l^p2 norm of that matrix, so all three space
+families share one nonlinear power method (Boyd, "The power method for l_p
+norms", 1974); p1 = p2 = 2 is its singular-value case.  A plain matrix is
+the core between unit scalings, and x * 1.0 is x, so it runs the same loop
+bitwise as if the scalings were not there.  The kernel is evaluated here
+only by ``assemble``, whose core carries every norm, sweep and
 test-function ratio, and by ``apply_operator``, (Kf)(x) at one point.
+
+Every kernel of the lab is symmetric, K(x, y) = K(y, x), and the one grid
+samples both spaces, so K is a symmetric matrix: ``assemble`` evaluates its
+upper triangle in row blocks of at most ``_BLOCK_ENTRIES`` values and copies
+it into the lower triangle, so the core is exactly symmetric, half of the
+kernel work is saved, and a modulated kernel's scratch is one block, not a
+second core.
 
 Even kernels are stored and normed as one quadrant.  The envelope and its
 cosine modulation are even in each variable, the scalings r and c depend
 only on |x| and the quadrature weights, and every grid is a bitwise mirror
 about 0 by construction.  The matrix is then [J; I] B [J, I], with
 J the reversal and B its [0, R] x [0, R] quadrant, and its l^p1 -> l^p2 norm
-is exactly 2^(1/p2 + 1/q1) ||B||.  ``assemble`` evaluates the kernel on B
-only and the operator keeps B as its ``core`` (``mirrored`` is then true);
-``restrict`` slices the leading block of B; the norm functions run the power
-method on B and multiply its value by that factor once, at the end.  The
-stop test compares each change with the value itself, so the factor cancels
-from it: the iteration count and, up to rounding, the value are those of
-the full matrix.  The full matrix is built from reversed copies of B only
-when ``.matrix`` is read, which only the benchmark's tracer does.  The
-alternating modulation, which is not even, keeps the full matrix as the
-core.
+is exactly 2^(1/p2 + 1/q1) ||B||.  ``assemble`` evaluates the kernel on the
+half line only, the operator keeps that quadrant of K as its ``core`` and
+the half-line scalings (``mirrored`` is then true); ``restrict`` slices the
+leading block of the core and of each scaling; the norm functions run the
+power method on B and multiply its value by that factor once, at the end.
+The stop test compares each change with the value itself, so the factor
+cancels from it: the iteration count and, up to rounding, the value are
+those of the full matrix.  The alternating modulation, which is not even,
+keeps the full K as the core.  ``.matrix``, the full scaled matrix, is
+built only when it is read, which only the benchmark's tracer does.
 
 A norm starts from the all-ones vector unless it is given a start on the
 core's columns.  A sweep takes one nesting step per radius: ``restrict``
-views the block of the largest core that the radius's grid keeps, and
-``warm_start`` places the previous radius's estimate in that view: its
-maximizer, padded with zeros around the previous block, is the start, and
-its image fills that block's rows of the start's image, so only the new
-rows are computed and the first iterate costs a product with them alone.
-Each looks its block up once, through ``_block``, which checks the nesting
-in O(n).
+views the block of the largest core, and of its scalings, that the
+radius's grid keeps, and ``warm_start`` places the previous radius's
+estimate in that view: its maximizer, padded with zeros around the
+previous block, is the start, and its image fills that block's rows of the
+start's image, so only the new rows are computed and the first iterate
+costs a product with them alone.  Each looks its block up once, through
+``_block``, which checks the nesting in O(n).
 
 General p -> q matrix norms are NP-hard, so certification is restricted to
 entrywise-nonnegative matrices, where the nonlinear power method converges
 to the global maximizer; for sign-changing matrices the estimate is an
-honest lower bound.  An operator scans its core for nonnegativity once
-(``nonnegative``), and ``restrict`` passes a True result down to its blocks.
+honest lower bound.  The scalings are nonnegative, so an operator is
+nonnegative when its core is: an unmodulated kernel is positive, so
+``assemble`` sets ``nonnegative`` without a scan, and a modulated one's
+comes from the pass over K that bounds its entries; the public constructor
+scans its matrix once, and ``restrict`` passes a True result down to its
+blocks.
 """
 from __future__ import annotations
 
@@ -97,24 +111,32 @@ class DiscretizedOperator:
     w are the grid's nodes and weights and w1, w2 the weight exponents of the
     source and target spaces; by construction the l^p1 -> l^p2 norm of the
     matrix is the discretized weighted-operator norm.  ``core`` is the
-    read-only array the power method runs on: the [0, R]^2 quadrant of a
-    mirrored operator, else the full matrix, which is all the constructor
-    takes (and copies and checks).
+    read-only array the power method runs on, K on the [0, R]^2 quadrant of
+    a mirrored operator, else on the whole grid, and ``rows`` and ``cols``
+    are r and c on the core's rows and columns.  The public constructor
+    takes a full matrix (and copies and checks it) as the core between unit
+    scalings; only ``assemble`` and ``restrict`` set other scalings.
     """
 
     core: np.ndarray
     source_space: SpaceSpec
     target_space: SpaceSpec
     grid: Grid
+    rows: np.ndarray = field(init=False, repr=False)
+    cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         core = np.array(self.core, dtype=float)
         core.flags.writeable = False
-        object.__setattr__(self, "core", core)
         n = self.grid.size
         if core.shape != (n, n):
             raise DomainError(f"matrix shape {core.shape} does not match grid ({n}, {n})")
         check_finite_matrix(core, "operator")
+        ones = np.ones(n)
+        ones.flags.writeable = False
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "rows", ones)
+        object.__setattr__(self, "cols", ones)
 
     @property
     def mirrored(self) -> bool:
@@ -123,15 +145,16 @@ class DiscretizedOperator:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The full read-only matrix; a mirrored core is unfolded on first read.
+        """The full scaled matrix, read-only, built on first read (a mirrored
+        core unfolded).
 
         No code in the package reads it: it is kept only for the benchmark's
         tracer, and goes when the tracer counts ``core`` instead.  Tests build
         their reference matrices themselves.
         """
-        if not self.mirrored:
-            return self.core
-        matrix = unfold(unfold(self.core, axis=1), axis=0)
+        matrix = self.rows[:, None] * self.core * self.cols[None, :]
+        if self.mirrored:
+            matrix = unfold(unfold(matrix, axis=1), axis=0)
         matrix.flags.writeable = False
         return matrix
 
@@ -140,23 +163,26 @@ class DiscretizedOperator:
 
         ``grid`` must equal the centred slice of this operator's grid, node
         for node and weight for weight, as the grids of one ``nested_grids``
-        family do; else DomainError.  Every entry depends only on its own row
-        and column, so the centred block is exactly the matrix ``assemble``
-        builds on the smaller grid.  The half-line nodes of the smaller grid
-        are the leading ones of the larger, so a mirrored core restricts to
-        its leading block.  The view is neither copied nor re-checked: this
-        operator's core is already validated and read-only.
+        family do; else DomainError.  Every kernel value depends only on its
+        two nodes, and each scaling on its own node and weight, so the
+        centred block of the core and the matching slices of the scalings
+        are exactly what ``assemble`` builds on the smaller grid.  The
+        half-line nodes of the smaller grid are the leading ones of the
+        larger, so a mirrored operator restricts to its leading block.  The
+        views are neither copied nor re-checked: this operator's arrays are
+        already validated and read-only.
         """
         block = self._block(grid)
         op = _trusted(DiscretizedOperator, self.core[block, block], self.source_space,
-                      self.target_space, grid)
+                      self.target_space, grid, self.rows[block], self.cols[block])
         if self.nonnegative:  # a block of a nonnegative core is nonnegative: no rescan
             op.__dict__["nonnegative"] = True
         return op
 
     @functools.cached_property
     def nonnegative(self) -> bool:
-        """True when every entry of the core, hence of the matrix, is >= 0."""
+        """True when every entry of the core, hence of the matrix, is >= 0
+        (the scalings are too)."""
         return bool(self.core.min() >= 0)
 
     def warm_start(self, estimate: PqNormEstimate, grid: Grid
@@ -165,12 +191,13 @@ class DiscretizedOperator:
         its restriction to ``grid`` (see ``restrict``, whose checks apply).
 
         ``start`` is the estimate's maximizer padded with zeros onto this
-        core's columns, in the block ``restrict`` keeps.  ``image`` is
-        ``core @ start``: the estimate's image in the rows of that block, and
-        only the new rows, the trailing ones of a mirrored core and both ends
-        of a full one, computed from the block's columns; None when the
-        estimate has no image (a zero core).  DomainError unless the
-        maximizer and the image have the block's length.
+        core's columns, in the block ``restrict`` keeps.  ``image`` is the
+        operator's product with ``start``, rows * (core @ (cols * start)):
+        the estimate's image in the rows of that block, and only the new
+        rows, the trailing ones of a mirrored core and both ends of a full
+        one, computed from the block's columns; None when the estimate has
+        no image (a zero core).  DomainError unless the maximizer and the
+        image have the block's length.
         """
         block = self._block(grid)
         v, kept = estimate.maximizer, estimate.image
@@ -181,10 +208,11 @@ class DiscretizedOperator:
         start[block] = v
         if kept is None:
             return start, None
+        before, after = slice(0, block.start), slice(block.stop, None)
         image = np.empty(self.core.shape[0])
-        image[:block.start] = self.core[:block.start, block] @ v
+        image[before] = _apply(self.core[before, block], self.rows[before], self.cols[block], v)
         image[block] = kept
-        image[block.stop:] = self.core[block.stop:, block] @ v
+        image[after] = _apply(self.core[after, block], self.rows[after], self.cols[block], v)
         return start, image
 
     def _block(self, grid: Grid) -> slice:
@@ -203,29 +231,62 @@ class DiscretizedOperator:
         return slice(0, grid.size // 2) if self.mirrored else block
 
 
+# kernel values per assembly block: 32 KB of scratch, as much again for a
+# modulation's factor, and numpy's buffers for the broadcast sum 1+|x|+|y|,
+# which are twice the block at this size
+_BLOCK_ENTRIES = 4096
+# rows per strip of the lower triangle's copy, which needs no scratch, and
+# the strictly lower triangle of a strip's diagonal square
+_STRIP_ROWS = 64
+_LOWER = np.tri(_STRIP_ROWS, k=-1, dtype=bool)
+
+
 def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
              grid: Grid) -> DiscretizedOperator:
-    """Assemble the scaled Nystrom matrix diag(r) * K * diag(c) between two spaces.
+    """Assemble the Nystrom operator diag(r) * K * diag(c) between two spaces.
 
-    An even kernel is evaluated on the lower-right quadrant only, which
-    becomes the operator's core (see the module docstring); the alternating
-    modulation's core is the full matrix.  The kernel values are scaled in
-    place, so the core is the only block-sized array kept (a modulated
-    kernel needs one more while it is evaluated).
+    An even kernel is evaluated on the half line only, and its quadrant of
+    K becomes the operator's core (see the module docstring); the
+    alternating modulation's core is the full K.  Every kernel is symmetric,
+    so the upper triangle is evaluated, in row blocks of at most
+    ``_BLOCK_ENTRIES`` values (one row at least), and the lower triangle is
+    copied from it: the core is exactly symmetric, and it is the only n x n
+    array.  One pass over K bounds the entries (two for a modulated kernel,
+    which also yield ``nonnegative``; an unmodulated one is positive):
+    r_i K_ij c_j is at most max r * max|K| * max c, as rounding is
+    monotone, so a finite bound proves every entry finite, and only a bound
+    that is not finite scans the entries, to name the first bad one.  No
+    scaling pass runs over K.
     """
     h = grid.size // 2 if k.even else 0
     x, w = grid.nodes[h:], grid.weights[h:]
+    n = x.size
+    core = np.empty((n, n))
+    i = 0
+    while i < n:  # the upper triangle, in row blocks that start on the diagonal
+        j = min(n, i + max(1, _BLOCK_ENTRIES // (n - i)))
+        core[i:j, i:] = kernel_eval(k, x[i:j, None], x[None, i:])
+        i = j
+    for i in range(0, n, _STRIP_ROWS):  # the lower triangle from the upper one
+        j = min(n, i + _STRIP_ROWS)
+        square = core[i:j, i:j]  # below its diagonal: swapped arguments, or unset
+        np.copyto(square, square.T, where=_LOWER[:j - i, :j - i])
+        core[j:, i:j] = core[i:j, j:].T
+    top = core.max()  # NaN if any entry is
+    bottom = 0.0 if k.modulation == "none" else core.min()  # the envelope is positive
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports
         base = 1.0 + np.abs(x)
         rows = w ** (1.0 / target.p) * base ** (weight_exponent(target) / target.p)
         cols = (w ** (1.0 / conjugate_exponent(source.p))
                 * base ** (-weight_exponent(source) / source.p))
-        core = kernel_eval(k, x[:, None], x[None, :])
-        core *= rows[:, None]
-        core *= cols[None, :]
-    check_finite_matrix(core, "operator", offset=(h, h))
-    core.flags.writeable = False
-    return _trusted(DiscretizedOperator, core, source, target, grid)
+        bound = rows.max() * max(top, -bottom) * cols.max()
+        if not math.isfinite(bound):
+            check_finite_matrix(rows[:, None] * core * cols[None, :], "operator",
+                                offset=(h, h))
+    core.flags.writeable = rows.flags.writeable = cols.flags.writeable = False
+    op = _trusted(DiscretizedOperator, core, source, target, grid, rows, cols)
+    op.__dict__["nonnegative"] = bool(bottom >= 0.0)
+    return op
 
 
 def require_on_grid(f: SampledFunction, grid: Grid,
@@ -248,6 +309,12 @@ def apply_operator(k: KernelSpec, f: SampledFunction, source_grid: Grid, x: floa
     return value
 
 
+def _apply(B: np.ndarray, rows: np.ndarray, cols: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """diag(rows) B diag(cols) times v, as rows * (B @ (cols * v)), never formed;
+    ``_apply(B.T, cols, rows, u)`` is the transposed product."""
+    return rows * (B @ (cols * v))
+
+
 def _norm_and_dual(u: np.ndarray, r: float) -> tuple[float, np.ndarray | None]:
     """(||u||_r, J_r(u)), with J_r(u) = |u|^(r-1) sign(u) / ||u||_r^(r-1) the unit
     vector in the dual norm, or (0, None).  Where |u|^r overflows, or underflows
@@ -266,18 +333,22 @@ def _norm_and_dual(u: np.ndarray, r: float) -> tuple[float, np.ndarray | None]:
 
 
 def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
-                  start: np.ndarray | None = None, image: np.ndarray | None = None
+                  start: np.ndarray | None = None, image: np.ndarray | None = None,
+                  rows: np.ndarray | None = None, cols: np.ndarray | None = None
                   ) -> tuple[float, bool, int, float, np.ndarray, np.ndarray | None]:
     """Nonlinear power method for the l^p1 -> l^p2 norm of a finite matrix.
 
-    Alternates v <- dual map of B^T (dual map of B v), from ``start``
+    The matrix is A = diag(``rows``) B diag(``cols``), applied through
+    ``_apply`` and never formed; the scalings default to ones,
+    and x * 1.0 is x, so a plain matrix runs bitwise as if they were absent.
+    Alternates v <- dual map of A^T (dual map of A v), from ``start``
     scaled to unit p1-norm or, by default, from the all-ones vector; at
     p1 = p2 = 2 this is power iteration on the Gram matrix.  ``image``, if
-    given, is B @ ``start``: it is scaled with the start and stands in for
-    the first product B v.  Stops when ||B v||_p2 changes by at most ``tol``
+    given, is A @ ``start``: it is scaled with the start and stands in for
+    the first product A v.  Stops when ||A v||_p2 changes by at most ``tol``
     times its value.  Returns (best value, converged, iterations, last
     change, maximizer, its image); the maximizer is the unit-p1-norm iterate
-    that reached the best value, and its image is B @ maximizer.  Without
+    that reached the best value, and its image is A @ maximizer.  Without
     convergence the last change is the one that failed the stop test.  The
     zero matrix gives (0, True, 0, 0, start, None).  Bad exponents, limits,
     starts or images raise DomainError; a value that is not finite raises
@@ -289,7 +360,9 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int
         raise DomainError(f"power method needs max_iter >= 1 and a finite tol >= 0, "
                           f"got max_iter = {max_iter!r}, tol = {tol!r}")
     q1 = conjugate_exponent(p1)
-    n = B.shape[1]
+    m, n = B.shape
+    r = np.ones(m) if rows is None else rows
+    c = np.ones(n) if cols is None else cols
     if start is None:
         v = np.full(n, n ** (-1.0 / p1))  # all-ones start, unit p1-norm
     else:
@@ -303,23 +376,23 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int
     if image is not None:
         if start is None:
             raise DomainError("an image needs the start it belongs to")
-        if np.shape(image) != (B.shape[0],) or not np.all(np.isfinite(image)):
-            raise DomainError(f"image must be a finite vector of length {B.shape[0]}")
+        if np.shape(image) != (m,) or not np.all(np.isfinite(image)):
+            raise DomainError(f"image must be a finite vector of length {m}")
     best, maximizer, best_image = 0.0, v, None
     gamma_prev = -np.inf
     delta = np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises
-        u = B @ v if image is None else image / start_norm
+        u = _apply(B, r, c, v) if image is None else image / start_norm
         for iteration in range(1, max_iter + 1):
             if iteration > 1:
-                u = B @ v
+                u = _apply(B, r, c, v)
             gamma, u_dual = _norm_and_dual(u, p2)
             if not math.isfinite(gamma):
                 raise NumericalError(f"operator norm overflows at iteration {iteration}")
             if gamma == 0.0:
                 # the start happened to lie in the nullspace; restart from the
                 # heaviest column, unless there is none
-                column_sums = np.sum(np.abs(B), axis=0)
+                column_sums = np.sum(np.abs(B) * r[:, None], axis=0) * c
                 if not column_sums.any():  # every unit vector is a maximizer
                     return 0.0, True, 0, 0.0, v, None
                 v = np.zeros(n)
@@ -331,7 +404,7 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int
             if delta <= tol * gamma:
                 return best, True, iteration, delta, maximizer, best_image
             gamma_prev = gamma
-            _, v = _norm_and_dual(B.T @ u_dual, q1)
+            _, v = _norm_and_dual(_apply(B.T, c, r, u_dual), q1)
     return best, False, max_iter, delta, maximizer, best_image
 
 
@@ -360,8 +433,8 @@ class PqNormEstimate:
     lower bound.  ``maximizer`` is the unit-p1-norm vector that reached the
     value, one entry per column of the matrix (of the core, for an
     operator); None only where an estimate is built by hand.  ``image`` is
-    the matrix (core) times ``maximizer``, one entry per row; None also for
-    a zero matrix, where no iterate reached a positive value.
+    the matrix (the scaled core) times ``maximizer``, one entry per row;
+    None also for a zero matrix, where no iterate reached a positive value.
     """
 
     value: float
@@ -386,12 +459,13 @@ def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
 
 def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
              nonnegative: bool, mirrored: bool = False, start: np.ndarray | None = None,
-             image: np.ndarray | None = None) -> PqNormEstimate:
-    """Estimate from one power-method run on ``B``.  A mirrored core's value is
-    multiplied once by 2^(1/p2 + 1/q1) (see the module docstring); NumericalError
-    if that product overflows."""
+             image: np.ndarray | None = None, rows: np.ndarray | None = None,
+             cols: np.ndarray | None = None) -> PqNormEstimate:
+    """Estimate from one power-method run on diag(rows) B diag(cols).  A
+    mirrored core's value is multiplied once by 2^(1/p2 + 1/q1) (see the
+    module docstring); NumericalError if that product overflows."""
     value, converged, iterations, _, maximizer, image = _power_method(
-        B, p1, p2, tol, max_iter, start, image)
+        B, p1, p2, tol, max_iter, start, image, rows, cols)
     if mirrored:
         value *= 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1))
         if not math.isfinite(value):
@@ -405,22 +479,23 @@ def operator_norm_pq(op: DiscretizedOperator, tol: float = POWER_TOL,
                      image: np.ndarray | None = None) -> PqNormEstimate:
     """Discretized weighted-operator norm for general (p1, p2).
 
-    The power method runs on ``op.core``, from ``start`` (a vector on the
-    core's columns, e.g. from ``op.warm_start``) or, by default, from the
-    all-ones vector.  ``image``, if given, is ``op.core @ start`` (the other
+    The power method runs on ``op.core`` between ``op.rows`` and
+    ``op.cols``, from ``start`` (a vector on the core's columns, e.g. from
+    ``op.warm_start``) or, by default, from the all-ones vector.
+    ``image``, if given, is the operator's product with ``start`` (the other
     half of ``op.warm_start``), and saves the first matrix-vector product.
     """
     return _pq_norm(op.core, op.source_space.p, op.target_space.p, tol, max_iter,
-                    op.nonnegative, op.mirrored, start, image)
+                    op.nonnegative, op.mirrored, start, image, op.rows, op.cols)
 
 
 def empirical_ratio(op: DiscretizedOperator, f: SampledFunction) -> float:
     """||Kf||_target / ||f||_source for a function sampled on the operator's grid.
 
-    The core maps u = f * w^(1/p1) * (1+|y|)^(w1/p1) to the target-weighted
-    image r * Kf; a mirrored core takes u folded onto the half line and
-    gives half of the even image, whose norm is scaled by 2^(1/p2).  A ratio
-    that is not finite raises NumericalError.
+    The operator maps u = f * w^(1/p1) * (1+|y|)^(w1/p1) to the
+    target-weighted image r * Kf; a mirrored core takes u folded onto the
+    half line and gives half of the even image, whose norm is scaled by
+    2^(1/p2).  A ratio that is not finite raises NumericalError.
     """
     require_on_grid(f, op.grid)
     source, target, grid = op.source_space, op.target_space, op.grid
@@ -432,7 +507,8 @@ def empirical_ratio(op: DiscretizedOperator, f: SampledFunction) -> float:
              * (1.0 + np.abs(grid.nodes)) ** (weight_exponent(source) / source.p))
         if op.mirrored:
             u = fold(u)
-        image_norm, _ = _norm_and_dual(op.core @ u, target.p)  # rescales on overflow
+        image_norm, _ = _norm_and_dual(_apply(op.core, op.rows, op.cols, u),
+                                       target.p)  # rescales on overflow
         ratio = image_norm * (2.0 ** (1.0 / target.p) if op.mirrored else 1.0) / denominator
     if not math.isfinite(ratio):
         raise NumericalError("empirical ratio is not finite: the image overflows")

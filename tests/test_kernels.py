@@ -7,7 +7,7 @@ from opnormlab import (DivergenceError, DomainError, Grid, KernelSpec, SpaceSpec
                        build_grid, integrate, kernel_eval,
                        majorant_integral, parse_kernel, tail_bound)
 
-from _dense import full_matrix
+from _dense import full_matrix, kernel_matrix
 
 
 def test_kernel_eval_values():
@@ -124,8 +124,7 @@ def test_flatten_weights_identity_at_s0():
     grid = unit_weight_grid(4)
     space = SpaceSpec.h(0.0)
     op = assemble(k, space, space, grid)
-    assert np.array_equal(full_matrix(op),
-                          kernel_eval(k, grid.nodes[:, None], grid.nodes[None, :]))
+    assert np.array_equal(full_matrix(op), kernel_matrix(k, grid))
 
 
 def test_flatten_weights_classic_exponents():

@@ -18,10 +18,11 @@ from opnormlab import (ConvergenceError, DiscretizedOperator, DomainError, Grid,
                        largest_singular_value, matrix_pq_norm, nested_grids,
                        operator_norm_pq, sample, sample_spec, weighted_norm)
 from opnormlab.conditions import BoundednessQuery, query_spaces
-from opnormlab.operators import POWER_MAX_ITER, POWER_TOL, _pq_norm, _power_method
+from opnormlab.operators import (_BLOCK_ENTRIES, _STRIP_ROWS, POWER_MAX_ITER, POWER_TOL, _apply,
+                                 _pq_norm, _power_method)
 from opnormlab.spaces import conjugate_exponent, weight_exponent
 
-from _dense import full_matrix
+from _dense import full_matrix, kernel_matrix, scaled_core
 
 
 def pair_grid() -> Grid:
@@ -92,10 +93,15 @@ def test_assemble_mirrored_peak_memory():
     assert peak < 0.75 * n * n * 8
 
 
+# the scratch of one assembly block: kernel_eval's result, a modulation's
+# factor and numpy's two buffers for the broadcast 1+|x|+|y| (as large as
+# the block at this size), beside the core, plus a few O(n) vectors
+BLOCK_BYTES = 8 * _BLOCK_ENTRIES
+
+
 def test_assemble_full_path_peak_memory():
-    # altmod is not even, so the full matrix is assembled: the kernel
-    # values, scaled in place, and the sign factor of the modulation are
-    # the two n x n arrays alive at once
+    # altmod is not even, so the full K is assembled: the core is the one
+    # n x n array, and the scratch is one block's
     grid = build_grid(640.0, 82, 1.3, 8)
     n = grid.size
     assert n == 1312
@@ -106,21 +112,21 @@ def test_assemble_full_path_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not op.mirrored
-    assert peak < 2.25 * n * n * 8
+    assert not op.mirrored and op.core.nbytes == n * n * 8
+    assert peak <= op.core.nbytes + 4 * BLOCK_BYTES + 4 * n * 8
 
 
-@pytest.mark.parametrize("kernel, bound", [
-    (KernelSpec(kappa=1.5), 1.25),
-    (KernelSpec(kappa=1.5, modulation="cosine", omega=1.5), 2.25),
-    (KernelSpec(kappa=1.5, modulation="alternating"), 2.25),
+@pytest.mark.parametrize("kernel, blocks", [
+    (KernelSpec(kappa=1.5), 3),
+    (KernelSpec(kappa=1.5, modulation="cosine", omega=1.5), 4),
+    (KernelSpec(kappa=1.5, modulation="alternating"), 4),
 ], ids=["envelope", "cosmod", "altmod"])
-def test_assemble_allocates_one_block(kernel, bound):
-    # kernel_eval returns one fresh array, a modulation adds one scratch
-    # array of the same size, and assemble scales the result in place: 1 or
-    # 2 blocks, plus 0.25 of a block for the O(n) vectors (the scalings).
-    # The core is the quadrant for the even kernels, the full matrix for
-    # altmod
+def test_assemble_allocates_one_block(kernel, blocks):
+    # kernel_eval returns one fresh block of values, a modulation adds one
+    # scratch factor of the same size, and numpy buffers both broadcast
+    # operands of 1+|x|+|y|: 3 or 4 blocks beside the core, which is the
+    # quadrant for the even kernels and the full K for altmod.  The
+    # scalings and the bound on the entries are O(n)
     grid = build_grid(640.0, 50, 1.3, 8)
     assert grid.size == 800
     tracemalloc.start()
@@ -130,7 +136,7 @@ def test_assemble_allocates_one_block(kernel, bound):
     finally:
         tracemalloc.stop()
     assert op.mirrored == kernel.even
-    assert peak <= bound * op.core.nbytes
+    assert peak <= op.core.nbytes + blocks * BLOCK_BYTES + 4 * grid.size * 8
 
 
 def test_assemble_nonnegative_for_pure_envelope():
@@ -150,6 +156,30 @@ def test_assemble_overflow_names_entry():
     grid = build_grid(1e4, 10, 1.5, 4)
     with pytest.raises(NumericalError, match=r"\(\d+, \d+\)"):
         assemble(KernelSpec(kappa=-400.0), SpaceSpec.h(0.0), SpaceSpec.h(0.0), grid)
+
+
+def test_assemble_names_an_entry_whose_product_overflows():
+    # r ~ c ~ 1e200 at the outer nodes and K is finite everywhere, but
+    # r_i K_ij c_j is not: the entry named is one of the test's own matrix
+    grid = build_grid(1e4, 10, 1.5, 4)
+    kernel, source, target = KernelSpec(kappa=0.5), SpaceSpec.h(-50.0), SpaceSpec.h(50.0)
+    with np.errstate(over="ignore"):
+        dense = direct_matrix(kernel, source, target, grid)
+    assert np.all(np.isfinite(kernel_matrix(kernel, grid))) and not np.all(np.isfinite(dense))
+    with pytest.raises(NumericalError, match=r"non-finite operator entry") as info:
+        assemble(kernel, source, target, grid)
+    i, j = map(int, info.value.args[0].split("(")[1].rstrip(")").split(", "))
+    assert not np.isfinite(dense[i, j])
+
+
+def test_assemble_accepts_finite_entries_under_an_overflowing_bound():
+    # max r * max K * max c overflows, but the largest K sits where r and c
+    # are small: every entry is finite, and the scan that follows says so
+    grid = build_grid(1e4, 10, 1.5, 4)
+    op = assemble(KernelSpec(kappa=30.0), SpaceSpec.h(-50.0), SpaceSpec.h(50.0), grid)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(op.rows.max() * op.core.max() * op.cols.max())
+    assert np.all(np.isfinite(full_matrix(op)))
 
 
 def two_entry_matrix(value: float) -> np.ndarray:
@@ -209,15 +239,39 @@ def test_restrict_equals_assembly_on_nested_grid(kernel, source, target):
         block = full.restrict(grid)
         assert block.grid is grid
         assert block.source_space == source and block.target_space == target
-        assert np.array_equal(full_matrix(block),
-                              full_matrix(assemble(kernel, source, target, grid)))
+        own = assemble(kernel, source, target, grid)
+        for name in ("core", "rows", "cols"):
+            assert np.array_equal(getattr(block, name), getattr(own, name))
+        assert np.array_equal(full_matrix(block), full_matrix(own))
+
+
+# large enough that the upper triangle takes several blocks and the lower
+# one several strips, whose edges differ between the members of the family
+WIDE = nested_grids((10.0, 40.0, 160.0), 24, 1.3, 8, extra_panels=2)
+
+
+@pytest.mark.parametrize("kernel", [
+    KernelSpec(kappa=1.5),
+    KernelSpec(kappa=2.0, modulation="cosine", omega=1.5),
+    KernelSpec(kappa=2.0, modulation="alternating"),
+], ids=["envelope", "cosmod", "altmod"])
+def test_restrict_keeps_core_and_scalings_bitwise_across_blocks(kernel):
+    source, target = SpaceSpec.hsp(-0.5, 3.0), SpaceSpec.hps(1.5, -0.25)
+    full = assemble(kernel, source, target, WIDE[-1])
+    n = full.core.shape[0]
+    assert n > _STRIP_ROWS and _BLOCK_ENTRIES // n < n // 4
+    for grid in WIDE[:-1]:
+        block, own = full.restrict(grid), assemble(kernel, source, target, grid)
+        for name in ("core", "rows", "cols"):
+            assert np.array_equal(getattr(block, name), getattr(own, name))
 
 
 def test_restrict_is_a_read_only_view():
     full = assemble(KernelSpec(kappa=1.5), SpaceSpec.h(-0.25), SpaceSpec.h(-0.25), NESTED[-1])
     block = full.restrict(NESTED[0])
-    assert np.shares_memory(block.core, full.core)
-    for array in (block.core, block.matrix):
+    for name in ("core", "rows", "cols"):
+        assert np.shares_memory(getattr(block, name), getattr(full, name))
+    for array in (block.core, block.rows, block.cols, block.matrix):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
@@ -661,13 +715,19 @@ def test_kernel_eval_has_one_call_site_per_consumer():
 
 # --- mirror symmetry ---------------------------------------------------------
 
-def direct_matrix(k, source, target, grid):
-    # diag(r) K diag(c) written out on the full grid, without assemble
+def direct_scalings(source, target, grid):
+    # r and c written out on the full grid, without assemble
     x, w = grid.nodes, grid.weights
     rows = w ** (1.0 / target.p) * (1.0 + np.abs(x)) ** (weight_exponent(target) / target.p)
     cols = (w ** (1.0 / conjugate_exponent(source.p))
             * (1.0 + np.abs(x)) ** (-weight_exponent(source) / source.p))
-    return rows[:, None] * kernel_eval(k, x[:, None], x[None, :]) * cols[None, :]
+    return rows, cols
+
+
+def direct_matrix(k, source, target, grid):
+    # diag(r) K diag(c) written out on the full grid, without assemble
+    rows, cols = direct_scalings(source, target, grid)
+    return rows[:, None] * kernel_matrix(k, grid) * cols[None, :]
 
 
 def full_path(op):
@@ -699,10 +759,15 @@ COSMOD = KernelSpec(kappa=2.0, modulation="cosine", omega=1.5)
 @pytest.mark.parametrize("grid", [NESTED[-1], NESTED[0]],
                          ids=["source_grid0-target_grid0", "source_grid1-target_grid1"])
 def test_mirrored_assembly_equals_direct_formula(kernel, exact, grid):
+    h = grid.size // 2
     for source, target in SPACE_PAIRS:
         op = assemble(kernel, source, target, grid)
         assert op.mirrored
         assert not op.matrix.flags.writeable
+        # the core is bare K on the quadrant, the scalings r and c on the half line
+        assert np.array_equal(op.core, kernel_matrix(kernel, grid)[h:, h:])
+        rows, cols = direct_scalings(source, target, grid)
+        assert np.array_equal(op.rows, rows[h:]) and np.array_equal(op.cols, cols[h:])
         expected = direct_matrix(kernel, source, target, grid)
         if exact:
             assert np.array_equal(full_matrix(op), expected)
@@ -722,8 +787,7 @@ def test_mirrored_matrix_built_on_first_read():
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0] = 1.0
-    h, w = op.core.shape
-    assert np.array_equal(first[h:, w:], op.core)
+    assert np.array_equal(first, full_matrix(op))
     assert np.array_equal(first, first[::-1, ::-1])
 
 
@@ -766,8 +830,41 @@ def test_full_path_when_not_mirror_symmetric(kernel, grid):
     # the alternating modulation is not even: its core is the full matrix
     source, target = SpaceSpec.hsp(-0.5, 3.0), SpaceSpec.hsp(-0.25, 1.5)
     op = assemble(kernel, source, target, grid)
-    assert not op.mirrored and op.core is op.matrix
+    assert not op.mirrored and op.core.shape == (grid.size, grid.size)
+    assert np.array_equal(op.core, kernel_matrix(kernel, grid))
+    assert np.array_equal(op.matrix, full_matrix(op))
     assert np.array_equal(full_matrix(op), direct_matrix(kernel, source, target, grid))
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec(kappa=2.5), COSMOD, ALTMOD],
+                         ids=["envelope", "cosmod", "altmod"])
+def test_core_is_the_exactly_symmetric_bare_kernel(kernel):
+    # K(x, y) = K(y, x) for every kernel: the lower triangle is a copy of the upper
+    grid = WIDE[-1]
+    op = assemble(kernel, *SPACE_PAIRS[4], grid)
+    assert op.mirrored == kernel.even
+    assert np.array_equal(op.core, op.core.T)
+    h = grid.size // 2 if kernel.even else 0
+    assert np.array_equal(op.core, kernel_matrix(kernel, grid)[h:, h:])
+    # set at assembly, from the one pass over K; an unmodulated kernel is positive
+    assert vars(op)["nonnegative"] is (kernel.modulation == "none")
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec(kappa=2.5), COSMOD, ALTMOD],
+                         ids=["mirrored-envelope", "mirrored-cosmod", "full-altmod"])
+def test_both_products_match_the_dense_scaled_core(kernel):
+    # r * (K (c * v)) and c * (K^T (r * u)) against diag(r) K diag(c) formed
+    # from the test's own scalings and kernel values
+    grid = WIDE[-1]
+    h = grid.size // 2 if kernel.even else 0
+    rng = np.random.default_rng(7)
+    for source, target in SPACE_PAIRS:
+        op = assemble(kernel, source, target, grid)
+        rows, cols = direct_scalings(source, target, grid)
+        dense = rows[h:, None] * kernel_matrix(kernel, grid)[h:, h:] * cols[None, h:]
+        v, u = rng.uniform(0.5, 1.5, size=(2, op.core.shape[0]))
+        assert relative_gap(_apply(op.core, op.rows, op.cols, v), dense @ v) <= 1e-14
+        assert relative_gap(_apply(op.core.T, op.cols, op.rows, u), dense.T @ u) <= 1e-14
 
 
 def _power_method_two_norms(B, p1, p2, tol, max_iter):
@@ -842,19 +939,20 @@ def test_padded_image_is_handed_to_the_power_method_as_core_times_start(
     assert full.mirrored == kernel.even
     block = full.restrict(small)
     estimate = operator_norm_pq(block)
-    assert relative_gap(estimate.image, block.core @ estimate.maximizer) <= 1e-14
+    assert relative_gap(estimate.image, scaled_core(block) @ estimate.maximizer) <= 1e-14
     start, image = full.warm_start(estimate, small)
     handed = []
 
-    def recording(B, p1, p2, tol, max_iter, start=None, image=None):
-        handed.append((B, start, image))
-        return _power_method(B, p1, p2, tol, max_iter, start, image)
+    def recording(B, p1, p2, tol, max_iter, start=None, image=None, rows=None, cols=None):
+        handed.append((B, start, image, rows, cols))
+        return _power_method(B, p1, p2, tol, max_iter, start, image, rows, cols)
 
     monkeypatch.setattr(opnormlab.operators, "_power_method", recording)
     warm = operator_norm_pq(full, start=start, image=image)
-    B, handed_start, handed_image = handed[0]
-    assert B is full.core and handed_start is start and handed_image is image
-    assert relative_gap(image, full.core @ start) <= 1e-14
+    B, handed_start, handed_image, rows, cols = handed[0]
+    assert B is full.core and rows is full.rows and cols is full.cols
+    assert handed_start is start and handed_image is image
+    assert relative_gap(image, scaled_core(full) @ start) <= 1e-14
     without = operator_norm_pq(full, start=start)
     assert warm.iterations == without.iterations
     assert warm.value == pytest.approx(without.value, rel=1e-14, abs=0.0)

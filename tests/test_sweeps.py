@@ -221,17 +221,18 @@ def test_warm_starts_take_fewer_iterations_than_cold_starts(monkeypatch):
 
 def record_images(monkeypatch) -> list:
     """Patch the power method to record, per call, None without an image, else
-    the largest deviation of the image from B @ start relative to its largest entry."""
+    the largest deviation of the image from diag(rows) B diag(cols) @ start
+    relative to its largest entry."""
     gaps = []
     real = opnormlab.operators._power_method
 
-    def recording(B, p1, p2, tol, max_iter, start=None, image=None):
+    def recording(B, p1, p2, tol, max_iter, start=None, image=None, rows=None, cols=None):
         if image is None:
             gaps.append(None)
         else:
-            want = B @ start
+            want = (rows[:, None] * B * cols[None, :]) @ start
             gaps.append(float(np.max(np.abs(image - want)) / np.max(np.abs(want))))
-        return real(B, p1, p2, tol, max_iter, start, image)
+        return real(B, p1, p2, tol, max_iter, start, image, rows, cols)
 
     monkeypatch.setattr(opnormlab.operators, "_power_method", recording)
     return gaps
