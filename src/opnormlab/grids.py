@@ -6,8 +6,9 @@ fixed-order Gauss-Legendre rule.  A grid is its panel edges on [0, R] and
 its panel order; it is mirrored, so every grid is a bitwise mirror about
 zero.  Grids grow one way: ``nested_grids`` chains the edges of a whole
 truncation schedule, so each member reuses the breakpoints of the smaller
-ones and the node sets nest; truncation studies rely on that nesting, and
-``build_grid`` is the family of one radius.
+ones and the node sets nest; truncation studies rely on that nesting,
+which ``nested_slice`` tests by panel edges, and ``build_grid`` is the
+family of one radius.
 """
 from __future__ import annotations
 
@@ -160,8 +161,8 @@ def nested_grids(R_schedule, panels_per_side: int, grading: float = DEFAULT_GRAD
     of the same ratio (``_geometric_fill`` checks each radius against the one
     before it).  Each member is the ``Grid`` on its prefix of the chain.  A
     panel's nodes and weights depend on its own two edges only, so each
-    smaller grid is bitwise the centred slice of every larger one, which
-    ``DiscretizedOperator.restrict`` relies on.
+    smaller grid is bitwise the centred slice of every larger one (see
+    ``nested_slice``).
     """
     schedule = [float(R) for R in R_schedule]
     if not schedule:
@@ -172,6 +173,19 @@ def nested_grids(R_schedule, panels_per_side: int, grading: float = DEFAULT_GRAD
     edges = np.concatenate(chain)
     return [Grid(edges[:count], panel_order)
             for count in np.cumsum([part.size for part in chain])[1:]]
+
+
+def nested_slice(outer: Grid, inner: Grid) -> slice:
+    """The centred slice of ``outer``'s nodes that is ``inner``: DomainError
+    unless the two share their panel order and ``inner``'s panel edges lead
+    ``outer``'s, as in one ``nested_grids`` family, so that ``inner``'s nodes
+    and weights are bitwise that slice of ``outer``'s."""
+    edges = inner.breakpoints
+    if not (inner.panel_order == outer.panel_order
+            and np.array_equal(outer.breakpoints[:edges.size], edges)):
+        raise DomainError("grid is not nested in the larger grid: panel edges or order differ")
+    start = (outer.size - inner.size) // 2
+    return slice(start, start + inner.size)
 
 
 def _trusted(cls, *values):

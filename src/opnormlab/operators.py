@@ -42,12 +42,13 @@ built only when it is read, which only the benchmark's tracer does.
 A norm starts from the all-ones vector unless it is given a start on the
 core's columns.  A sweep takes one nesting step per radius: ``restrict``
 views the block of the largest core, and of its scalings, that the
-radius's grid keeps, and ``warm_start`` places the previous radius's
-estimate in that view: its maximizer, padded with zeros around the
-previous block, is the start, and its image fills that block's rows of the
-start's image, so only the new rows are computed and the first iterate
-costs a product with them alone.  Each looks its block up once, through
-``_block``, which checks the nesting in O(n).
+radius's grid keeps, once ``grids.nested_slice`` has tested the nesting by
+panel edges, and from the second radius on ``_warm_start`` places the
+previous radius's estimate in that view by its length alone, since
+``restrict`` checked both radii against the same parent: its maximizer,
+padded with zeros around the previous block, is the start, and its image
+fills that block's rows of the start's image, so only the new rows are
+computed and the first iterate costs a product with them alone.
 
 General p -> q matrix norms are NP-hard, so certification is restricted to
 entrywise-nonnegative matrices, where the nonlinear power method converges
@@ -68,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
-from .grids import Grid, _trusted, fold, unfold
+from .grids import Grid, _trusted, fold, nested_slice, unfold
 from .kernels import KernelSpec, kernel_eval
 from .spaces import (SampledFunction, SpaceSpec, conjugate_exponent, weight_exponent,
                      weighted_norm)
@@ -161,18 +162,20 @@ class DiscretizedOperator:
     def restrict(self, grid: Grid) -> DiscretizedOperator:
         """The operator on a grid nested in this one's, as a view of its core.
 
-        ``grid`` must equal the centred slice of this operator's grid, node
-        for node and weight for weight, as the grids of one ``nested_grids``
-        family do; else DomainError.  Every kernel value depends only on its
-        two nodes, and each scaling on its own node and weight, so the
-        centred block of the core and the matching slices of the scalings
-        are exactly what ``assemble`` builds on the smaller grid.  The
-        half-line nodes of the smaller grid are the leading ones of the
+        ``grid`` must nest in this operator's grid as the grids of one
+        ``nested_grids`` family do; ``grids.nested_slice`` tests that by
+        panel edges and order, else DomainError.  Every kernel value depends
+        only on its two nodes, and each scaling on its own node and weight,
+        so the centred block of the core and the matching slices of the
+        scalings are exactly what ``assemble`` builds on the smaller grid.
+        The half-line nodes of the smaller grid are the leading ones of the
         larger, so a mirrored operator restricts to its leading block.  The
         views are neither copied nor re-checked: this operator's arrays are
         already validated and read-only.
         """
-        block = self._block(grid)
+        block = nested_slice(self.grid, grid)
+        if self.mirrored:
+            block = slice(0, grid.size // 2)
         op = _trusted(DiscretizedOperator, self.core[block, block], self.source_space,
                       self.target_space, grid, self.rows[block], self.cols[block])
         if self.nonnegative:  # a block of a nonnegative core is nonnegative: no rescan
@@ -185,50 +188,26 @@ class DiscretizedOperator:
         (the scalings are too)."""
         return bool(self.core.min() >= 0)
 
-    def warm_start(self, estimate: PqNormEstimate, grid: Grid
-                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    def _warm_start(self, estimate: PqNormEstimate) -> tuple[np.ndarray, np.ndarray | None]:
         """(start, image) for this operator's norm from ``estimate``, the norm of
-        its restriction to ``grid`` (see ``restrict``, whose checks apply).
-
-        ``start`` is the estimate's maximizer padded with zeros onto this
-        core's columns, in the block ``restrict`` keeps.  ``image`` is the
-        operator's product with ``start``, rows * (core @ (cols * start)):
-        the estimate's image in the rows of that block, and only the new
-        rows, the trailing ones of a mirrored core and both ends of a full
-        one, computed from the block's columns; None when the estimate has
-        no image (a zero core).  DomainError unless the maximizer and the
-        image have the block's length.
+        a smaller restriction of the same parent, which ``restrict`` checked,
+        so the estimate's length alone places it: in the leading block of a
+        mirrored core, the centred block of a full one.  ``start`` is the
+        maximizer padded with zeros.  ``image`` is rows * (core @ (cols *
+        start)): the estimate's image in that block's rows, and only the new
+        rows computed; None when the estimate has no image (a zero core).
         """
-        block = self._block(grid)
         v, kept = estimate.maximizer, estimate.image
-        length = block.stop - block.start
-        if np.shape(v) != (length,) or (kept is not None and np.shape(kept) != (length,)):
-            raise DomainError(f"maximizer and image must have length {length}")
-        start = np.zeros(self.core.shape[1])
+        n = self.core.shape[0]
+        first = 0 if self.mirrored else (n - v.size) // 2
+        block = slice(first, first + v.size)
+        start = np.zeros(n)
         start[block] = v
         if kept is None:
             return start, None
-        before, after = slice(0, block.start), slice(block.stop, None)
-        image = np.empty(self.core.shape[0])
-        image[before] = _apply(self.core[before, block], self.rows[before], self.cols[block], v)
-        image[block] = kept
-        image[after] = _apply(self.core[after, block], self.rows[after], self.cols[block], v)
-        return start, image
-
-    def _block(self, grid: Grid) -> slice:
-        """The index range, along both axes of the core, that a restriction to
-        ``grid`` keeps: the leading block of a mirrored core, the centred
-        block of a full one.  DomainError unless ``grid`` is the centred
-        slice of this operator's grid.
-        """
-        outer = self.grid
-        start, odd = divmod(outer.size - grid.size, 2)
-        block = slice(start, start + grid.size)
-        if (start < 0 or odd
-                or not np.array_equal(outer.nodes[block], grid.nodes)
-                or not np.array_equal(outer.weights[block], grid.weights)):
-            raise DomainError("grid is not the centred slice of the operator's grid")
-        return slice(0, grid.size // 2) if self.mirrored else block
+        before, after = (_apply(self.core[rows, block], self.rows[rows], self.cols[block], v)
+                         for rows in (slice(0, block.start), slice(block.stop, None)))
+        return start, np.concatenate([before, kept, after])
 
 
 # kernel values per assembly block: 32 KB of scratch, as much again for a
@@ -480,10 +459,10 @@ def operator_norm_pq(op: DiscretizedOperator, tol: float = POWER_TOL,
     """Discretized weighted-operator norm for general (p1, p2).
 
     The power method runs on ``op.core`` between ``op.rows`` and
-    ``op.cols``, from ``start`` (a vector on the core's columns, e.g. from
-    ``op.warm_start``) or, by default, from the all-ones vector.
-    ``image``, if given, is the operator's product with ``start`` (the other
-    half of ``op.warm_start``), and saves the first matrix-vector product.
+    ``op.cols``, from ``start`` (a vector on the core's columns, e.g. a
+    sweep's warm start) or, by default, from the all-ones vector.
+    ``image``, if given, is the operator's product with ``start``, and saves
+    the first matrix-vector product.
     """
     return _pq_norm(op.core, op.source_space.p, op.target_space.p, tol, max_iter,
                     op.nonnegative, op.mirrored, start, image, op.rows, op.cols)

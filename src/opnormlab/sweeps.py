@@ -2,7 +2,8 @@
 proof-step inequality checks and below-threshold probes.
 
 A sweep discretizes the same operator on a nested family of truncated
-grids (slices of the largest) and watches the norm estimates along the
+grids (slices of the largest; ``grids.nested_slice`` tests each radius's
+nesting once, by panel edges) and watches the norm estimates along the
 truncation schedule.  Each radius starts the power method from the previous
 one's maximizer and reuses its image, so those estimates can only grow with
 the radius, and a log-log growth exponent near zero is evidence of
@@ -149,8 +150,8 @@ def run_boundedness_sweep(plan: SweepPlan, tol: float = POWER_TOL,
     ``DiscretizedOperator.restrict``: the centred block of a full core, the
     leading one of a mirrored quadrant), which is bitwise the core the
     smaller grid would assemble.  The radii run in increasing order: the
-    first starts from the all-ones vector, every later one from
-    ``warm_start``, the previous radius's maximizer zero-padded onto the
+    first starts from the all-ones vector, every later one from the
+    previous radius's maximizer zero-padded (``op._warm_start``) onto the
     new nodes.  The previous core is a block of the new one, so the first
     warm iterate already reaches the previous value and the norms cannot
     decrease along the schedule (up to rounding), whatever the kernel's
@@ -176,17 +177,16 @@ def run_boundedness_sweep(plan: SweepPlan, tol: float = POWER_TOL,
         reports.append(check_boundedness(query))
         full = assemble(kernel, source, target, grids[-1])
         fit_points = []
-        estimate = previous = None
+        estimate = None
         for R, grid in zip(plan.R_schedule, grids):
             op = full.restrict(grid)
-            start, image = (None, None) if previous is None else op.warm_start(estimate, previous)
+            start, image = (None, None) if estimate is None else op._warm_start(estimate)
             estimate = operator_norm_pq(op, tol=tol, max_iter=max_iter, start=start,
                                         image=image)
             cells.append(SweepCell(index, R, grid.size, estimate.value, estimate.certified,
                                    estimate.converged))
             if estimate.converged and estimate.value > 0.0:
                 fit_points.append((R, estimate.value))
-            previous = grid
         del full, op  # free this query's matrix before the next query assembles its own
         gamma = fit_growth_exponent(fit_points) if len(fit_points) >= 2 else None
         summaries.append(QuerySummary(index, gamma, verdict_for(gamma)))

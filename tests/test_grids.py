@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from opnormlab import (DomainError, Grid, GridPolicy, NumericalError, build_grid, integrate,
                        nested_grids, parse_grid)
 from opnormlab.closed_forms import powerlaw_integral
-from opnormlab.grids import _reference_rule
+from opnormlab.grids import _reference_rule, nested_slice
 
 
 def test_minimal_grid_structure():
@@ -126,8 +126,9 @@ def test_every_grid_is_a_bitwise_mirror(widths, order):
        st.integers(1, 10), st.floats(1.0, 2.0), ORDERS, st.integers(1, 4))
 def test_nested_members_are_centred_slices_of_the_largest(first, ratios, panels, grading,
                                                           order, extra):
-    # DiscretizedOperator.restrict and warm_start take a member's block of
-    # the largest core on this guarantee
+    # nested_slice tests this guarantee by panel edges, and
+    # DiscretizedOperator.restrict takes a member's block of the largest core
+    # on it
     schedule = list(first * np.cumprod([1.0] + ratios))
     family = nested_grids(schedule, panels, grading, order, extra)
     largest = family[-1]
@@ -136,6 +137,7 @@ def test_nested_members_are_centred_slices_of_the_largest(first, ratios, panels,
         assert_bitwise_mirror(grid)
         start = (largest.size - grid.size) // 2
         block = slice(start, start + grid.size)
+        assert nested_slice(largest, grid) == block
         assert np.array_equal(largest.nodes[block], grid.nodes)
         assert np.array_equal(largest.weights[block], grid.weights)
         assert np.array_equal(largest.breakpoints[:grid.breakpoints.size], grid.breakpoints)

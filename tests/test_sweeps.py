@@ -253,21 +253,45 @@ def test_sweep_hands_each_warm_radius_the_image_of_its_start(monkeypatch, kernel
 
 @pytest.mark.parametrize("kernel", [None, ALTMOD], ids=["mirrored", "full"])
 def test_sweep_checks_the_nesting_once_per_step(monkeypatch, kernel):
-    # one restrict per radius and one warm_start per radius after the first
-    blocks = []
-    real = opnormlab.operators.DiscretizedOperator._block
+    # restrict tests each radius's nesting once, and the warm step places the
+    # previous estimate by its length alone: K lookups per query, where the
+    # parent made 2K - 1 (15 on the eight radii of a sweep-saturation job)
+    lookups = []
+    real = opnormlab.operators.nested_slice
 
-    def counting(op, *grids):
-        blocks.append(grids[-1].size)  # the smaller grid
-        return real(op, *grids)
+    def counting(outer, inner):
+        lookups.append((outer.size, inner.size))
+        return real(outer, inner)
 
-    monkeypatch.setattr(opnormlab.operators.DiscretizedOperator, "_block", counting)
-    schedule = (10.0, 40.0, 160.0, 640.0)
-    run_boundedness_sweep(SweepPlan(queries=(query_thm1(1.5),), kernel=kernel,
-                                    R_schedule=schedule, grid=FAST_GRID))
-    assert len(blocks) == 2 * len(schedule) - 1  # the parent made 3K - 2 calls
+    monkeypatch.setattr(opnormlab.operators, "nested_slice", counting)
+    schedule = tuple(10.0 * 4.0 ** k for k in range(8))
+    queries = (query_thm1(1.5), query_thm1(2.0))
+    run_boundedness_sweep(SweepPlan(queries=queries, kernel=kernel, R_schedule=schedule,
+                                    grid=FAST_GRID))
     sizes = [grid.size for grid in FAST_GRID.build(schedule)]
-    assert blocks == [sizes[0]] + [size for pair in zip(sizes[1:], sizes) for size in pair]
+    assert lookups == [(sizes[-1], size) for size in sizes] * len(queries)
+
+
+@pytest.mark.parametrize("kernel", [None, ALTMOD], ids=["envelope", "altmod"])
+def test_warm_state_stays_within_its_query(kernel):
+    # each query of a three-query sweep gives the cells of a sweep of that
+    # query alone, bitwise: no estimate carries over from one query to the next
+    queries = (query_thm1(1.5), BoundednessQuery("hps", -1.0, -1.0, 2.0, 2.0, 4.0),
+               BoundednessQuery("hsp", -0.5, 0.0, 2.5, 3.0, 2.0))
+
+    def cells(result, index):
+        return [(cell.R, cell.nodes, cell.value, cell.certified, cell.converged)
+                for cell in result.cells if cell.query_index == index]
+
+    def sweep(chosen):
+        return run_boundedness_sweep(SweepPlan(queries=chosen, kernel=kernel,
+                                               R_schedule=(10.0, 40.0, 160.0), grid=FAST_GRID))
+
+    together = sweep(queries)
+    for index, query in enumerate(queries):
+        alone = sweep((query,))
+        assert cells(together, index) == cells(alone, 0)
+        assert together.summaries[index].gamma == alone.summaries[0].gamma
 
 
 def test_image_keeps_the_iteration_count_of_every_criterion_6_cell(monkeypatch):
