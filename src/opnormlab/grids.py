@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,13 +122,12 @@ def _whole(value, least: int, what: str) -> int:
 def _geometric_fill(lo: float, hi: float, panels: int, grading: float) -> np.ndarray:
     """Right edges of m = ``panels`` panels of ratio g = ``grading`` filling (lo, hi].
 
-    ``hi`` must be finite and above ``lo``, m a whole number >= 1 and g
-    finite and >= 1.  The first panel has width (hi-lo)(g-1)/(g^m - 1);
-    g = 1 is uniform.
+    ``hi`` must be finite and above ``lo`` and g finite and >= 1; m is an
+    int >= 1, which ``nested_grids`` checks.  The first panel has width
+    (hi-lo)(g-1)/(g^m - 1); g = 1 is uniform.
     """
     if not (math.isfinite(hi) and hi > lo):  # a NaN fails this
         raise DomainError(f"truncation radius {hi!r} must be finite and above {lo!r}")
-    panels = _whole(panels, 1, "panel count")
     grading = float(grading)
     if not (1 <= grading < np.inf):
         raise DomainError("panel grading must be finite and >= 1")
@@ -158,16 +157,19 @@ def nested_grids(R_schedule, panels_per_side: int, grading: float = DEFAULT_GRAD
 
     The panel edges are chained once: ``panels_per_side`` geometric panels
     fill [0, R_0], and each annulus (R_{i-1}, R_i] gets ``extra_panels`` more
-    of the same ratio (``_geometric_fill`` checks each radius against the one
-    before it).  Each member is the ``Grid`` on its prefix of the chain.  A
-    panel's nodes and weights depend on its own two edges only, so each
-    smaller grid is bitwise the centred slice of every larger one (see
-    ``nested_slice``).
+    of the same ratio.  Each count is checked once, under its own name (the
+    extra panels only when there is an annulus), and ``_geometric_fill``
+    checks each radius against the one before it.  Each member is the
+    ``Grid`` on its prefix of the chain.  A panel's nodes and weights depend
+    on its own two edges only, so each smaller grid is bitwise the centred
+    slice of every larger one (see ``nested_slice``).
     """
     schedule = [float(R) for R in R_schedule]
     if not schedule:
         raise DomainError("empty truncation schedule")
-    counts = [panels_per_side] + [extra_panels] * (len(schedule) - 1)
+    counts = [_whole(panels_per_side, 1, "panels per side")]
+    if len(schedule) > 1:
+        counts += [_whole(extra_panels, 1, "extra panels per radius")] * (len(schedule) - 1)
     chain = [np.zeros(1)] + [_geometric_fill(lo, hi, panels, grading)
                              for lo, hi, panels in zip([0.0] + schedule, schedule, counts)]
     edges = np.concatenate(chain)
@@ -186,15 +188,6 @@ def nested_slice(outer: Grid, inner: Grid) -> slice:
         raise DomainError("grid is not nested in the larger grid: panel edges or order differ")
     start = (outer.size - inner.size) // 2
     return slice(start, start + inner.size)
-
-
-def _trusted(cls, *values):
-    """An instance of the frozen dataclass ``cls`` around ``values``, one per field,
-    that are already checked and read-only: no copy, no checks."""
-    instance = object.__new__(cls)  # skips __init__ and its checks
-    for attribute, value in zip(fields(cls), values, strict=True):
-        object.__setattr__(instance, attribute.name, value)
-    return instance
 
 
 def integrate(grid: Grid, g) -> float:

@@ -10,11 +10,14 @@ the product is never stored, and every product with the operator is
 r * (K (c * v)) or, transposed, c * (K^T (r * u)).  The weighted operator
 norm is a plain l^p1 -> l^p2 norm of that matrix, so all three space
 families share one nonlinear power method (Boyd, "The power method for l_p
-norms", 1974); p1 = p2 = 2 is its singular-value case.  A plain matrix is
-the core between unit scalings, and x * 1.0 is x, so it runs the same loop
-bitwise as if the scalings were not there.  The kernel is evaluated here
-only by ``assemble``, whose core carries every norm, sweep and
-test-function ratio, and by ``apply_operator``, (Kf)(x) at one point.
+norms", 1974); p1 = p2 = 2 is its singular-value case.  A plain matrix
+(``matrix_pq_norm``, ``largest_singular_value``) runs that loop between
+unit scalings, and x * 1.0 is x, so bitwise as if they were not there.
+Operators are made in two places only: ``assemble`` builds one from the
+kernel, and ``restrict`` takes a view of one on a nested grid.  The kernel
+is evaluated here only by ``assemble``, whose core carries every norm,
+sweep and test-function ratio, and by ``apply_operator``, (Kf)(x) at one
+point.
 
 Every kernel of the lab is symmetric, K(x, y) = K(y, x), and the one grid
 samples both spaces, so K is a symmetric matrix: ``assemble`` evaluates its
@@ -54,11 +57,11 @@ General p -> q matrix norms are NP-hard, so certification is restricted to
 entrywise-nonnegative matrices, where the nonlinear power method converges
 to the global maximizer; for sign-changing matrices the estimate is an
 honest lower bound.  The scalings are nonnegative, so an operator is
-nonnegative when its core is: an unmodulated kernel is positive, so
-``assemble`` sets ``nonnegative`` without a scan, and a modulated one's
-comes from the pass over K that bounds its entries; the public constructor
-scans its matrix once, and ``restrict`` passes a True result down to its
-blocks.
+nonnegative when its core is, and ``nonnegative`` is decided where the
+core is made: an unmodulated kernel is positive, so ``assemble`` sets it
+without a scan, and a modulated one's comes from the pass over K that
+bounds its entries; ``restrict`` passes a True value down to its blocks
+and scans a block of any other core once.
 """
 from __future__ import annotations
 
@@ -69,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
-from .grids import Grid, _trusted, fold, nested_slice, unfold
+from .grids import Grid, fold, nested_slice, unfold
 from .kernels import KernelSpec, kernel_eval
 from .spaces import (SampledFunction, SpaceSpec, conjugate_exponent, weight_exponent,
                      weighted_norm)
@@ -111,33 +114,33 @@ class DiscretizedOperator:
     (1+|x_i|)^(w2/p2) and c_j = w_j^(1/q1) * (1+|x_j|)^(-w1/p1), where x and
     w are the grid's nodes and weights and w1, w2 the weight exponents of the
     source and target spaces; by construction the l^p1 -> l^p2 norm of the
-    matrix is the discretized weighted-operator norm.  ``core`` is the
-    read-only array the power method runs on, K on the [0, R]^2 quadrant of
-    a mirrored operator, else on the whole grid, and ``rows`` and ``cols``
-    are r and c on the core's rows and columns.  The public constructor
-    takes a full matrix (and copies and checks it) as the core between unit
-    scalings; only ``assemble`` and ``restrict`` set other scalings.
+    matrix is the discretized weighted-operator norm.  ``core`` is the array
+    the power method runs on, K on the [0, R]^2 quadrant of a mirrored
+    operator, else on the whole grid, ``rows`` and ``cols`` are r and c on
+    the core's rows and columns, and ``nonnegative`` says every entry of the
+    core, hence of the matrix, is >= 0 (the scalings are).  ``assemble`` and
+    ``restrict`` make every operator: they decide ``nonnegative`` where they
+    make the core, and hand in finite, read-only arrays.  The constructor
+    checks shapes only, in O(1): a square core of the grid's size or half of
+    it, and scalings of the core's side, else DomainError.  It copies
+    nothing and scans no entry.
     """
 
     core: np.ndarray
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
     source_space: SpaceSpec
     target_space: SpaceSpec
     grid: Grid
-    rows: np.ndarray = field(init=False, repr=False)
-    cols: np.ndarray = field(init=False, repr=False)
+    nonnegative: bool
 
     def __post_init__(self):
-        core = np.array(self.core, dtype=float)
-        core.flags.writeable = False
-        n = self.grid.size
-        if core.shape != (n, n):
-            raise DomainError(f"matrix shape {core.shape} does not match grid ({n}, {n})")
-        check_finite_matrix(core, "operator")
-        ones = np.ones(n)
-        ones.flags.writeable = False
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "rows", ones)
-        object.__setattr__(self, "cols", ones)
+        n, shape = self.grid.size, np.shape(self.core)
+        side = shape[0] if len(shape) == 2 and shape[0] == shape[1] else None
+        if side not in (n, n // 2) or not np.shape(self.rows) == np.shape(self.cols) == (side,):
+            raise DomainError(f"core of shape {shape}, scalings of shapes {np.shape(self.rows)} "
+                              f"and {np.shape(self.cols)}: a grid of {n} nodes needs a square "
+                              f"core of side {n} or {n // 2} and scalings of that length")
 
     @property
     def mirrored(self) -> bool:
@@ -171,22 +174,17 @@ class DiscretizedOperator:
         The half-line nodes of the smaller grid are the leading ones of the
         larger, so a mirrored operator restricts to its leading block.  The
         views are neither copied nor re-checked: this operator's arrays are
-        already validated and read-only.
+        already validated and read-only.  A block of a nonnegative core is
+        nonnegative; any other block is scanned once, so ``nonnegative`` is
+        the value ``assemble`` gives on the smaller grid.
         """
         block = nested_slice(self.grid, grid)
         if self.mirrored:
             block = slice(0, grid.size // 2)
-        op = _trusted(DiscretizedOperator, self.core[block, block], self.source_space,
-                      self.target_space, grid, self.rows[block], self.cols[block])
-        if self.nonnegative:  # a block of a nonnegative core is nonnegative: no rescan
-            op.__dict__["nonnegative"] = True
-        return op
-
-    @functools.cached_property
-    def nonnegative(self) -> bool:
-        """True when every entry of the core, hence of the matrix, is >= 0
-        (the scalings are too)."""
-        return bool(self.core.min() >= 0)
+        core = self.core[block, block]
+        return DiscretizedOperator(core, self.rows[block], self.cols[block], self.source_space,
+                                   self.target_space, grid,
+                                   self.nonnegative or bool(core.min() >= 0))
 
     def _warm_start(self, estimate: PqNormEstimate) -> tuple[np.ndarray, np.ndarray | None]:
         """(start, image) for this operator's norm from ``estimate``, the norm of
@@ -263,9 +261,7 @@ def assemble(k: KernelSpec, source: SpaceSpec, target: SpaceSpec,
             check_finite_matrix(rows[:, None] * core * cols[None, :], "operator",
                                 offset=(h, h))
     core.flags.writeable = rows.flags.writeable = cols.flags.writeable = False
-    op = _trusted(DiscretizedOperator, core, source, target, grid, rows, cols)
-    op.__dict__["nonnegative"] = bool(bottom >= 0.0)
-    return op
+    return DiscretizedOperator(core, rows, cols, source, target, grid, bool(bottom >= 0.0))
 
 
 def require_on_grid(f: SampledFunction, grid: Grid,

@@ -171,6 +171,16 @@ def test_sweep_bad_query_exit_1(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, stderr", [
+    (["--panels", "0"], "error: usage: panels per side must be a whole number >= 1\n"),
+    (["--extra-panels", "0"],
+     "error: usage: extra panels per radius must be a whole number >= 1\n"),
+], ids=["panels", "extra-panels"])
+def test_sweep_bad_panel_count_names_its_flag(capsys, flags, stderr):
+    assert run_cli(["sweep", "--query", QUERY, *flags]) == 1
+    assert capsys.readouterr().err == stderr
+
+
 def test_corner_roundtrip(capsys, tmp_path):
     dump = tmp_path / "cd.csv"
     code, payload = run_json(capsys, [

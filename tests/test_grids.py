@@ -251,6 +251,14 @@ def test_invalid_parameters_raise(bad):
         bad()
 
 
+def test_one_radius_family_does_not_check_the_extra_panels():
+    # with no annulus the extra panels build nothing
+    want = build_grid(10.0, 4, 1.3, 4)
+    for extra in (0, 1.5, float("nan")):
+        got, = nested_grids((10.0,), 4, 1.3, 4, extra_panels=extra)
+        assert np.array_equal(got.breakpoints, want.breakpoints)
+
+
 def test_whole_float_counts_build_the_int_grid():
     want = build_grid(10.0, 4, 1.3, 4)
     got = build_grid(10.0, 4.0, 1.3, 4.0)

@@ -189,26 +189,43 @@ def two_entry_matrix(value: float) -> np.ndarray:
     return matrix
 
 
+def unit_operator(core, source, target, grid, nonnegative) -> DiscretizedOperator:
+    # ``core`` between unit scalings: the operator's matrix is ``core`` itself
+    ones = np.ones(core.shape[0])
+    return DiscretizedOperator(core, ones, ones, source, target, grid, nonnegative)
+
+
 def test_finite_entries_with_overflowing_sum_accepted():
-    space = SpaceSpec.h(0.0)
-    op = DiscretizedOperator(two_entry_matrix(1e308), space, space, pair_grid())
-    assert np.array_equal(full_matrix(op), two_entry_matrix(1e308))
+    # the entries are finite, their sum is not: the one-pass check rescans them
+    estimate = matrix_pq_norm(two_entry_matrix(1e308), 2.0, 2.0)
+    assert estimate.value == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
 
 
 def test_constructor_rejects_shape_mismatch():
-    # the public constructor takes only the full matrix, never a quadrant
+    # a square core of the grid's size or half of it, scalings of its side
     space = SpaceSpec.h(0.0)
     grid = NESTED[0]
-    full = assemble(KernelSpec(kappa=2.0), space, space, grid)
-    assert full.mirrored
-    for matrix in (full.core, full_matrix(full)[:, :-1], np.ones(grid.size)):
-        with pytest.raises(DomainError, match="does not match grid"):
-            DiscretizedOperator(matrix, space, space, grid)
+    quadrant = assemble(KernelSpec(kappa=2.0), space, space, grid)
+    assert quadrant.mirrored
+    core, rows, cols = quadrant.core, quadrant.rows, quadrant.cols
+    again = DiscretizedOperator(core, rows, cols, space, space, grid, True)
+    assert again.mirrored and again.core is core and again.rows is rows
+    assert not unit_operator(full_matrix(quadrant), space, space, grid, True).mirrored
+    bad = (
+        (core[:-1, :-1], rows[:-1], cols[:-1]),  # another size
+        (full_matrix(quadrant)[:, :-1], np.ones(grid.size), np.ones(grid.size)),  # not square
+        (np.ones(grid.size), np.ones(grid.size), np.ones(grid.size)),  # not 2-d
+        (core, rows[:-1], cols), (core, rows, np.ones(grid.size)),  # scalings of another length
+    )
+    for args in bad:
+        with pytest.raises(DomainError, match="needs a square core"):
+            DiscretizedOperator(*args, space, space, grid, True)
     # an operator has one grid: a matrix between two grids fits neither
     rectangular = np.ones((grid.size, NESTED[1].size))
     for either in (grid, NESTED[1]):
-        with pytest.raises(DomainError, match="does not match grid"):
-            DiscretizedOperator(rectangular, space, space, either)
+        with pytest.raises(DomainError, match="needs a square core"):
+            DiscretizedOperator(rectangular, np.ones(grid.size), np.ones(grid.size),
+                                space, space, either, True)
 
 
 @pytest.mark.parametrize("matrix, entry", [
@@ -232,6 +249,10 @@ NESTED = nested_grids((10.0, 40.0, 160.0), 6, 1.3, 4, extra_panels=2)
     (KernelSpec(kappa=2.0, modulation="alternating"), SpaceSpec.hps(4.0, -0.5),
      SpaceSpec.hps(4.0, -0.5)),
     (KernelSpec(kappa=2.5), SpaceSpec.hsp(-0.5, 3.0), SpaceSpec.hps(2.0, 0.0)),
+    # a signed parent whose smallest block is nonnegative: cos(0.01 x y) turns
+    # negative only past x y = 50 pi, and x y <= 100 at R = 10
+    (KernelSpec(kappa=2.0, modulation="cosine", omega=0.01), SpaceSpec.h(-0.25),
+     SpaceSpec.h(-0.25)),
 ])
 def test_restrict_equals_assembly_on_nested_grid(kernel, source, target):
     full = assemble(kernel, source, target, NESTED[-1])
@@ -243,6 +264,7 @@ def test_restrict_equals_assembly_on_nested_grid(kernel, source, target):
         for name in ("core", "rows", "cols"):
             assert np.array_equal(getattr(block, name), getattr(own, name))
         assert np.array_equal(full_matrix(block), full_matrix(own))
+        assert block.nonnegative == own.nonnegative and block.mirrored == own.mirrored
 
 
 # large enough that the upper triangle takes several blocks and the lower
@@ -562,6 +584,27 @@ def test_pq_norm_lies_below_both_holder_mixed_norms(matrix, exponents):
     assert matrix_pq_norm(matrix, p1, p2).value <= bound * (1.0 + 1e-12)
 
 
+def schur_bound(matrix: np.ndarray, v: np.ndarray, p: float) -> float:
+    # Schur's test: for A >= 0 and v > 0, Hoelder on each row with the weights
+    # v gives ||A||_{p -> p} <= U(v) = max_j ((A^T (A v)^(p-1))_j / v_j^(p-1))^(1/p),
+    # an upper bound at every positive v, equal to the norm at the maximizer
+    return float(np.max(matrix.T @ (matrix @ v) ** (p - 1.0) / v ** (p - 1.0)) ** (1.0 / p))
+
+
+# a positive matrix and a positive vector on its columns
+WITH_VECTOR = SHAPES.flatmap(lambda shape: st.tuples(
+    arrays(float, shape, elements=POSITIVE), arrays(float, shape[1], elements=POSITIVE)))
+
+
+@PROPERTY
+@given(WITH_VECTOR, st.floats(1.1, 8.0))
+def test_pq_norm_lies_below_the_schur_bound(pair, p):
+    matrix, v = pair
+    estimate = matrix_pq_norm(matrix, p, p)
+    for vector in (estimate.maximizer, v):
+        assert estimate.value <= schur_bound(matrix, vector, p) * (1.0 + 1e-12)
+
+
 # --- operator-level norms ----------------------------------------------------
 
 def test_operator_norm_at_p2_is_the_largest_singular_value():
@@ -639,8 +682,7 @@ def test_empirical_ratio_matches_the_bare_kernel(kernel, source, target, grid):
     for spec in ("gauss(1)", "powerlaw(0.75)", "bump(3,2)"):
         f = sample_spec(grid, spec)
         expected = bare_kernel_ratio(kernel, f, source, target)
-        for operator in (op, full_path(op)):
-            assert empirical_ratio(operator, f) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert empirical_ratio(op, f) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_empirical_ratio_below_norm():
@@ -693,25 +735,26 @@ def test_empirical_ratio_requires_the_source_grid():
 def test_empirical_ratio_rescales_an_overflowing_power_sum():
     # the image 2e200 is finite, its fourth power is not; ||1|| = 2 on four
     # unit weights
-    op = DiscretizedOperator(two_entry_matrix(1e200), SpaceSpec.h(0.0),
-                             SpaceSpec.hps(4.0, 0.0), pair_grid())
+    op = unit_operator(two_entry_matrix(1e200), SpaceSpec.h(0.0), SpaceSpec.hps(4.0, 0.0),
+                       pair_grid(), True)
     f = sample(pair_grid(), np.ones(4))
     assert empirical_ratio(op, f) == pytest.approx(1e200, rel=1e-15)
 
 
 def test_empirical_ratio_overflowing_image_is_a_numerical_error():
     # every entry and the source norm are finite, the image 2e308 is not
-    op = DiscretizedOperator(two_entry_matrix(1e308), SpaceSpec.h(0.0),
-                             SpaceSpec.h(0.0), pair_grid())
+    op = unit_operator(two_entry_matrix(1e308), SpaceSpec.h(0.0), SpaceSpec.h(0.0),
+                       pair_grid(), True)
     with pytest.raises(NumericalError, match="not finite"):
         empirical_ratio(op, sample(pair_grid(), np.ones(4)))
 
 
-class _KernelEvalCalls(ast.NodeVisitor):
-    # counts calls to kernel_eval, by name or as an attribute, per
+class _CallSites(ast.NodeVisitor):
+    # counts calls to ``callee``, by name or as an attribute, per
     # (module, innermost enclosing function)
-    def __init__(self, module: str):
-        self.module, self.scope, self.sites = module, "<module>", collections.Counter()
+    def __init__(self, module: str, callee: str):
+        self.module, self.callee = module, callee
+        self.scope, self.sites = "<module>", collections.Counter()
 
     def visit_FunctionDef(self, node):
         outer, self.scope = self.scope, node.name
@@ -719,24 +762,38 @@ class _KernelEvalCalls(ast.NodeVisitor):
         self.scope = outer
 
     def visit_Call(self, node):
-        if "kernel_eval" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        if self.callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
             self.sites[(self.module, self.scope)] += 1
         self.generic_visit(node)
+
+
+def call_sites(callee: str) -> collections.Counter:
+    # the calls to ``callee`` in every module of the package
+    sites = collections.Counter()
+    for path in Path(opnormlab.__file__).parent.glob("*.py"):
+        calls = _CallSites(path.stem, callee)
+        calls.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites += calls.sites
+    return sites
 
 
 def test_kernel_eval_has_one_call_site_per_consumer():
     # every kernel-to-number path goes through assembly, the pointwise
     # application, the corner blocks or the envelope check; a second
     # assembly path would add a site here
-    sites = collections.Counter()
-    for path in Path(opnormlab.__file__).parent.glob("*.py"):
-        calls = _KernelEvalCalls(path.stem)
-        calls.visit(ast.parse(path.read_text(encoding="utf-8")))
-        sites += calls.sites
-    assert sites == {
+    assert call_sites("kernel_eval") == {
         ("operators", "assemble"): 1,
         ("operators", "apply_operator"): 1,
         ("corner", "coupling_blocks"): 2,
+    }
+
+
+def test_operators_are_made_in_assemble_and_restrict_only():
+    # one construction path: assemble builds an operator from the kernel,
+    # restrict views one on a nested grid; each decides ``nonnegative``
+    assert call_sites("DiscretizedOperator") == {
+        ("operators", "assemble"): 1,
+        ("operators", "restrict"): 1,
     }
 
 
@@ -757,10 +814,9 @@ def direct_matrix(k, source, target, grid):
     return rows[:, None] * kernel_matrix(k, grid) * cols[None, :]
 
 
-def full_path(op):
-    # the public constructor keeps the whole matrix as the core: the power
-    # method runs on all of it
-    return DiscretizedOperator(full_matrix(op), op.source_space, op.target_space, op.grid)
+def full_matrix_norm(op):
+    # the power method on the whole scaled matrix, formed by the test
+    return matrix_pq_norm(full_matrix(op), op.source_space.p, op.target_space.p)
 
 
 # the nine query sets of acceptance criterion 6, with their decay exponents
@@ -779,6 +835,23 @@ SPACE_PAIRS = tuple(query_spaces(query) for query in CRITERION_6) + (
     (SpaceSpec.hsp(-0.5, 3.0), SpaceSpec.hsp(-0.25, 1.5)),
 )
 COSMOD = KernelSpec(kappa=2.0, modulation="cosine", omega=1.5)
+
+
+def test_criterion_6_norms_meet_the_schur_bound_at_their_maximizer():
+    # the p1 = p2 operators of criterion 6: the value is a lower bound on the
+    # norm, Schur's test at the maximizer's even extension an upper one, on
+    # the full matrix the test forms itself; the two close to 1e-5
+    grid = build_grid(640.0, 18, 1.3, 8)
+    queries = [query for query in CRITERION_6 if query.p1 == query.p2]
+    assert len(queries) == 7
+    for query in queries:
+        op = assemble(KernelSpec(kappa=query.kappa), *query_spaces(query), grid)
+        estimate = operator_norm_pq(op)
+        assert op.mirrored and estimate.certified
+        v = np.concatenate([estimate.maximizer[::-1], estimate.maximizer])
+        bound = schur_bound(full_matrix(op), v, query.p1)
+        assert estimate.value <= bound * (1.0 + 1e-12)
+        assert bound / estimate.value - 1.0 < 1e-5
 
 
 @pytest.mark.parametrize("kernel, exact", [(KernelSpec(kappa=2.5), True), (COSMOD, False)])
@@ -823,7 +896,7 @@ def test_mirrored_norm_matches_full_matrix_run(kernel):
     for source, target in SPACE_PAIRS:
         for grid in (NESTED[-1], NESTED[0]):
             op = assemble(kernel, source, target, grid)
-            got, want = operator_norm_pq(op), operator_norm_pq(full_path(op))
+            got, want = operator_norm_pq(op), full_matrix_norm(op)
             assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
             assert (got.iterations, got.converged, got.certified) == (
                 want.iterations, want.converged, want.certified)
@@ -838,7 +911,7 @@ def test_mirrored_restriction_keeps_the_quadrant_path():
         assert block.core.shape == (grid.size // 2, grid.size // 2)
         assert np.shares_memory(block.core, full.core)
         assert not block.core.flags.writeable and not block.matrix.flags.writeable
-        got, want = operator_norm_pq(block), operator_norm_pq(full_path(block))
+        got, want = operator_norm_pq(block), full_matrix_norm(block)
         assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
         assert got.iterations == want.iterations
 
@@ -874,7 +947,7 @@ def test_core_is_the_exactly_symmetric_bare_kernel(kernel):
     h = grid.size // 2 if kernel.even else 0
     assert np.array_equal(op.core, kernel_matrix(kernel, grid)[h:, h:])
     # set at assembly, from the one pass over K; an unmodulated kernel is positive
-    assert vars(op)["nonnegative"] is (kernel.modulation == "none")
+    assert op.nonnegative is (kernel.modulation == "none")
 
 
 @pytest.mark.parametrize("kernel", [KernelSpec(kappa=2.5), COSMOD, ALTMOD],
@@ -1015,14 +1088,15 @@ def test_operator_norm_rejects_a_bad_image(start, image, message):
 
 def test_restrict_passes_nonnegativity_down_and_rescans_otherwise():
     envelope = assemble(KernelSpec(kappa=2.0), *SPACE_PAIRS[0], NESTED[-1])
-    block = envelope.restrict(NESTED[0])
-    assert vars(block)["nonnegative"] is True  # set by restrict, not scanned
+    assert envelope.restrict(NESTED[0]).nonnegative is True
     # a parent with a negative entry outside the block: the block is rescanned
     # and its norm is certified, the parent's is not
     core = full_matrix(envelope).copy()
     core[0, 0] = -core[0, 0]
-    parent = DiscretizedOperator(core, *SPACE_PAIRS[0], NESTED[-1])
+    parent = unit_operator(core, *SPACE_PAIRS[0], NESTED[-1], False)
     block = parent.restrict(NESTED[0])
-    assert not parent.nonnegative and "nonnegative" not in vars(block)
-    assert block.nonnegative
+    assert not parent.nonnegative and block.nonnegative is True
     assert operator_norm_pq(block).certified and not operator_norm_pq(parent).certified
+    # a parent said to be nonnegative hands that down unscanned: restrict
+    # trusts the value its parent was made with
+    assert unit_operator(core, *SPACE_PAIRS[0], NESTED[-1], True).restrict(NESTED[-1]).nonnegative
