@@ -36,8 +36,10 @@ class UsageError(ValueError):
 class RunConfig:
     """Every default the CLI relies on, echoed as provenance in each report.
 
-    Flags named after a field override it.  No flag sets ``power_tol`` or
-    ``power_max_iter``: they are the laboratory's fixed stop rule.
+    Flags named after a field override it.  The provenance ends with the
+    power method's stop rule, ``power_tol`` and ``power_max_iter``: the
+    library's constants ``POWER_TOL`` and ``POWER_MAX_ITER``, which no run
+    setting changes.
     """
 
     grid: str = f"grid(10000,40,{GridPolicy.grading:g},{GridPolicy.panel_order})"
@@ -47,13 +49,10 @@ class RunConfig:
     panel_order: int = GridPolicy.panel_order
     extra_panels: int = GridPolicy.extra_panels
     max_nodes: int = GridPolicy.max_nodes
-    power_tol: float = POWER_TOL
-    power_max_iter: int = POWER_MAX_ITER
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["r_schedule"] = list(self.r_schedule)
-        return out
+        return {**asdict(self), "r_schedule": list(self.r_schedule),
+                "power_tol": POWER_TOL, "power_max_iter": POWER_MAX_ITER}
 
 
 EXIT_CODES = ("exit codes: 0 success, 1 usage error, 2 numerical failure, "
@@ -224,7 +223,7 @@ def _cmd_opnorm(args, config: RunConfig) -> int:
     source = parse_space(args.source)
     target = parse_space(args.target)
     op = assemble(kernel, source, target, grid)
-    estimate = operator_norm_pq(op, tol=config.power_tol, max_iter=config.power_max_iter)
+    estimate = operator_norm_pq(op)
     return _report(args, config, {
         "kernel": args.kernel, "source": args.source, "target": args.target,
         "grid_nodes": grid.size, "value": estimate.value, "certified": estimate.certified,
@@ -267,9 +266,9 @@ def _cmd_sweep(args, config: RunConfig) -> int:
     policy = GridPolicy(**{f.name: getattr(config, f.name) for f in fields(GridPolicy)})
     plan = SweepPlan(queries=queries, kernel=kernel, R_schedule=config.r_schedule,
                      grid=policy)
-    result = run_boundedness_sweep(plan, tol=config.power_tol, max_iter=config.power_max_iter)
+    result = run_boundedness_sweep(plan)
     provenance = {"command": args.command,
-                  "power_tol": repr(config.power_tol), "power_max_iter": config.power_max_iter}
+                  "power_tol": repr(POWER_TOL), "power_max_iter": POWER_MAX_ITER}
     if args.kernel:
         provenance["kernel"] = args.kernel  # the user's spelling, as in the JSON reports
     _emit(sweep_csv_text(result, provenance), args.out)

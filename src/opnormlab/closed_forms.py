@@ -74,15 +74,15 @@ def powerlaw_weighted_norm(t: float, space: SpaceSpec, R: float | None = None) -
 
 
 def envelope_indicator_image(kappa: float, x: float, lo: float = 0.0,
-                             hi: float = 1.0, c_upper: float = 1.0) -> float:
-    """Image of the indicator of [lo, hi] (0 <= lo <= hi) under the envelope kernel.
+                             hi: float = 1.0) -> float:
+    """Image of the indicator of [lo, hi] (0 <= lo <= hi) under the pure envelope kernel.
 
-    Integral of c*(1+|x|+y)^(-kappa) dy over [lo, hi]; for kappa = 2 and
-    [0, 1] this is c*((1+|x|)^(-1) - (2+|x|)^(-1)).
+    Integral of (1+|x|+y)^(-kappa) dy over [lo, hi]; for kappa = 2 and
+    [0, 1] this is (1+|x|)^(-1) - (2+|x|)^(-1).
     """
     if not (0 <= lo <= hi):
         raise DomainError("indicator endpoints must satisfy 0 <= lo <= hi")
-    return _power_integral(1.0 + abs(x), kappa, lo, hi, c_upper)
+    return _power_integral(1.0 + abs(x), kappa, lo, hi)
 
 
 def majorant_exponent(source: SpaceSpec, kappa: float) -> float:

@@ -321,19 +321,18 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int
     p1 = p2 = 2 this is power iteration on the Gram matrix.  ``image``, if
     given, is A @ ``start``: it is scaled with the start and stands in for
     the first product A v.  Stops when ||A v||_p2 changes by at most ``tol``
-    times its value.  Returns (best value, converged, iterations, last
+    times its value, or after ``max_iter`` steps; every caller in the
+    package passes the laboratory's one stop rule, ``POWER_TOL`` and
+    ``POWER_MAX_ITER``.  Returns (best value, converged, iterations, last
     change, maximizer, its image); the maximizer is the unit-p1-norm iterate
     that reached the best value, and its image is A @ maximizer.  Without
     convergence the last change is the one that failed the stop test.  The
-    zero matrix gives (0, True, 0, 0, start, None).  Bad exponents, limits,
-    starts or images raise DomainError; a value that is not finite raises
+    zero matrix gives (0, True, 0, 0, start, None).  Bad exponents, starts
+    or images raise DomainError; a value that is not finite raises
     NumericalError.
     """
     if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
         raise DomainError("matrix norm exponents must lie in (1, inf)")
-    if not (max_iter >= 1 and 0 <= tol < math.inf):
-        raise DomainError(f"power method needs max_iter >= 1 and a finite tol >= 0, "
-                          f"got max_iter = {max_iter!r}, tol = {tol!r}")
     q1 = conjugate_exponent(p1)
     m, n = B.shape
     r = np.ones(m) if rows is None else rows
@@ -383,18 +382,17 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int
     return best, False, max_iter, delta, maximizer, best_image
 
 
-def largest_singular_value(matrix, tol: float = POWER_TOL,
-                           max_iter: int = POWER_MAX_ITER) -> float:
+def largest_singular_value(matrix) -> float:
     """Largest singular value: the p1 = p2 = 2 case of the power method.
 
     Raises ConvergenceError, with the iteration count, the last value and
     the change that failed the stop test, when the iteration does not
-    converge within ``max_iter`` steps, whatever the matrix size.
+    converge within ``POWER_MAX_ITER`` steps, whatever the matrix size.
     """
     value, converged, iterations, delta, *_ = _power_method(_as_matrix(matrix), 2.0, 2.0,
-                                                            tol, max_iter)
+                                                            POWER_TOL, POWER_MAX_ITER)
     if not converged:
-        raise ConvergenceError(f"power iteration did not converge in {max_iter} iterations",
+        raise ConvergenceError(f"power iteration did not converge in {iterations} iterations",
                                iterations=iterations, last_value=value, last_delta=delta)
     return value
 
@@ -420,8 +418,7 @@ class PqNormEstimate:
     image: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
-                   max_iter: int = POWER_MAX_ITER) -> PqNormEstimate:
+def matrix_pq_norm(matrix, p1: float, p2: float) -> PqNormEstimate:
     """l^p1 -> l^p2 matrix norm via the nonlinear power method.
 
     For entrywise nonnegative matrices the estimates increase to the global
@@ -429,18 +426,18 @@ def matrix_pq_norm(matrix, p1: float, p2: float, tol: float = POWER_TOL,
     with ``converged`` (and hence ``certified``) False.
     """
     B = _as_matrix(matrix)
-    return _pq_norm(B, p1, p2, tol, max_iter, nonnegative=bool(B.min() >= 0))
+    return _pq_norm(B, p1, p2, nonnegative=bool(B.min() >= 0))
 
 
-def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
-             nonnegative: bool, mirrored: bool = False, start: np.ndarray | None = None,
-             image: np.ndarray | None = None, rows: np.ndarray | None = None,
-             cols: np.ndarray | None = None) -> PqNormEstimate:
-    """Estimate from one power-method run on diag(rows) B diag(cols).  A
-    mirrored core's value is multiplied once by 2^(1/p2 + 1/q1) (see the
-    module docstring); NumericalError if that product overflows."""
+def _pq_norm(B: np.ndarray, p1: float, p2: float, nonnegative: bool, mirrored: bool = False,
+             start: np.ndarray | None = None, image: np.ndarray | None = None,
+             rows: np.ndarray | None = None, cols: np.ndarray | None = None) -> PqNormEstimate:
+    """Estimate from one power-method run, under the laboratory's stop rule,
+    on diag(rows) B diag(cols).  A mirrored core's value is multiplied once
+    by 2^(1/p2 + 1/q1) (see the module docstring); NumericalError if that
+    product overflows."""
     value, converged, iterations, _, maximizer, image = _power_method(
-        B, p1, p2, tol, max_iter, start, image, rows, cols)
+        B, p1, p2, POWER_TOL, POWER_MAX_ITER, start, image, rows, cols)
     if mirrored:
         value *= 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1))
         if not math.isfinite(value):
@@ -449,19 +446,19 @@ def _pq_norm(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
                           iterations=iterations, maximizer=maximizer, image=image)
 
 
-def operator_norm_pq(op: DiscretizedOperator, tol: float = POWER_TOL,
-                     max_iter: int = POWER_MAX_ITER, start: np.ndarray | None = None,
+def operator_norm_pq(op: DiscretizedOperator, start: np.ndarray | None = None,
                      image: np.ndarray | None = None) -> PqNormEstimate:
     """Discretized weighted-operator norm for general (p1, p2).
 
     The power method runs on ``op.core`` between ``op.rows`` and
     ``op.cols``, from ``start`` (a vector on the core's columns, e.g. a
-    sweep's warm start) or, by default, from the all-ones vector.
+    sweep's warm start) or, by default, from the all-ones vector, and stops
+    by the laboratory's one rule, ``POWER_TOL`` and ``POWER_MAX_ITER``.
     ``image``, if given, is the operator's product with ``start``, and saves
     the first matrix-vector product.
     """
-    return _pq_norm(op.core, op.source_space.p, op.target_space.p, tol, max_iter,
-                    op.nonnegative, op.mirrored, start, image, op.rows, op.cols)
+    return _pq_norm(op.core, op.source_space.p, op.target_space.p, op.nonnegative,
+                    op.mirrored, start, image, op.rows, op.cols)
 
 
 def empirical_ratio(op: DiscretizedOperator, f: SampledFunction) -> float:

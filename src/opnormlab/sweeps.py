@@ -23,8 +23,7 @@ from .conditions import BoundednessQuery, ConditionReport, check_boundedness, qu
 from .errors import DomainError, PlanError
 from .grids import DEFAULT_GRADING, DEFAULT_PANEL_ORDER, Grid, nested_grids
 from .kernels import KernelSpec
-from .operators import (POWER_MAX_ITER, POWER_TOL, apply_operator, assemble, empirical_ratio,
-                        operator_norm_pq)
+from .operators import apply_operator, assemble, empirical_ratio, operator_norm_pq
 from .spaces import SampledFunction, conjugate_exponent, sample, weighted_norm
 
 DEFAULT_R_SCHEDULE = (10.0, 40.0, 160.0, 640.0)
@@ -141,8 +140,7 @@ def verdict_for(gamma: float | None) -> str:
     return "inconclusive"
 
 
-def run_boundedness_sweep(plan: SweepPlan, tol: float = POWER_TOL,
-                          max_iter: int = POWER_MAX_ITER) -> SweepResult:
+def run_boundedness_sweep(plan: SweepPlan) -> SweepResult:
     """Estimate each query's operator norm on nested grids and fit norm growth.
 
     Each query is assembled once, on the largest grid; every radius runs
@@ -158,9 +156,9 @@ def run_boundedness_sweep(plan: SweepPlan, tol: float = POWER_TOL,
     signs.  That iterate's image is the previous image in the kept rows, so
     only the new rows are multiplied; a zero core has no image, and the
     next radius computes its product in full.  For a nonnegative kernel
-    the values agree with a cold start per radius to the power method's
-    tolerance, not bitwise; a sign-changing kernel may have local maxima
-    that the two starts reach separately.  Cells whose
+    the values agree with a cold start per radius to the stop rule's
+    tolerance, ``operators.POWER_TOL``, not bitwise; a sign-changing kernel
+    may have local maxima that the two starts reach separately.  Cells whose
     norm iteration did not converge are flagged and excluded from the fit,
     as are cells whose value is not positive (a zero kernel, or entries
     that underflow), which have no logarithm; with fewer than two points
@@ -181,8 +179,7 @@ def run_boundedness_sweep(plan: SweepPlan, tol: float = POWER_TOL,
         for R, grid in zip(plan.R_schedule, grids):
             op = full.restrict(grid)
             start, image = (None, None) if estimate is None else op._warm_start(estimate)
-            estimate = operator_norm_pq(op, tol=tol, max_iter=max_iter, start=start,
-                                        image=image)
+            estimate = operator_norm_pq(op, start=start, image=image)
             cells.append(SweepCell(index, R, grid.size, estimate.value, estimate.certified,
                                    estimate.converged))
             if estimate.converged and estimate.value > 0.0:

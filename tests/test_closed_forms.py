@@ -1,5 +1,6 @@
 """The closed-form oracle family against adaptive quadrature."""
 import ast
+import inspect
 import math
 from pathlib import Path
 
@@ -129,7 +130,6 @@ NON_FINITE = {
     "indicator-kappa-nan": lambda: envelope_indicator_image(math.nan, 1.0),
     "indicator-x-inf": lambda: envelope_indicator_image(2.0, math.inf),
     "indicator-hi-inf": lambda: envelope_indicator_image(2.0, 0.0, hi=math.inf),
-    "indicator-c-nan": lambda: envelope_indicator_image(2.0, 0.0, c_upper=math.nan),
 }
 
 
@@ -137,6 +137,12 @@ NON_FINITE = {
 def test_non_finite_arguments_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_indicator_image_is_the_pure_envelope_only():
+    # a scaled envelope has no caller; the majorant and tail bound keep their scale
+    assert list(inspect.signature(envelope_indicator_image).parameters) == ["kappa", "x", "lo",
+                                                                           "hi"]
 
 
 @pytest.mark.parametrize("call", [

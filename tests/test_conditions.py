@@ -129,6 +129,12 @@ def test_query_validation():
         BoundednessQuery("nope", -1.0, 0.0, 2.0)
 
 
+@pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan])
+def test_query_rejects_a_non_finite_kappa(kappa):
+    with pytest.raises(DomainError, match="kappa must be finite"):
+        BoundednessQuery("h", -0.25, -0.25, kappa)
+
+
 def test_family_index_round_trip():
     for index in (1, 2, 3):
         assert index_from_family(family_from_index(index)) == index

@@ -251,6 +251,15 @@ def test_invalid_parameters_raise(bad):
         bad()
 
 
+@pytest.mark.parametrize("bad, message", [
+    (lambda: Grid([0.0]), "need at least two panel edges"),
+    (lambda: nested_grids((), 4), "empty truncation schedule"),
+], ids=["one-edge", "empty-schedule"])
+def test_too_few_edges_or_radii_are_named(bad, message):
+    with pytest.raises(DomainError, match=message):
+        bad()
+
+
 def test_one_radius_family_does_not_check_the_extra_panels():
     # with no annulus the extra panels build nothing
     want = build_grid(10.0, 4, 1.3, 4)

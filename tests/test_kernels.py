@@ -1,4 +1,6 @@
 """Kernel families, weight scaling and the majorant."""
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -231,3 +233,12 @@ def test_parse_kernel():
     for bad in ("envelope()", "cosmod(2)", "box(1)"):
         with pytest.raises(DomainError):
             parse_kernel(bad)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("envelope", "cannot parse 'envelope'; expected name(arg,...)"),
+    ("cosmod(2,inf)", "cosine modulation needs a finite frequency"),
+], ids=["no-call", "cosmod-omega-inf"])
+def test_parse_kernel_names_what_is_wrong(spec, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        parse_kernel(spec)

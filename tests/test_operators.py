@@ -1,6 +1,8 @@
 """Nystrom assembly and the norm estimators against dense oracles."""
 import ast
 import collections
+import inspect
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -370,12 +372,13 @@ def test_singular_value_matches_dense_svd():
         assert got == pytest.approx(expected, rel=1e-8)
 
 
-def test_singular_value_nonconvergence_raises():
+def test_singular_value_nonconvergence_raises(monkeypatch):
     # a small matrix raises too: no dense decomposition absorbs it
     for seed, shape, max_iter in ((5, (501, 502), 1), (5, (501, 502), 3), (6, (40, 40), 1)):
         matrix = np.random.default_rng(seed).normal(size=shape)
+        monkeypatch.setattr(opnormlab.operators, "POWER_MAX_ITER", max_iter)
         with pytest.raises(ConvergenceError) as info:
-            largest_singular_value(matrix, max_iter=max_iter)
+            largest_singular_value(matrix)
         error = info.value
         assert error.iterations == max_iter
         # the change that failed the stop test
@@ -418,21 +421,36 @@ def test_pq_norm_zero_matrix():
     assert estimate.image is None  # no iterate reached a positive value
 
 
-@pytest.mark.parametrize("tol, max_iter", [
-    (POWER_TOL, 0), (POWER_TOL, -1), (-1e-3, POWER_MAX_ITER),
-    (np.nan, POWER_MAX_ITER), (np.inf, POWER_MAX_ITER),
-])
-def test_pq_norm_rejects_bad_iteration_limits(tol, max_iter):
-    # with no iteration the value would be a bare 0.0, and a negative
-    # tolerance would spend the whole budget on every call
-    with pytest.raises(DomainError):
-        matrix_pq_norm(np.eye(2), 2.0, 3.0, tol=tol, max_iter=max_iter)
-    with pytest.raises(DomainError):
-        largest_singular_value(np.eye(2), tol=tol, max_iter=max_iter)
+@pytest.mark.parametrize("call, message", [
+    (lambda: matrix_pq_norm(np.ones(3), 2.0, 2.0), "need a non-empty 2-d matrix"),
+    (lambda: largest_singular_value(np.zeros((0, 2))), "need a non-empty 2-d matrix"),
+    (lambda: matrix_pq_norm(np.eye(2), 1.0, 2.0), "matrix norm exponents must lie in (1, inf)"),
+], ids=["one-d", "empty", "p1-one"])
+def test_matrix_norms_name_bad_input(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
 
 
-def test_pq_norm_accepts_zero_tolerance_and_one_iteration():
-    estimate = matrix_pq_norm(np.eye(2), 2.0, 2.0, tol=0.0, max_iter=1)
+def test_no_public_callable_takes_a_stop_rule():
+    # POWER_TOL and POWER_MAX_ITER are the one stop rule; no caller passes another
+    takes = []
+    for name in dir(opnormlab):
+        obj = getattr(opnormlab, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            parameters = inspect.signature(obj).parameters
+        except ValueError:  # an exception class with the builtin constructor
+            assert issubclass(obj, Exception)
+            continue
+        takes += [(name, key) for key in ("tol", "max_iter") if key in parameters]
+    assert takes == []
+
+
+def test_pq_norm_accepts_zero_tolerance_and_one_iteration(monkeypatch):
+    monkeypatch.setattr(opnormlab.operators, "POWER_TOL", 0.0)
+    monkeypatch.setattr(opnormlab.operators, "POWER_MAX_ITER", 1)
+    estimate = matrix_pq_norm(np.eye(2), 2.0, 2.0)
     assert estimate.iterations == 1 and not estimate.converged
 
 
@@ -453,7 +471,7 @@ def test_pq_norm_rescales_an_overflowing_power_sum():
 def test_mirror_factor_that_overflows_raises():
     # the quadrant's norm 1e308 is finite; the full matrix's, twice that, is not
     with pytest.raises(NumericalError, match="overflows"):
-        _pq_norm(np.array([[1e308]]), 2, 2, POWER_TOL, 10, nonnegative=True, mirrored=True)
+        _pq_norm(np.array([[1e308]]), 2, 2, nonnegative=True, mirrored=True)
 
 
 @pytest.mark.parametrize("matrix, scale, p1, p2", [
@@ -1002,7 +1020,7 @@ def test_power_method_one_norm_per_iteration_is_bitwise(p1, p2):
 
 @pytest.mark.parametrize("kernel", [KernelSpec(kappa=2.0), COSMOD,
                                     KernelSpec(kappa=2.0, modulation="alternating")])
-def test_zero_padded_maximizer_reaches_the_smaller_value_at_once(kernel):
+def test_zero_padded_maximizer_reaches_the_smaller_value_at_once(monkeypatch, kernel):
     # the smaller core is a block of the larger, so B_large [v; 0] holds B_small v
     source, target = SPACE_PAIRS[4]  # hsp 3 -> 2
     full = assemble(kernel, source, target, NESTED[-1])
@@ -1012,7 +1030,9 @@ def test_zero_padded_maximizer_reaches_the_smaller_value_at_once(kernel):
     assert np.sum(np.abs(v) ** source.p) == pytest.approx(1.0, rel=1e-14)
     start, _ = full._warm_start(small)
     assert start.size == full.core.shape[1] and np.count_nonzero(start) == np.count_nonzero(v)
-    first = operator_norm_pq(full, tol=0.0, max_iter=1, start=start)
+    monkeypatch.setattr(opnormlab.operators, "POWER_TOL", 0.0)
+    monkeypatch.setattr(opnormlab.operators, "POWER_MAX_ITER", 1)
+    first = operator_norm_pq(full, start=start)
     assert first.value >= small.value * (1.0 - 1e-14)
 
 
@@ -1057,8 +1077,9 @@ def test_padded_image_is_handed_to_the_power_method_as_core_times_start(
     assert warm.iterations == without.iterations
     assert warm.value == pytest.approx(without.value, rel=1e-14, abs=0.0)
     # the image is scaled with the start: one iteration from 3 * start
-    first, first_without = (operator_norm_pq(full, tol=0.0, max_iter=1, start=3.0 * start,
-                                             image=scaled)
+    monkeypatch.setattr(opnormlab.operators, "POWER_TOL", 0.0)
+    monkeypatch.setattr(opnormlab.operators, "POWER_MAX_ITER", 1)
+    first, first_without = (operator_norm_pq(full, start=3.0 * start, image=scaled)
                             for scaled in (3.0 * image, None))
     assert first.value == pytest.approx(first_without.value, rel=1e-14, abs=0.0)
 
