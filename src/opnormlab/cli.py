@@ -24,7 +24,7 @@ from .kernels import parse_kernel
 from .operators import (POWER_MAX_ITER, POWER_TOL, assemble, apply_operator,
                         operator_norm_pq)
 from .spaces import SpaceSpec, parse_space, sample_spec, weighted_norm
-from .sweeps import (DEFAULT_R_SCHEDULE, GridPolicy, SweepPlan,
+from .sweeps import (DEFAULT_R_SCHEDULE, MAX_NODES, GridPolicy, SweepPlan,
                      run_boundedness_sweep, sweep_csv_text)
 
 
@@ -36,10 +36,11 @@ class UsageError(ValueError):
 class RunConfig:
     """Every default the CLI relies on, echoed as provenance in each report.
 
-    Flags named after a field override it.  The provenance ends with the
-    power method's stop rule, ``power_tol`` and ``power_max_iter``: the
-    library's constants ``POWER_TOL`` and ``POWER_MAX_ITER``, which no run
-    setting changes.
+    Flags named after a field override it.  The provenance follows the
+    fields with three constants that no run setting changes: the sweep's
+    node budget, ``max_nodes`` (``sweeps.MAX_NODES``), and the power
+    method's stop rule, ``power_tol`` and ``power_max_iter``
+    (``operators.POWER_TOL`` and ``POWER_MAX_ITER``).
     """
 
     grid: str = f"grid(10000,40,{GridPolicy.grading:g},{GridPolicy.panel_order})"
@@ -48,10 +49,9 @@ class RunConfig:
     grading: float = GridPolicy.grading
     panel_order: int = GridPolicy.panel_order
     extra_panels: int = GridPolicy.extra_panels
-    max_nodes: int = GridPolicy.max_nodes
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "r_schedule": list(self.r_schedule),
+        return {**asdict(self), "r_schedule": list(self.r_schedule), "max_nodes": MAX_NODES,
                 "power_tol": POWER_TOL, "power_max_iter": POWER_MAX_ITER}
 
 
@@ -133,7 +133,6 @@ def build_parser() -> _Parser:
     p.add_argument("--order", dest="panel_order", metavar="ORDER", type=int,
                    help="panel quadrature order")
     p.add_argument("--extra-panels", type=int)
-    p.add_argument("--max-nodes", type=int)
 
     p = _command(sub, "corner", _cmd_corner,
                  help="solve the coupled two-unknown integral system")

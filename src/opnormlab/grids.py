@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +42,10 @@ class Grid:
     mirror image of the positive one, so the grid is a bitwise mirror: an
     even number of nodes, ``nodes[:h] == -nodes[h:][::-1]`` and palindromic
     weights.  The weights integrate the constant function exactly, so they
-    sum to 2R.  Pass edges that align with features of the integrand (e.g.
-    the endpoints of an indicator function) to keep them out of every
-    panel's interior.
+    sum to 2R, and every node and weight on [0, R] is a normal float (a
+    subnormal one would lose that sum).  Pass edges that align with
+    features of the integrand (e.g. the endpoints of an indicator function)
+    to keep them out of every panel's interior.
     """
 
     breakpoints: np.ndarray
@@ -64,6 +66,9 @@ class Grid:
             raise DomainError(f"truncation radius {R!r} is too large: 2R overflows")
         order = _whole(self.panel_order, 2, "panel order")
         pos_nodes, pos_weights = _panel_rule(edges, order)
+        if not min(pos_nodes.min(), pos_weights.min()) >= sys.float_info.min:
+            raise DomainError(f"panel width {float(np.diff(edges).min())!r} is too small: "
+                              f"nodes or weights fall below the normal float range")
         nodes = np.concatenate([-pos_nodes[::-1], pos_nodes])
         weights = np.concatenate([pos_weights[::-1], pos_weights])
         nodes.flags.writeable = weights.flags.writeable = False

@@ -307,7 +307,7 @@ def _norm_and_dual(u: np.ndarray, r: float) -> tuple[float, np.ndarray | None]:
     return norm, magnitude ** (r - 1.0) * np.sign(u) / norm ** (r - 1.0)
 
 
-def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int,
+def _power_method(B: np.ndarray, p1: float, p2: float,
                   start: np.ndarray | None = None, image: np.ndarray | None = None,
                   rows: np.ndarray | None = None, cols: np.ndarray | None = None
                   ) -> tuple[float, bool, int, float, np.ndarray, np.ndarray | None]:
@@ -320,16 +320,15 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int
     scaled to unit p1-norm or, by default, from the all-ones vector; at
     p1 = p2 = 2 this is power iteration on the Gram matrix.  ``image``, if
     given, is A @ ``start``: it is scaled with the start and stands in for
-    the first product A v.  Stops when ||A v||_p2 changes by at most ``tol``
-    times its value, or after ``max_iter`` steps; every caller in the
-    package passes the laboratory's one stop rule, ``POWER_TOL`` and
-    ``POWER_MAX_ITER``.  Returns (best value, converged, iterations, last
-    change, maximizer, its image); the maximizer is the unit-p1-norm iterate
-    that reached the best value, and its image is A @ maximizer.  Without
-    convergence the last change is the one that failed the stop test.  The
-    zero matrix gives (0, True, 0, 0, start, None).  Bad exponents, starts
-    or images raise DomainError; a value that is not finite raises
-    NumericalError.
+    the first product A v.  Stops by the laboratory's one rule, read at call
+    time: when ||A v||_p2 changes by at most ``POWER_TOL`` times its value,
+    or after ``POWER_MAX_ITER`` steps.  Returns (best value, converged,
+    iterations, last change, maximizer, its image); the maximizer is the
+    unit-p1-norm iterate that reached the best value, and its image is
+    A @ maximizer.  Without convergence the last change is the one that
+    failed the stop test.  The zero matrix gives (0, True, 0, 0, start,
+    None).  Bad exponents, starts or images raise DomainError; a value that
+    is not finite raises NumericalError.
     """
     if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
         raise DomainError("matrix norm exponents must lie in (1, inf)")
@@ -357,7 +356,7 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int
     delta = np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises
         u = _apply(B, r, c, v) if image is None else image / start_norm
-        for iteration in range(1, max_iter + 1):
+        for iteration in range(1, POWER_MAX_ITER + 1):
             if iteration > 1:
                 u = _apply(B, r, c, v)
             gamma, u_dual = _norm_and_dual(u, p2)
@@ -375,11 +374,11 @@ def _power_method(B: np.ndarray, p1: float, p2: float, tol: float, max_iter: int
             if gamma > best:
                 best, maximizer, best_image = gamma, v, u
             delta = abs(gamma - gamma_prev)
-            if delta <= tol * gamma:
+            if delta <= POWER_TOL * gamma:
                 return best, True, iteration, delta, maximizer, best_image
             gamma_prev = gamma
             _, v = _norm_and_dual(_apply(B.T, c, r, u_dual), q1)
-    return best, False, max_iter, delta, maximizer, best_image
+    return best, False, POWER_MAX_ITER, delta, maximizer, best_image
 
 
 def largest_singular_value(matrix) -> float:
@@ -389,8 +388,7 @@ def largest_singular_value(matrix) -> float:
     the change that failed the stop test, when the iteration does not
     converge within ``POWER_MAX_ITER`` steps, whatever the matrix size.
     """
-    value, converged, iterations, delta, *_ = _power_method(_as_matrix(matrix), 2.0, 2.0,
-                                                            POWER_TOL, POWER_MAX_ITER)
+    value, converged, iterations, delta, *_ = _power_method(_as_matrix(matrix), 2.0, 2.0)
     if not converged:
         raise ConvergenceError(f"power iteration did not converge in {iterations} iterations",
                                iterations=iterations, last_value=value, last_delta=delta)
@@ -437,7 +435,7 @@ def _pq_norm(B: np.ndarray, p1: float, p2: float, nonnegative: bool, mirrored: b
     by 2^(1/p2 + 1/q1) (see the module docstring); NumericalError if that
     product overflows."""
     value, converged, iterations, _, maximizer, image = _power_method(
-        B, p1, p2, POWER_TOL, POWER_MAX_ITER, start, image, rows, cols)
+        B, p1, p2, start, image, rows, cols)
     if mirrored:
         value *= 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1))
         if not math.isfinite(value):

@@ -27,6 +27,7 @@ from .operators import apply_operator, assemble, empirical_ratio, operator_norm_
 from .spaces import SampledFunction, conjugate_exponent, sample, weighted_norm
 
 DEFAULT_R_SCHEDULE = (10.0, 40.0, 160.0, 640.0)
+MAX_NODES = 4000
 GAMMA_SATURATING = 0.05
 GAMMA_GROWING = 0.1
 
@@ -38,13 +39,12 @@ SWEEP_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """How sweep grids are built and how far they may grow."""
+    """How sweep grids are built."""
 
     panels_per_side: int = 12
     grading: float = DEFAULT_GRADING
     panel_order: int = DEFAULT_PANEL_ORDER
     extra_panels: int = 2
-    max_nodes: int = 4000
 
     def final_node_count(self, schedule_length: int) -> int:
         panels = self.panels_per_side + self.extra_panels * (schedule_length - 1)
@@ -61,7 +61,8 @@ class SweepPlan:
 
     ``kernel`` = None means each query runs against the pure envelope
     kernel with its own decay exponent.  Schedule radii must be positive,
-    finite and strictly increasing; any such schedule nests its grids.
+    finite and strictly increasing; any such schedule nests its grids, and
+    the largest grid holds at most ``MAX_NODES`` nodes.
     """
 
     queries: tuple[BoundednessQuery, ...]
@@ -80,10 +81,9 @@ class SweepPlan:
         if any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise PlanError("truncation schedule must be strictly increasing")
         final = self.grid.final_node_count(len(schedule))
-        if final > self.grid.max_nodes:
+        if final > MAX_NODES:
             raise PlanError(
-                f"node budget exceeded: {final} nodes at R = {schedule[-1]}, "
-                f"budget {self.grid.max_nodes}"
+                f"node budget exceeded: {final} nodes at R = {schedule[-1]}, budget {MAX_NODES}"
             )
 
 
@@ -283,6 +283,7 @@ def sweep_csv_text(result: SweepResult, provenance: dict | None = None) -> str:
         "kernel": repr(plan.kernel) if plan.kernel is not None else "envelope(per-query-kappa)",
         "R_schedule": ":".join(repr(R) for R in plan.R_schedule),
         **{f.name: getattr(plan.grid, f.name) for f in fields(GridPolicy)},
+        "max_nodes": MAX_NODES,
         "gamma_saturating": repr(GAMMA_SATURATING),
         "gamma_growing": repr(GAMMA_GROWING),
     }

@@ -17,7 +17,7 @@ import opnormlab.sweeps
 from opnormlab.cli import RunConfig, build_parser, run_cli
 from opnormlab.grids import build_grid, parse_grid
 from opnormlab.operators import POWER_MAX_ITER, POWER_TOL
-from opnormlab.sweeps import GridPolicy
+from opnormlab.sweeps import MAX_NODES, GridPolicy
 
 
 def run_json(capsys, argv):
@@ -291,8 +291,10 @@ def test_runconfig_defaults_match_library():
     want = build_grid(grid.R, grid.panels_per_side, policy.grading, policy.panel_order)
     assert np.array_equal(grid.breakpoints, want.breakpoints)
     assert grid.panel_order == policy.panel_order
-    # the provenance ends with the library's one stop rule, which no field holds
-    assert list(config.to_dict().items())[-2:] == [("power_tol", POWER_TOL),
+    # the provenance ends with the sweep's node budget and the library's one
+    # stop rule, constants that no field holds
+    assert list(config.to_dict().items())[-3:] == [("max_nodes", MAX_NODES),
+                                                   ("power_tol", POWER_TOL),
                                                    ("power_max_iter", POWER_MAX_ITER)]
 
 
@@ -350,9 +352,12 @@ def test_runconfig_round_trip(tmp_path):
     out = tmp_path / "report.json"
     assert run_cli(OPNORM + ["--out", str(out)]) == 0
     provenance = json.loads(out.read_text())["provenance"]
-    assert list(provenance.items())[-2:] == [("power_tol", POWER_TOL),
+    # the node budget stays where its field was, right after extra_panels
+    assert list(provenance.items())[-4:] == [("extra_panels", GridPolicy.extra_panels),
+                                             ("max_nodes", MAX_NODES),
+                                             ("power_tol", POWER_TOL),
                                              ("power_max_iter", POWER_MAX_ITER)]
-    del provenance["power_tol"], provenance["power_max_iter"]
+    del provenance["max_nodes"], provenance["power_tol"], provenance["power_max_iter"]
     rebuilt = RunConfig(**{**provenance, "r_schedule": tuple(provenance["r_schedule"])})
     assert rebuilt == replace(RunConfig(), grid=SMALL_GRID[1])
 
@@ -405,6 +410,11 @@ def test_config_option_is_a_usage_error(capsys, tmp_path, argv):
     (["sweep", "--query", QUERY], {"r_schedule": [10, 10 ** 400]}),
     (["sweep", "--query", QUERY, "--r-schedule", "10,1e400"], None),
     (["sweep", "--query", QUERY, "--panels", "9.0"], None),
+    # the node budget is a constant, so no flag sets it
+    pytest.param(["sweep", "--query", QUERY, "--max-nodes", "3000"], None, id="max-nodes"),
+    # the nodes and weights of the first panel would be subnormal floats
+    pytest.param(["sweep", "--query", QUERY, "--r-schedule", "1e-320,1", "--panels", "4",
+                  "--order", "4"], None, id="sweep-subnormal-radius"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, config):
     if config is not None:
@@ -473,18 +483,20 @@ def test_sweep_flags_set_runconfig_fields(tmp_path):
     dests = {a.dest for a in subcommands.choices["sweep"]._actions} - not_config
     assert dests <= config_fields
     assert {"panels_per_side", "panel_order", "r_schedule"} <= dests
-    # each flag overrides its field, which the sweep header echoes; the stop rule stays fixed
+    # each flag overrides its field, which the sweep header echoes; the node
+    # budget and the stop rule stay fixed
     settings = [("--panels", "6", "panels_per_side=6"), ("--order", "5", "panel_order=5"),
                 ("--r-schedule", "10,40", "R_schedule=10.0:40.0"),
-                ("--grading", "1.4", "grading=1.4"), ("--extra-panels", "3", "extra_panels=3"),
-                ("--max-nodes", "3000", "max_nodes=3000")]
+                ("--grading", "1.4", "grading=1.4"), ("--extra-panels", "3", "extra_panels=3")]
     flags = [token for flag, text, _ in settings for token in (flag, text)]
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep", "--query", QUERY, *flags, "--out", str(out)]) == 0
-    header = {line for line in out.read_text().splitlines() if line.startswith("# ")}
+    lines = [line for line in out.read_text().splitlines() if line.startswith("# ")]
     echoes = [echo for _, _, echo in settings] + [f"power_tol={POWER_TOL!r}",
                                                    f"power_max_iter={POWER_MAX_ITER}"]
-    assert {f"# {echo}" for echo in echoes} <= header
+    assert {f"# {echo}" for echo in echoes} <= set(lines)
+    # the node budget stays where its field was, right after extra_panels
+    assert lines[lines.index("# extra_panels=3") + 1] == f"# max_nodes={MAX_NODES}"
 
 
 APPLY = ["apply", "--kernel", "envelope(2)", "--function", "gauss(1)", *SMALL_GRID]

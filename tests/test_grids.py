@@ -260,6 +260,33 @@ def test_too_few_edges_or_radii_are_named(bad, message):
         bad()
 
 
+def test_nodes_and_weights_below_the_normal_range_are_refused():
+    # at R = 1e-310 the weights are subnormal and sum to 2R only to within 5e-14
+    with pytest.raises(DomainError, match=r"^panel width 1\.6162922256344e-311 is too small: "
+                                          r"nodes or weights fall below the normal float range$"):
+        build_grid(1e-310, 4, 1.3, 4)
+    with pytest.raises(DomainError, match="below the normal float range"):
+        Grid([0.0, 5e-324, 1.0], 2)
+    # at R = 1e-300 every node and weight is normal, and the grid still builds
+    grid = build_grid(1e-300, 4, 1.3, 4)
+    assert grid.size == 32 and np.all(grid.nodes[grid.size // 2:] > 0.0)
+    assert_bitwise_mirror(grid)
+
+
+@pytest.mark.parametrize("panels", [8, 32, 128, 512])
+def test_panel_count_does_not_refine_the_far_field(panels):
+    # the outermost of m panels of ratio g on [0, R] has width
+    # R (g - 1) g^(m-1) / (g^m - 1) -> R (1 - 1/g), about 0.23 R at g = 1.3
+    # whatever m, so --panels adds panels near the origin only.  Both of its
+    # edges are within a few ulps of R and the width is about R / 4, hence 2e-15
+    R, grading = 10.0, 1.3
+    edges = build_grid(R, panels, grading, 8).breakpoints
+    width = float(edges[-1] - edges[-2])
+    formula = R * (grading - 1.0) * grading ** (panels - 1) / (grading ** panels - 1.0)
+    assert width == pytest.approx(formula, rel=2e-15, abs=0.0)
+    assert width > 0.23 * R
+
+
 def test_one_radius_family_does_not_check_the_extra_panels():
     # with no annulus the extra panels build nothing
     want = build_grid(10.0, 4, 1.3, 4)

@@ -432,11 +432,15 @@ def test_matrix_norms_name_bad_input(call, message):
 
 
 def test_no_public_callable_takes_a_stop_rule():
-    # POWER_TOL and POWER_MAX_ITER are the one stop rule; no caller passes another
+    # POWER_TOL and POWER_MAX_ITER are the one stop rule, which the power
+    # method reads itself; no caller passes another, not even a private one
     takes = []
-    for name in dir(opnormlab):
-        obj = getattr(opnormlab, name)
-        if name.startswith("_") or not callable(obj):
+    callables = [(name, getattr(opnormlab, name)) for name in dir(opnormlab)
+                 if not name.startswith("_")]
+    callables += [(name, getattr(opnormlab.operators, name))
+                  for name in ("_power_method", "_pq_norm")]
+    for name, obj in callables:
+        if not callable(obj):
             continue
         try:
             parameters = inspect.signature(obj).parameters
@@ -1009,12 +1013,13 @@ def _power_method_two_norms(B, p1, p2, tol, max_iter):
 
 
 @pytest.mark.parametrize("p1, p2", [(2.0, 2.0), (1.5, 3.0), (3.0, 1.5), (4.0, 4.0)])
-def test_power_method_one_norm_per_iteration_is_bitwise(p1, p2):
+def test_power_method_one_norm_per_iteration_is_bitwise(monkeypatch, p1, p2):
     rng = np.random.default_rng(41)
     for shape in ((30, 40), (64, 64)):
         for matrix in (rng.uniform(0.0, 1.0, size=shape), rng.normal(size=shape)):
             for max_iter in (7, POWER_MAX_ITER):
-                assert _power_method(matrix, p1, p2, POWER_TOL, max_iter)[:4] == \
+                monkeypatch.setattr(opnormlab.operators, "POWER_MAX_ITER", max_iter)
+                assert _power_method(matrix, p1, p2)[:4] == \
                     _power_method_two_norms(matrix, p1, p2, POWER_TOL, max_iter)
 
 
@@ -1063,9 +1068,9 @@ def test_padded_image_is_handed_to_the_power_method_as_core_times_start(
     start, image = full._warm_start(estimate)
     handed = []
 
-    def recording(B, p1, p2, tol, max_iter, start=None, image=None, rows=None, cols=None):
+    def recording(B, p1, p2, start=None, image=None, rows=None, cols=None):
         handed.append((B, start, image, rows, cols))
-        return _power_method(B, p1, p2, tol, max_iter, start, image, rows, cols)
+        return _power_method(B, p1, p2, start, image, rows, cols)
 
     monkeypatch.setattr(opnormlab.operators, "_power_method", recording)
     warm = operator_norm_pq(full, start=start, image=image)

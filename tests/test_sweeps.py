@@ -85,7 +85,7 @@ def test_sweep_on_a_schedule_that_is_not_geometric_nests():
 
 
 def test_plan_rejects_node_budget():
-    policy = GridPolicy(panels_per_side=300, max_nodes=4000)
+    policy = GridPolicy(panels_per_side=300)
     with pytest.raises(PlanError):
         SweepPlan(queries=(query_thm1(),), R_schedule=(10.0, 40.0), grid=policy)
 
@@ -225,13 +225,13 @@ def record_images(monkeypatch) -> list:
     gaps = []
     real = opnormlab.operators._power_method
 
-    def recording(B, p1, p2, tol, max_iter, start=None, image=None, rows=None, cols=None):
+    def recording(B, p1, p2, start=None, image=None, rows=None, cols=None):
         if image is None:
             gaps.append(None)
         else:
             want = (rows[:, None] * B * cols[None, :]) @ start
             gaps.append(float(np.max(np.abs(image - want)) / np.max(np.abs(want))))
-        return real(B, p1, p2, tol, max_iter, start, image, rows, cols)
+        return real(B, p1, p2, start, image, rows, cols)
 
     monkeypatch.setattr(opnormlab.operators, "_power_method", recording)
     return gaps
