@@ -24,6 +24,7 @@ from .errors import DomainError, NumericalError
 
 DEFAULT_GRADING = 1.3
 DEFAULT_PANEL_ORDER = 8
+DEFAULT_EXTRA_PANELS = 2
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -157,7 +158,8 @@ def build_grid(R: float, panels_per_side: int, grading: float = DEFAULT_GRADING,
 
 
 def nested_grids(R_schedule, panels_per_side: int, grading: float = DEFAULT_GRADING,
-                 panel_order: int = DEFAULT_PANEL_ORDER, extra_panels: int = 2) -> list[Grid]:
+                 panel_order: int = DEFAULT_PANEL_ORDER,
+                 extra_panels: int = DEFAULT_EXTRA_PANELS) -> list[Grid]:
     """Nested grid family over a strictly increasing truncation schedule.
 
     The panel edges are chained once: ``panels_per_side`` geometric panels

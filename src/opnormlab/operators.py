@@ -34,16 +34,18 @@ J the reversal and B its [0, R] x [0, R] quadrant, and its l^p1 -> l^p2 norm
 is exactly 2^(1/p2 + 1/q1) ||B||.  ``assemble`` evaluates the kernel on the
 half line only, the operator keeps that quadrant of K as its ``core`` and
 the half-line scalings (``mirrored`` is then true); ``restrict`` slices the
-leading block of the core and of each scaling; the norm functions run the
-power method on B and multiply its value by that factor once, at the end.
+leading block of the core and of each scaling; the power method runs on B
+and multiplies its value by that factor once, at the end.
 The stop test compares each change with the value itself, so the factor
 cancels from it: the iteration count and, up to rounding, the value are
 those of the full matrix.  The alternating modulation, which is not even,
 keeps the full K as the core.  ``.matrix``, the full scaled matrix, is
 built only when it is read, which only the benchmark's tracer does.
 
-A norm starts from the all-ones vector unless it is given a start on the
-core's columns.  A sweep takes one nesting step per radius: ``restrict``
+One function, ``_power_method``, runs the loop, applies the mirror factor
+and decides ``certified``; it alone builds an estimate and sets its image.
+A norm starts from the all-ones vector unless it is given a sweep's
+previous estimate.  A sweep takes one nesting step per radius: ``restrict``
 views the block of the largest core, and of its scalings, that the
 radius's grid keeps, once ``grids.nested_slice`` has tested the nesting by
 panel edges, and from the second radius on ``_warm_start`` places the
@@ -193,10 +195,15 @@ class DiscretizedOperator:
         mirrored core, the centred block of a full one.  ``start`` is the
         maximizer padded with zeros.  ``image`` is rows * (core @ (cols *
         start)): the estimate's image in that block's rows, and only the new
-        rows computed; None when the estimate has no image (a zero core).
+        rows computed; None when the estimate has no image (a zero core, or
+        one built by hand).  DomainError unless the maximizer is a finite,
+        nonzero 1-d array no longer than the core's side.
         """
-        v, kept = estimate.maximizer, estimate.image
+        v, kept = np.asarray(estimate.maximizer, dtype=float), estimate.image
         n = self.core.shape[0]
+        if v.ndim != 1 or v.size > n or not np.isfinite(v).all() or not v.any():
+            raise DomainError(f"a previous estimate needs a finite nonzero maximizer of at "
+                              f"most {n} entries")
         first = 0 if self.mirrored else (n - v.size) // 2
         block = slice(first, first + v.size)
         start = np.zeros(n)
@@ -307,10 +314,10 @@ def _norm_and_dual(u: np.ndarray, r: float) -> tuple[float, np.ndarray | None]:
     return norm, magnitude ** (r - 1.0) * np.sign(u) / norm ** (r - 1.0)
 
 
-def _power_method(B: np.ndarray, p1: float, p2: float,
-                  start: np.ndarray | None = None, image: np.ndarray | None = None,
-                  rows: np.ndarray | None = None, cols: np.ndarray | None = None
-                  ) -> tuple[float, bool, int, float, np.ndarray, np.ndarray | None]:
+def _power_method(B: np.ndarray, p1: float, p2: float, nonnegative: bool,
+                  mirrored: bool = False, start: np.ndarray | None = None,
+                  image: np.ndarray | None = None, rows: np.ndarray | None = None,
+                  cols: np.ndarray | None = None) -> PqNormEstimate:
     """Nonlinear power method for the l^p1 -> l^p2 norm of a finite matrix.
 
     The matrix is A = diag(``rows``) B diag(``cols``), applied through
@@ -322,13 +329,13 @@ def _power_method(B: np.ndarray, p1: float, p2: float,
     given, is A @ ``start``: it is scaled with the start and stands in for
     the first product A v.  Stops by the laboratory's one rule, read at call
     time: when ||A v||_p2 changes by at most ``POWER_TOL`` times its value,
-    or after ``POWER_MAX_ITER`` steps.  Returns (best value, converged,
-    iterations, last change, maximizer, its image); the maximizer is the
+    or after ``POWER_MAX_ITER`` steps.  The estimate's maximizer is the
     unit-p1-norm iterate that reached the best value, and its image is
-    A @ maximizer.  Without convergence the last change is the one that
-    failed the stop test.  The zero matrix gives (0, True, 0, 0, start,
-    None).  Bad exponents, starts or images raise DomainError; a value that
-    is not finite raises NumericalError.
+    A @ maximizer; a ``mirrored`` core's value is multiplied by 2^(1/p2 +
+    1/q1) once, and it is ``certified`` when converged and ``nonnegative``.
+    The zero matrix gives 0 after 0 iterations, with the start as maximizer
+    and no image.  Bad exponents raise DomainError; a value that is not
+    finite, with the mirror factor or without, raises NumericalError.
     """
     if not (1 < p1 < math.inf) or not (1 < p2 < math.inf):
         raise DomainError("matrix norm exponents must lie in (1, inf)")
@@ -339,21 +346,11 @@ def _power_method(B: np.ndarray, p1: float, p2: float,
     if start is None:
         v = np.full(n, n ** (-1.0 / p1))  # all-ones start, unit p1-norm
     else:
-        v = np.asarray(start, dtype=float)
-        if v.shape != (n,) or not np.all(np.isfinite(v)):
-            raise DomainError(f"start must be a finite vector of length {n}")
-        start_norm, _ = _norm_and_dual(v, p1)
-        if start_norm == 0.0:
-            raise DomainError("start must not be the zero vector")
-        v = v / start_norm
-    if image is not None:
-        if start is None:
-            raise DomainError("an image needs the start it belongs to")
-        if np.shape(image) != (m,) or not np.all(np.isfinite(image)):
-            raise DomainError(f"image must be a finite vector of length {m}")
+        start_norm, _ = _norm_and_dual(start, p1)
+        v = start / start_norm
     best, maximizer, best_image = 0.0, v, None
     gamma_prev = -np.inf
-    delta = np.inf
+    converged = True
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises
         u = _apply(B, r, c, v) if image is None else image / start_norm
         for iteration in range(1, POWER_MAX_ITER + 1):
@@ -367,7 +364,8 @@ def _power_method(B: np.ndarray, p1: float, p2: float,
                 # heaviest column, unless there is none
                 column_sums = np.sum(np.abs(B) * r[:, None], axis=0) * c
                 if not column_sums.any():  # every unit vector is a maximizer
-                    return 0.0, True, 0, 0.0, v, None
+                    iteration, delta = 0, 0.0
+                    break
                 v = np.zeros(n)
                 v[int(np.argmax(column_sums))] = 1.0
                 continue
@@ -375,10 +373,19 @@ def _power_method(B: np.ndarray, p1: float, p2: float,
                 best, maximizer, best_image = gamma, v, u
             delta = abs(gamma - gamma_prev)
             if delta <= POWER_TOL * gamma:
-                return best, True, iteration, delta, maximizer, best_image
+                break
             gamma_prev = gamma
             _, v = _norm_and_dual(_apply(B.T, c, r, u_dual), q1)
-    return best, False, POWER_MAX_ITER, delta, maximizer, best_image
+        else:
+            converged = False
+    if mirrored:
+        best *= 2.0 ** (1.0 / p2 + 1.0 / q1)
+        if not math.isfinite(best):
+            raise NumericalError("operator norm overflows")
+    estimate = PqNormEstimate(best, certified=converged and nonnegative, converged=converged,
+                              iterations=iteration, maximizer=maximizer, last_change=delta)
+    object.__setattr__(estimate, "image", best_image)
+    return estimate
 
 
 def largest_singular_value(matrix) -> float:
@@ -388,11 +395,13 @@ def largest_singular_value(matrix) -> float:
     the change that failed the stop test, when the iteration does not
     converge within ``POWER_MAX_ITER`` steps, whatever the matrix size.
     """
-    value, converged, iterations, delta, *_ = _power_method(_as_matrix(matrix), 2.0, 2.0)
-    if not converged:
-        raise ConvergenceError(f"power iteration did not converge in {iterations} iterations",
-                               iterations=iterations, last_value=value, last_delta=delta)
-    return value
+    estimate = _power_method(_as_matrix(matrix), 2.0, 2.0, nonnegative=False)  # certified unread
+    if not estimate.converged:
+        raise ConvergenceError(
+            f"power iteration did not converge in {estimate.iterations} iterations",
+            iterations=estimate.iterations, last_value=estimate.value,
+            last_delta=estimate.last_change)
+    return estimate.value
 
 
 @dataclass(frozen=True)
@@ -404,8 +413,11 @@ class PqNormEstimate:
     lower bound.  ``maximizer`` is the unit-p1-norm vector that reached the
     value, one entry per column of the matrix (of the core, for an
     operator); None only where an estimate is built by hand.  ``image`` is
-    the matrix (the scaled core) times ``maximizer``, one entry per row;
-    None also for a zero matrix, where no iterate reached a positive value.
+    the matrix (the scaled core) times ``maximizer``, one entry per row; only
+    ``_power_method`` sets it, so it is None on a hand-built estimate, and
+    for a zero matrix, where no iterate reached a positive value.
+    ``last_change`` is the value's last change, the one that failed the stop
+    test if the run did not converge.
     """
 
     value: float
@@ -413,7 +425,8 @@ class PqNormEstimate:
     converged: bool
     iterations: int
     maximizer: np.ndarray | None = field(default=None, repr=False, compare=False)
-    image: np.ndarray | None = field(default=None, repr=False, compare=False)
+    last_change: float = field(default=math.nan, repr=False, compare=False)
+    image: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def matrix_pq_norm(matrix, p1: float, p2: float) -> PqNormEstimate:
@@ -424,39 +437,25 @@ def matrix_pq_norm(matrix, p1: float, p2: float) -> PqNormEstimate:
     with ``converged`` (and hence ``certified``) False.
     """
     B = _as_matrix(matrix)
-    return _pq_norm(B, p1, p2, nonnegative=bool(B.min() >= 0))
+    return _power_method(B, p1, p2, nonnegative=bool(B.min() >= 0))
 
 
-def _pq_norm(B: np.ndarray, p1: float, p2: float, nonnegative: bool, mirrored: bool = False,
-             start: np.ndarray | None = None, image: np.ndarray | None = None,
-             rows: np.ndarray | None = None, cols: np.ndarray | None = None) -> PqNormEstimate:
-    """Estimate from one power-method run, under the laboratory's stop rule,
-    on diag(rows) B diag(cols).  A mirrored core's value is multiplied once
-    by 2^(1/p2 + 1/q1) (see the module docstring); NumericalError if that
-    product overflows."""
-    value, converged, iterations, _, maximizer, image = _power_method(
-        B, p1, p2, start, image, rows, cols)
-    if mirrored:
-        value *= 2.0 ** (1.0 / p2 + 1.0 / conjugate_exponent(p1))
-        if not math.isfinite(value):
-            raise NumericalError("operator norm overflows")
-    return PqNormEstimate(value, certified=converged and nonnegative, converged=converged,
-                          iterations=iterations, maximizer=maximizer, image=image)
-
-
-def operator_norm_pq(op: DiscretizedOperator, start: np.ndarray | None = None,
-                     image: np.ndarray | None = None) -> PqNormEstimate:
+def operator_norm_pq(op: DiscretizedOperator,
+                     previous: PqNormEstimate | None = None) -> PqNormEstimate:
     """Discretized weighted-operator norm for general (p1, p2).
 
     The power method runs on ``op.core`` between ``op.rows`` and
-    ``op.cols``, from ``start`` (a vector on the core's columns, e.g. a
-    sweep's warm start) or, by default, from the all-ones vector, and stops
-    by the laboratory's one rule, ``POWER_TOL`` and ``POWER_MAX_ITER``.
-    ``image``, if given, is the operator's product with ``start``, and saves
-    the first matrix-vector product.
+    ``op.cols`` and stops by the laboratory's one rule, ``POWER_TOL`` and
+    ``POWER_MAX_ITER``.  It starts from the all-ones vector or from
+    ``previous``, the estimate this function returned for a smaller
+    restriction of the same parent (a sweep's previous radius), which
+    ``op._warm_start`` places: its zero-padded maximizer is the start, and
+    its image saves the first product on the rows it covers.  An estimate of
+    another operator is not detected: no estimate keeps its core alive.
     """
-    return _pq_norm(op.core, op.source_space.p, op.target_space.p, op.nonnegative,
-                    op.mirrored, start, image, op.rows, op.cols)
+    start, image = (None, None) if previous is None else op._warm_start(previous)
+    return _power_method(op.core, op.source_space.p, op.target_space.p, op.nonnegative,
+                         op.mirrored, start, image, op.rows, op.cols)
 
 
 def empirical_ratio(op: DiscretizedOperator, f: SampledFunction) -> float:

@@ -21,7 +21,8 @@ import numpy as np
 from .closed_forms import _integrable_exponent, majorant_integral
 from .conditions import BoundednessQuery, ConditionReport, check_boundedness, query_spaces
 from .errors import DomainError, PlanError
-from .grids import DEFAULT_GRADING, DEFAULT_PANEL_ORDER, Grid, nested_grids
+from .grids import (DEFAULT_EXTRA_PANELS, DEFAULT_GRADING, DEFAULT_PANEL_ORDER, Grid,
+                    nested_grids)
 from .kernels import KernelSpec
 from .operators import apply_operator, assemble, empirical_ratio, operator_norm_pq
 from .spaces import SampledFunction, conjugate_exponent, sample, weighted_norm
@@ -44,7 +45,7 @@ class GridPolicy:
     panels_per_side: int = 12
     grading: float = DEFAULT_GRADING
     panel_order: int = DEFAULT_PANEL_ORDER
-    extra_panels: int = 2
+    extra_panels: int = DEFAULT_EXTRA_PANELS
 
     def final_node_count(self, schedule_length: int) -> int:
         panels = self.panels_per_side + self.extra_panels * (schedule_length - 1)
@@ -149,7 +150,7 @@ def run_boundedness_sweep(plan: SweepPlan) -> SweepResult:
     leading one of a mirrored quadrant), which is bitwise the core the
     smaller grid would assemble.  The radii run in increasing order: the
     first starts from the all-ones vector, every later one from the
-    previous radius's maximizer zero-padded (``op._warm_start``) onto the
+    previous radius's maximizer zero-padded (``operator_norm_pq``) onto the
     new nodes.  The previous core is a block of the new one, so the first
     warm iterate already reaches the previous value and the norms cannot
     decrease along the schedule (up to rounding), whatever the kernel's
@@ -178,8 +179,7 @@ def run_boundedness_sweep(plan: SweepPlan) -> SweepResult:
         estimate = None
         for R, grid in zip(plan.R_schedule, grids):
             op = full.restrict(grid)
-            start, image = (None, None) if estimate is None else op._warm_start(estimate)
-            estimate = operator_norm_pq(op, start=start, image=image)
+            estimate = operator_norm_pq(op, estimate)
             cells.append(SweepCell(index, R, grid.size, estimate.value, estimate.certified,
                                    estimate.converged))
             if estimate.converged and estimate.value > 0.0:

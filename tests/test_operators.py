@@ -20,8 +20,8 @@ from opnormlab import (ConvergenceError, DiscretizedOperator, DomainError, Grid,
                        largest_singular_value, matrix_pq_norm, nested_grids,
                        operator_norm_pq, sample, sample_spec, weighted_norm)
 from opnormlab.conditions import BoundednessQuery, query_spaces
-from opnormlab.operators import (_BLOCK_ENTRIES, _STRIP_ROWS, POWER_MAX_ITER, POWER_TOL, _apply,
-                                 _pq_norm, _power_method)
+from opnormlab.operators import (_BLOCK_ENTRIES, _STRIP_ROWS, POWER_MAX_ITER, POWER_TOL,
+                                 PqNormEstimate, _apply, _power_method)
 from opnormlab.spaces import conjugate_exponent, weight_exponent
 
 from _dense import full_matrix, kernel_matrix, scaled_core
@@ -433,13 +433,13 @@ def test_matrix_norms_name_bad_input(call, message):
 
 def test_no_public_callable_takes_a_stop_rule():
     # POWER_TOL and POWER_MAX_ITER are the one stop rule, which the power
-    # method reads itself; no caller passes another, not even a private one
+    # method reads itself; no caller passes another, not even a private one.
+    # A start and its image come only from a previous estimate, so no public
+    # callable takes either (PqNormEstimate's ``image`` is not an init field)
     takes = []
-    callables = [(name, getattr(opnormlab, name)) for name in dir(opnormlab)
-                 if not name.startswith("_")]
-    callables += [(name, getattr(opnormlab.operators, name))
-                  for name in ("_power_method", "_pq_norm")]
-    for name, obj in callables:
+    public = [(name, getattr(opnormlab, name)) for name in dir(opnormlab)
+              if not name.startswith("_")]
+    for name, obj in public + [("_power_method", _power_method)]:
         if not callable(obj):
             continue
         try:
@@ -447,7 +447,8 @@ def test_no_public_callable_takes_a_stop_rule():
         except ValueError:  # an exception class with the builtin constructor
             assert issubclass(obj, Exception)
             continue
-        takes += [(name, key) for key in ("tol", "max_iter") if key in parameters]
+        refused = ("tol", "max_iter") + (("start", "image") if name != "_power_method" else ())
+        takes += [(name, key) for key in refused if key in parameters]
     assert takes == []
 
 
@@ -475,7 +476,7 @@ def test_pq_norm_rescales_an_overflowing_power_sum():
 def test_mirror_factor_that_overflows_raises():
     # the quadrant's norm 1e308 is finite; the full matrix's, twice that, is not
     with pytest.raises(NumericalError, match="overflows"):
-        _pq_norm(np.array([[1e308]]), 2, 2, nonnegative=True, mirrored=True)
+        _power_method(np.array([[1e308]]), 2, 2, nonnegative=True, mirrored=True)
 
 
 @pytest.mark.parametrize("matrix, scale, p1, p2", [
@@ -500,17 +501,18 @@ def test_pq_norm_overflowing_value_is_a_numerical_error(matrix, p2):
 
 
 @pytest.mark.parametrize("start", [
-    np.ones(7), np.ones(16), np.ones((2, 4)),  # the core has 8 columns, the grid 16 nodes
-    np.array([1.0, np.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
-    np.array([1.0, np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
-    np.zeros(8),
+    np.ones(9), np.ones(16), np.ones((2, 4)),  # the core has 8 columns, the grid 16 nodes
+    np.array([1.0, np.nan, 1.0]), np.array([1.0, np.inf]), np.zeros(6), None,
 ])
 def test_operator_norm_rejects_a_bad_start(start):
+    # a start comes only from a previous estimate, whose maximizer it pads:
+    # too long, 2-d, not finite, zero or missing raises before any product
     grid = build_grid(4.0, 2, 1.3, 4)
     op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-0.5), SpaceSpec.h(-0.5), grid)
     assert op.mirrored and op.core.shape == (8, 8)
-    with pytest.raises(DomainError, match="start"):
-        operator_norm_pq(op, start=start)
+    previous = PqNormEstimate(1.0, True, True, 1, start)
+    with pytest.raises(DomainError, match="maximizer"):
+        operator_norm_pq(op, previous)
 
 
 def test_pq_norm_sign_changing_not_certified():
@@ -819,6 +821,12 @@ def test_operators_are_made_in_assemble_and_restrict_only():
     }
 
 
+def test_estimates_are_made_in_the_power_method_only():
+    # one norm routine: the loop, the mirror factor and ``certified`` live in
+    # _power_method, which alone builds an estimate and sets its image
+    assert call_sites("PqNormEstimate") == {("operators", "_power_method"): 1}
+
+
 # --- mirror symmetry ---------------------------------------------------------
 
 def direct_scalings(source, target, grid):
@@ -1019,7 +1027,9 @@ def test_power_method_one_norm_per_iteration_is_bitwise(monkeypatch, p1, p2):
         for matrix in (rng.uniform(0.0, 1.0, size=shape), rng.normal(size=shape)):
             for max_iter in (7, POWER_MAX_ITER):
                 monkeypatch.setattr(opnormlab.operators, "POWER_MAX_ITER", max_iter)
-                assert _power_method(matrix, p1, p2)[:4] == \
+                estimate = _power_method(matrix, p1, p2, nonnegative=False)
+                assert (estimate.value, estimate.converged, estimate.iterations,
+                        estimate.last_change) == \
                     _power_method_two_norms(matrix, p1, p2, POWER_TOL, max_iter)
 
 
@@ -1037,8 +1047,11 @@ def test_zero_padded_maximizer_reaches_the_smaller_value_at_once(monkeypatch, ke
     assert start.size == full.core.shape[1] and np.count_nonzero(start) == np.count_nonzero(v)
     monkeypatch.setattr(opnormlab.operators, "POWER_TOL", 0.0)
     monkeypatch.setattr(opnormlab.operators, "POWER_MAX_ITER", 1)
-    first = operator_norm_pq(full, start=start)
-    assert first.value >= small.value * (1.0 - 1e-14)
+    # with the padded image and without it
+    first, first_without = operator_norm_pq(full, small), norm_of_core(full, start)
+    assert first.iterations == first_without.iterations == 1
+    for estimate in (first, first_without):
+        assert estimate.value >= small.value * (1.0 - 1e-14)
 
 
 def edge_family() -> tuple[Grid, Grid]:
@@ -1049,6 +1062,12 @@ def edge_family() -> tuple[Grid, Grid]:
 
 def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def norm_of_core(op: DiscretizedOperator, start: np.ndarray, image=None) -> PqNormEstimate:
+    # the run operator_norm_pq makes, from a start of the test's choosing
+    return _power_method(op.core, op.source_space.p, op.target_space.p, op.nonnegative,
+                         op.mirrored, start, image, op.rows, op.cols)
 
 
 @pytest.mark.parametrize("kernel, small, large", [
@@ -1065,26 +1084,27 @@ def test_padded_image_is_handed_to_the_power_method_as_core_times_start(
     block = full.restrict(small)
     estimate = operator_norm_pq(block)
     assert relative_gap(estimate.image, scaled_core(block) @ estimate.maximizer) <= 1e-14
-    start, image = full._warm_start(estimate)
     handed = []
 
-    def recording(B, p1, p2, start=None, image=None, rows=None, cols=None):
-        handed.append((B, start, image, rows, cols))
-        return _power_method(B, p1, p2, start, image, rows, cols)
+    def recording(B, p1, p2, nonnegative, mirrored=False, start=None, image=None, rows=None,
+                  cols=None):
+        handed.append((B, mirrored, start, image, rows, cols))
+        return _power_method(B, p1, p2, nonnegative, mirrored, start, image, rows, cols)
 
     monkeypatch.setattr(opnormlab.operators, "_power_method", recording)
-    warm = operator_norm_pq(full, start=start, image=image)
-    B, handed_start, handed_image, rows, cols = handed[0]
+    warm = operator_norm_pq(full, estimate)
+    B, mirrored, start, image, rows, cols = handed[0]
     assert B is full.core and rows is full.rows and cols is full.cols
-    assert handed_start is start and handed_image is image
+    assert mirrored == full.mirrored
+    assert all(map(np.array_equal, (start, image), full._warm_start(estimate)))
     assert relative_gap(image, scaled_core(full) @ start) <= 1e-14
-    without = operator_norm_pq(full, start=start)
+    without = norm_of_core(full, start)
     assert warm.iterations == without.iterations
     assert warm.value == pytest.approx(without.value, rel=1e-14, abs=0.0)
     # the image is scaled with the start: one iteration from 3 * start
     monkeypatch.setattr(opnormlab.operators, "POWER_TOL", 0.0)
     monkeypatch.setattr(opnormlab.operators, "POWER_MAX_ITER", 1)
-    first, first_without = (operator_norm_pq(full, start=3.0 * start, image=scaled)
+    first, first_without = (norm_of_core(full, 3.0 * start, scaled)
                             for scaled in (3.0 * image, None))
     assert first.value == pytest.approx(first_without.value, rel=1e-14, abs=0.0)
 
@@ -1101,15 +1121,23 @@ def test_warm_start_of_a_zero_core_has_no_image():
     assert not start[estimate.maximizer.size:].any()
 
 
-@pytest.mark.parametrize("start, image, message", [
-    (np.ones(8), np.ones(7), "image"), (np.ones(8), np.full(8, np.inf), "image"),
-    (None, np.ones(8), "start"),
-])
-def test_operator_norm_rejects_a_bad_image(start, image, message):
-    grid = build_grid(4.0, 2, 1.3, 4)
-    op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-0.5), SpaceSpec.h(-0.5), grid)
-    with pytest.raises(DomainError, match=message):
-        operator_norm_pq(op, start=start, image=image)
+def test_no_caller_hands_in_an_image():
+    # an image that is not A @ start overstates the norm, so only the power
+    # method's own run may hand one on
+    op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-0.5), SpaceSpec.h(-0.5),
+                  build_grid(40.0, 10, 1.3, 8))
+    ones = np.ones(op.core.shape[0])
+    forged = norm_of_core(op, ones, 1e3 * ones)
+    assert forged.certified and forged.value == pytest.approx(2000.0, rel=1e-12)
+    with pytest.raises(TypeError):
+        operator_norm_pq(op, start=ones, image=1e3 * ones)
+    with pytest.raises(TypeError):
+        PqNormEstimate(2000.0, True, True, 1, ones, image=1e3 * ones)
+    # a hand-built previous estimate has no image: its maximizer is only a start
+    cold = operator_norm_pq(op)
+    assert cold.value == pytest.approx(0.8658, abs=5e-5)
+    warm = operator_norm_pq(op, PqNormEstimate(2000.0, True, True, 1, ones))
+    assert warm.value == pytest.approx(cold.value, rel=1e-9)
 
 
 def test_restrict_passes_nonnegativity_down_and_rescans_otherwise():

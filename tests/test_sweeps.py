@@ -110,6 +110,17 @@ def test_sweep_above_threshold_saturates():
     assert result.reports[0].satisfied
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_radii_below_the_kernel_length_scale_do_not_read_growing():
+    # the sufficient condition holds, but for R << 1 the norm is about
+    # 2 R K(0, 0), so a fit over 1e-300 and 1 reads gamma = 0.9987
+    plan = SweepPlan(queries=(query_thm1(1.5),), R_schedule=(1e-300, 1.0),
+                     grid=GridPolicy(panels_per_side=4, panel_order=4))
+    result = run_boundedness_sweep(plan)
+    assert result.reports[0].satisfied
+    assert result.summaries[0].verdict != "growing"
+
+
 def test_sweep_no_decay_grows():
     # kernel without decay: the discrete operator is rank one with norm ~ sqrt(R)
     query = BoundednessQuery("h", -1.0, 0.0, 0.0)
@@ -158,9 +169,9 @@ def test_sweep_assembles_once_per_query(monkeypatch, kernel):
         calls.append(args)
         return assemble(*args)
 
-    def recording_norm(op, **kwargs):
+    def recording_norm(op, previous=None):
         normed.append(op)
-        return operator_norm_pq(op, **kwargs)
+        return operator_norm_pq(op, previous)
 
     monkeypatch.setattr(opnormlab.sweeps, "assemble", counting_assemble)
     monkeypatch.setattr(opnormlab.sweeps, "operator_norm_pq", recording_norm)
@@ -205,8 +216,8 @@ def test_warm_sweep_values_never_decrease_along_R(kernel):
 def test_warm_starts_take_fewer_iterations_than_cold_starts(monkeypatch):
     warm, cold = [], []
 
-    def counting_norm(op, **kwargs):
-        estimate = operator_norm_pq(op, **kwargs)
+    def counting_norm(op, previous=None):
+        estimate = operator_norm_pq(op, previous)
         warm.append(estimate.iterations)
         cold.append(operator_norm_pq(op).iterations)
         return estimate
@@ -225,13 +236,14 @@ def record_images(monkeypatch) -> list:
     gaps = []
     real = opnormlab.operators._power_method
 
-    def recording(B, p1, p2, start=None, image=None, rows=None, cols=None):
+    def recording(B, p1, p2, nonnegative, mirrored=False, start=None, image=None, rows=None,
+                  cols=None):
         if image is None:
             gaps.append(None)
         else:
             want = (rows[:, None] * B * cols[None, :]) @ start
             gaps.append(float(np.max(np.abs(image - want)) / np.max(np.abs(want))))
-        return real(B, p1, p2, start, image, rows, cols)
+        return real(B, p1, p2, nonnegative, mirrored, start, image, rows, cols)
 
     monkeypatch.setattr(opnormlab.operators, "_power_method", recording)
     return gaps
@@ -295,11 +307,14 @@ def test_warm_state_stays_within_its_query(kernel):
 
 def test_image_keeps_the_iteration_count_of_every_criterion_6_cell(monkeypatch):
     pairs = []
+    real = opnormlab.operators._power_method
 
-    def with_and_without_image(op, **kwargs):
-        estimate = operator_norm_pq(op, **kwargs)
-        without = operator_norm_pq(op, start=kwargs["start"])
-        pairs.append((kwargs["image"] is not None, estimate, without))
+    def with_and_without_image(op, previous=None):
+        estimate = operator_norm_pq(op, previous)
+        start, image = (None, None) if previous is None else op._warm_start(previous)
+        without = real(op.core, op.source_space.p, op.target_space.p, op.nonnegative,
+                       op.mirrored, start, None, op.rows, op.cols)
+        pairs.append((image is not None, estimate, without))
         return estimate
 
     monkeypatch.setattr(opnormlab.sweeps, "operator_norm_pq", with_and_without_image)
