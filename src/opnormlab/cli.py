@@ -5,6 +5,10 @@ output: JSON records for single-result commands, CSV for sweeps.  Exit
 codes: 0 success, 1 usage error, 2 numerical failure, 3 when a requested
 sufficient condition is inapplicable (s1 >= 0).  Identical arguments
 produce byte-identical output files.
+
+The CLI keeps no settings of its own: flags build the library's records
+(``GridPolicy``, ``SweepPlan``), an unset flag leaves the library's default,
+and every JSON report echoes those defaults and constants as provenance.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields
 
 from .closed_forms import envelope_indicator_image, majorant_integral, powerlaw_weighted_norm
 from .conditions import BoundednessQuery, check_boundedness, family_from_index
@@ -32,28 +36,8 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Every default the CLI relies on, echoed as provenance in each report.
-
-    Flags named after a field override it.  The provenance follows the
-    fields with three constants that no run setting changes: the sweep's
-    node budget, ``max_nodes`` (``sweeps.MAX_NODES``), and the power
-    method's stop rule, ``power_tol`` and ``power_max_iter``
-    (``operators.POWER_TOL`` and ``POWER_MAX_ITER``).
-    """
-
-    grid: str = f"grid(10000,40,{GridPolicy.grading:g},{GridPolicy.panel_order})"
-    r_schedule: tuple[float, ...] = DEFAULT_R_SCHEDULE
-    panels_per_side: int = GridPolicy.panels_per_side
-    grading: float = GridPolicy.grading
-    panel_order: int = GridPolicy.panel_order
-    extra_panels: int = GridPolicy.extra_panels
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "r_schedule": list(self.r_schedule), "max_nodes": MAX_NODES,
-                "power_tol": POWER_TOL, "power_max_iter": POWER_MAX_ITER}
-
+# the one grid of norm, apply and opnorm when --grid is not given
+DEFAULT_GRID = f"grid(10000,40,{GridPolicy.grading:g},{GridPolicy.panel_order})"
 
 EXIT_CODES = ("exit codes: 0 success, 1 usage error, 2 numerical failure, "
               "3 requested condition inapplicable (s1 >= 0)")
@@ -106,19 +90,22 @@ def build_parser() -> _Parser:
     p = _command(sub, "norm", _cmd_norm, help="weighted norm of a mini-language function")
     p.add_argument("--function", required=True, help="e.g. powerlaw(1.5), gauss(1)")
     p.add_argument("--space", required=True, help="H(s), Hsp(s,p) or Hps(p,s)")
-    p.add_argument("--grid", help="grid(R,panels,grading,order)")
+    p.add_argument("--grid", default=DEFAULT_GRID,
+                   help=f"grid(R,panels,grading,order) (default {DEFAULT_GRID})")
 
     p = _command(sub, "apply", _cmd_apply, help="evaluate (Kf)(x) by quadrature")
     p.add_argument("--kernel", required=True, help="envelope(k[,c]), cosmod(k,w), altmod(k)")
     p.add_argument("--function", required=True)
-    p.add_argument("--grid", help="grid(R,panels,grading,order)")
+    p.add_argument("--grid", default=DEFAULT_GRID,
+                   help=f"grid(R,panels,grading,order) (default {DEFAULT_GRID})")
     p.add_argument("--x", type=float, required=True)
 
     p = _command(sub, "opnorm", _cmd_opnorm, help="discretized weighted-operator norm")
     p.add_argument("--kernel", required=True)
     p.add_argument("--source", required=True, help="source space spec")
     p.add_argument("--target", required=True, help="target space spec")
-    p.add_argument("--grid", help=f"grid spec of both spaces (default {RunConfig.grid})")
+    p.add_argument("--grid", default=DEFAULT_GRID,
+                   help=f"grid spec of both spaces (default {DEFAULT_GRID})")
 
     p = _command(sub, "sweep", _cmd_sweep, help="boundedness sweep over the truncation schedule")
     p.add_argument("--query", action="append", required=True,
@@ -167,12 +154,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_config(args) -> RunConfig:
-    """The defaults, overridden by the flags named after their fields."""
-    return replace(RunConfig(), **{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                                   if getattr(args, f.name, None) is not None})
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
@@ -184,46 +165,53 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report(args, config: RunConfig, payload: dict, code: int = 0) -> int:
+def _provenance(args) -> dict:
+    """The run's grid, then the library's sweep defaults, node budget and stop rule."""
+    return {"grid": getattr(args, "grid", DEFAULT_GRID), "r_schedule": list(DEFAULT_R_SCHEDULE),
+            **asdict(GridPolicy()), "max_nodes": MAX_NODES, "power_tol": POWER_TOL,
+            "power_max_iter": POWER_MAX_ITER}
+
+
+def _report(args, payload: dict, code: int = 0) -> int:
     """Write one JSON report framed by its command and provenance; return the exit code."""
-    record = {"command": args.command, **payload, "provenance": config.to_dict()}
+    record = {"command": args.command, **payload, "provenance": _provenance(args)}
     _emit(json.dumps(record, indent=2) + "\n", args.out)
     return code
 
 
 # --- handlers ---------------------------------------------------------------
 
-def _cmd_check(args, config: RunConfig) -> int:
+def _cmd_check(args) -> int:
     query = BoundednessQuery(family_from_index(args.thm), args.s1, args.s2,
                              args.kappa, args.p1, args.p2)
     report = check_boundedness(query)
-    return _report(args, config, {"thm": args.thm, **report.to_dict()},
+    return _report(args, {"thm": args.thm, **report.to_dict()},
                    0 if report.applicable else 3)
 
 
-def _cmd_norm(args, config: RunConfig) -> int:
-    grid = parse_grid(config.grid)
+def _cmd_norm(args) -> int:
+    grid = parse_grid(args.grid)
     value = weighted_norm(sample_spec(grid, args.function), parse_space(args.space))
-    return _report(args, config, {"function": args.function, "space": args.space,
-                                  "grid_nodes": grid.size, "value": value})
+    return _report(args, {"function": args.function, "space": args.space,
+                          "grid_nodes": grid.size, "value": value})
 
 
-def _cmd_apply(args, config: RunConfig) -> int:
-    grid = parse_grid(config.grid)
+def _cmd_apply(args) -> int:
+    grid = parse_grid(args.grid)
     kernel = parse_kernel(args.kernel)
     value = apply_operator(kernel, sample_spec(grid, args.function), grid, args.x)
-    return _report(args, config, {"kernel": args.kernel, "function": args.function,
-                                  "x": args.x, "grid_nodes": grid.size, "value": value})
+    return _report(args, {"kernel": args.kernel, "function": args.function,
+                          "x": args.x, "grid_nodes": grid.size, "value": value})
 
 
-def _cmd_opnorm(args, config: RunConfig) -> int:
-    grid = parse_grid(config.grid)
+def _cmd_opnorm(args) -> int:
+    grid = parse_grid(args.grid)
     kernel = parse_kernel(args.kernel)
     source = parse_space(args.source)
     target = parse_space(args.target)
     op = assemble(kernel, source, target, grid)
     estimate = operator_norm_pq(op)
-    return _report(args, config, {
+    return _report(args, {
         "kernel": args.kernel, "source": args.source, "target": args.target,
         "grid_nodes": grid.size, "value": estimate.value, "certified": estimate.certified,
         "converged": estimate.converged, "iterations": estimate.iterations})
@@ -259,12 +247,14 @@ def _parse_query(text: str) -> BoundednessQuery:
     return BoundednessQuery(family, **numbers)
 
 
-def _cmd_sweep(args, config: RunConfig) -> int:
+def _cmd_sweep(args) -> int:
     queries = tuple(_parse_query(text) for text in args.query)
     kernel = parse_kernel(args.kernel) if args.kernel else None
-    policy = GridPolicy(**{f.name: getattr(config, f.name) for f in fields(GridPolicy)})
-    plan = SweepPlan(queries=queries, kernel=kernel, R_schedule=config.r_schedule,
-                     grid=policy)
+    # the sweep flags' dests are GridPolicy's field names; an unset flag is None
+    policy = GridPolicy(**{f.name: getattr(args, f.name) for f in fields(GridPolicy)
+                           if getattr(args, f.name) is not None})
+    plan = SweepPlan(queries=queries, kernel=kernel,
+                     R_schedule=args.r_schedule or DEFAULT_R_SCHEDULE, grid=policy)
     result = run_boundedness_sweep(plan)
     provenance = {"command": args.command,
                   "power_tol": repr(POWER_TOL), "power_max_iter": POWER_MAX_ITER}
@@ -274,7 +264,7 @@ def _cmd_sweep(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_corner(args, config: RunConfig) -> int:
+def _cmd_corner(args) -> int:
     grid1 = parse_grid(args.grid1)
     grid2 = parse_grid(args.grid2)
     system = CornerSystem(
@@ -291,7 +281,7 @@ def _cmd_corner(args, config: RunConfig) -> int:
             for node, value in zip(part.grid.nodes, part.values):
                 lines.append(f"{name},{float(node)!r},{float(value)!r}")
         _emit("\n".join(lines) + "\n", args.dump_csv)
-    return _report(args, config, {
+    return _report(args, {
         "kernel1": args.kernel1, "kernel2": args.kernel2, "f": args.f, "g": args.g,
         "grid1_nodes": grid1.size, "grid2_nodes": grid2.size, "s": args.s,
         "residual_1": solution.residual_1, "residual_2": solution.residual_2,
@@ -302,22 +292,22 @@ def _cmd_corner(args, config: RunConfig) -> int:
         "d_norm": weighted_norm(solution.d, system.space)})
 
 
-def _cmd_oracle_majorant(args, config: RunConfig) -> int:
+def _cmd_oracle_majorant(args) -> int:
     value = majorant_integral(args.x, args.a, args.R)
-    return _report(args, config, {"kind": args.kind, "x": args.x, "a": args.a,
-                                  "R": args.R, "value": value})
+    return _report(args, {"kind": args.kind, "x": args.x, "a": args.a,
+                          "R": args.R, "value": value})
 
 
-def _cmd_oracle_powerlaw(args, config: RunConfig) -> int:
+def _cmd_oracle_powerlaw(args) -> int:
     value = powerlaw_weighted_norm(args.t, parse_space(args.space), args.R)
-    return _report(args, config, {"kind": args.kind, "t": args.t, "space": args.space,
-                                  "R": args.R, "value": value})
+    return _report(args, {"kind": args.kind, "t": args.t, "space": args.space,
+                          "R": args.R, "value": value})
 
 
-def _cmd_oracle_indicator(args, config: RunConfig) -> int:
+def _cmd_oracle_indicator(args) -> int:
     value = envelope_indicator_image(args.kappa, args.x, args.lo, args.hi)
-    return _report(args, config, {"kind": args.kind, "kappa": args.kappa, "x": args.x,
-                                  "lo": args.lo, "hi": args.hi, "value": value})
+    return _report(args, {"kind": args.kind, "kappa": args.kappa, "x": args.x,
+                          "lo": args.lo, "hi": args.hi, "value": value})
 
 
 def run_cli(argv) -> int:
@@ -331,8 +321,7 @@ def run_cli(argv) -> int:
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     try:
-        config = _load_config(args)
-        return args.handler(args, config)
+        return args.handler(args)
     except (UsageError, DomainError, PlanError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1

@@ -14,10 +14,19 @@ import pytest
 import opnormlab
 import opnormlab.cli
 import opnormlab.sweeps
-from opnormlab.cli import RunConfig, build_parser, run_cli
+from opnormlab.cli import DEFAULT_GRID, build_parser, run_cli
 from opnormlab.grids import build_grid, parse_grid
 from opnormlab.operators import POWER_MAX_ITER, POWER_TOL
-from opnormlab.sweeps import MAX_NODES, GridPolicy
+from opnormlab.sweeps import DEFAULT_R_SCHEDULE, MAX_NODES, GridPolicy
+
+
+def library_provenance() -> dict:
+    """The provenance of a report on the default grid, built here from the library's records."""
+    policy = GridPolicy()
+    return {"grid": DEFAULT_GRID, "r_schedule": list(DEFAULT_R_SCHEDULE),
+            "panels_per_side": policy.panels_per_side, "grading": policy.grading,
+            "panel_order": policy.panel_order, "extra_panels": policy.extra_panels,
+            "max_nodes": MAX_NODES, "power_tol": POWER_TOL, "power_max_iter": POWER_MAX_ITER}
 
 
 def run_json(capsys, argv):
@@ -32,7 +41,7 @@ def test_check_satisfied(capsys):
     assert code == 0
     assert payload["satisfied"] is True
     assert payload["margin"] == pytest.approx(0.5)
-    assert payload["provenance"] == RunConfig().to_dict()
+    assert payload["provenance"] == library_provenance()
 
 
 def test_check_inapplicable_exit_3(capsys):
@@ -283,19 +292,16 @@ def test_help_exits_zero(capsys):
         assert "usage" in capsys.readouterr().out
 
 
-def test_runconfig_defaults_match_library():
-    config, policy = RunConfig(), GridPolicy()
-    for field in fields(GridPolicy):
-        assert getattr(config, field.name) == getattr(policy, field.name)
-    grid = parse_grid(config.grid)
-    want = build_grid(grid.R, grid.panels_per_side, policy.grading, policy.panel_order)
+def test_runconfig_defaults_match_library(capsys):
+    # the default grid is the library's grid policy at R = 10000 with 40 panels
+    grid = parse_grid(DEFAULT_GRID)
+    want = build_grid(10000, 40, GridPolicy.grading, GridPolicy.panel_order)
     assert np.array_equal(grid.breakpoints, want.breakpoints)
-    assert grid.panel_order == policy.panel_order
-    # the provenance ends with the sweep's node budget and the library's one
-    # stop rule, constants that no field holds
-    assert list(config.to_dict().items())[-3:] == [("max_nodes", MAX_NODES),
-                                                   ("power_tol", POWER_TOL),
-                                                   ("power_max_iter", POWER_MAX_ITER)]
+    assert grid.panel_order == GridPolicy.panel_order
+    # the provenance is the library's defaults, then the sweep's node budget and
+    # the one stop rule, in this order
+    _, payload = run_json(capsys, ["oracle", "majorant", "--x", "0", "--a", "2"])
+    assert list(payload["provenance"].items()) == list(library_provenance().items())
 
 
 def test_output_file_byte_identical(tmp_path):
@@ -344,22 +350,15 @@ COMMANDS = {**JSON_COMMANDS, "sweep": ["sweep", "--query", QUERY, "--r-schedule"
 def test_every_json_report_echoes_the_default_config(tmp_path, argv):
     out = tmp_path / "report.json"
     assert run_cli(argv + ["--out", str(out)]) == 0
-    assert json.loads(out.read_text())["provenance"] == RunConfig().to_dict()
+    assert json.loads(out.read_text())["provenance"] == library_provenance()
 
 
-def test_runconfig_round_trip(tmp_path):
-    # the provenance of a report rebuilds the RunConfig of its run, flags included
-    out = tmp_path / "report.json"
-    assert run_cli(OPNORM + ["--out", str(out)]) == 0
-    provenance = json.loads(out.read_text())["provenance"]
-    # the node budget stays where its field was, right after extra_panels
-    assert list(provenance.items())[-4:] == [("extra_panels", GridPolicy.extra_panels),
-                                             ("max_nodes", MAX_NODES),
-                                             ("power_tol", POWER_TOL),
-                                             ("power_max_iter", POWER_MAX_ITER)]
-    del provenance["max_nodes"], provenance["power_tol"], provenance["power_max_iter"]
-    rebuilt = RunConfig(**{**provenance, "r_schedule": tuple(provenance["r_schedule"])})
-    assert rebuilt == replace(RunConfig(), grid=SMALL_GRID[1])
+def test_runconfig_round_trip(capsys):
+    # --grid changes the provenance of a report in its grid alone
+    _, default = run_json(capsys, JSON_COMMANDS["check"])
+    _, flagged = run_json(capsys, OPNORM)
+    want = {**default["provenance"], "grid": SMALL_GRID[1]}
+    assert list(flagged["provenance"].items()) == list(want.items())
 
 
 @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
@@ -476,13 +475,15 @@ def test_corner_condition_estimate_is_reproducible(monkeypatch, tmp_path):
 
 
 def test_sweep_flags_set_runconfig_fields(tmp_path):
-    config_fields = {f.name for f in fields(RunConfig)}
-    not_config = {"help", "query", "kernel", "out"}
+    # each grid flag is named after the GridPolicy field it sets, and an unset
+    # flag leaves the library's default
+    settable = {f.name for f in fields(GridPolicy)} | {"r_schedule"}
+    not_settings = {"help", "query", "kernel", "out"}
     subcommands, = (a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for a in subcommands.choices["sweep"]._actions} - not_config
-    assert dests <= config_fields
-    assert {"panels_per_side", "panel_order", "r_schedule"} <= dests
+    actions = [a for a in subcommands.choices["sweep"]._actions if a.dest not in not_settings]
+    assert {a.dest for a in actions} == settable
+    assert all(a.default is None for a in actions)
     # each flag overrides its field, which the sweep header echoes; the node
     # budget and the stop rule stay fixed
     settings = [("--panels", "6", "panels_per_side=6"), ("--order", "5", "panel_order=5"),
