@@ -7,8 +7,9 @@ makes the weighted x-integral converge.  The binding threshold is the
 larger of the two, and applicability additionally requires s1 < 0.
 
 Threshold arithmetic is plain Python, so exact inputs (e.g.
-``fractions.Fraction``) pass through the formula unchanged; tests use
-that for exact rational cross-checks.
+``fractions.Fraction``) in spaces built as ``SpaceSpec(family, s, p)`` pass
+through the formula unchanged; tests use that for exact rational
+cross-checks.
 """
 from __future__ import annotations
 
@@ -33,12 +34,6 @@ def family_from_index(index) -> str:
     if isinstance(index, bool) or not 1 <= position <= len(VARIANTS):
         raise DomainError(f"unknown mapping variant {index}; expected 1, 2 or 3")
     return VARIANTS[position - 1]
-
-
-def index_from_family(family: str) -> int:
-    if family not in VARIANTS:
-        raise DomainError(f"unknown family {family!r}")
-    return VARIANTS.index(family) + 1
 
 
 @dataclass(frozen=True)
@@ -76,7 +71,7 @@ class ConditionReport:
         """Flat JSON-ready record: report fields plus an echo of the query."""
         out = {
             "family": self.query.family,
-            "variant_index": index_from_family(self.query.family),
+            "variant_index": VARIANTS.index(self.query.family) + 1,
             "s1": self.query.s1,
             "s2": self.query.s2,
             "p1": self.query.p1,
@@ -106,21 +101,6 @@ def space_thresholds(source: SpaceSpec, target: SpaceSpec):
     inner = 1 / q1 - source_decay
     outer = 1 / target.p + 1 / q1 + weight_exponent(target) / target.p - source_decay
     return inner, outer
-
-
-def threshold_h(s1, s2):
-    """Inner/outer decay thresholds for the classic p = 2 family."""
-    return space_thresholds(SpaceSpec("h", s1, 2.0), SpaceSpec("h", s2, 2.0))
-
-
-def threshold_hsp(s1, s2, p1, p2):
-    """Inner/outer decay thresholds for the p-scaled-weight family."""
-    return space_thresholds(SpaceSpec("hsp", s1, p1), SpaceSpec("hsp", s2, p2))
-
-
-def threshold_hps(s1, s2, p1, p2):
-    """Inner/outer decay thresholds for the fixed-weight family (see HPS_INNER_NOTE)."""
-    return space_thresholds(SpaceSpec("hps", s1, p1), SpaceSpec("hps", s2, p2))
 
 
 def query_spaces(query: BoundednessQuery) -> tuple[SpaceSpec, SpaceSpec]:

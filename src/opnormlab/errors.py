@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A power method that does not converge raises nothing: its estimate says so
+with ``converged = False``, ``iterations`` and ``last_change``.
+"""
 
 
 class DomainError(ValueError):
@@ -15,16 +19,6 @@ class NumericalError(ArithmeticError):
 
 class DivergenceError(NumericalError):
     """A requested closed-form integral does not converge."""
-
-
-class ConvergenceError(NumericalError):
-    """An iteration failed to converge within its iteration budget."""
-
-    def __init__(self, message: str, iterations: int, last_value: float, last_delta: float):
-        super().__init__(message)
-        self.iterations = iterations
-        self.last_value = last_value
-        self.last_delta = last_delta
 
 
 class IllConditionedError(NumericalError):

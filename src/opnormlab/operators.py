@@ -11,8 +11,9 @@ r * (K (c * v)) or, transposed, c * (K^T (r * u)).  The weighted operator
 norm is a plain l^p1 -> l^p2 norm of that matrix, so all three space
 families share one nonlinear power method (Boyd, "The power method for l_p
 norms", 1974); p1 = p2 = 2 is its singular-value case.  A plain matrix
-(``matrix_pq_norm``, ``largest_singular_value``) runs that loop between
-unit scalings, and x * 1.0 is x, so bitwise as if they were not there.
+has one entry, ``matrix_pq_norm``, which runs that loop between unit
+scalings, and x * 1.0 is x, so bitwise as if they were not there; its
+largest singular value is ``matrix_pq_norm(A, 2.0, 2.0)``.
 Operators are made in two places only: ``assemble`` builds one from the
 kernel, and ``restrict`` takes a view of one on a nested grid.  The kernel
 is evaluated here only by ``assemble``, whose core carries every norm,
@@ -73,7 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .grids import Grid, fold, nested_slice, unfold
 from .kernels import KernelSpec, kernel_eval
 from .spaces import (SampledFunction, SpaceSpec, conjugate_exponent, weight_exponent,
@@ -388,22 +389,6 @@ def _power_method(B: np.ndarray, p1: float, p2: float, nonnegative: bool,
     return estimate
 
 
-def largest_singular_value(matrix) -> float:
-    """Largest singular value: the p1 = p2 = 2 case of the power method.
-
-    Raises ConvergenceError, with the iteration count, the last value and
-    the change that failed the stop test, when the iteration does not
-    converge within ``POWER_MAX_ITER`` steps, whatever the matrix size.
-    """
-    estimate = _power_method(_as_matrix(matrix), 2.0, 2.0, nonnegative=False)  # certified unread
-    if not estimate.converged:
-        raise ConvergenceError(
-            f"power iteration did not converge in {estimate.iterations} iterations",
-            iterations=estimate.iterations, last_value=estimate.value,
-            last_delta=estimate.last_change)
-    return estimate.value
-
-
 @dataclass(frozen=True)
 class PqNormEstimate:
     """Estimate of an l^p1 -> l^p2 matrix norm.
@@ -432,9 +417,11 @@ class PqNormEstimate:
 def matrix_pq_norm(matrix, p1: float, p2: float) -> PqNormEstimate:
     """l^p1 -> l^p2 matrix norm via the nonlinear power method.
 
-    For entrywise nonnegative matrices the estimates increase to the global
-    maximum.  On oscillation or non-convergence the best iterate is returned
-    with ``converged`` (and hence ``certified``) False.
+    p1 = p2 = 2 gives the largest singular value.  For entrywise nonnegative
+    matrices the estimates increase to the global maximum.  On oscillation
+    or non-convergence the best iterate is returned with ``converged`` (and
+    hence ``certified``) False, after ``iterations`` = ``POWER_MAX_ITER``
+    steps, with the change that failed the stop test as ``last_change``.
     """
     B = _as_matrix(matrix)
     return _power_method(B, p1, p2, nonnegative=bool(B.min() >= 0))

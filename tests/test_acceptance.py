@@ -14,14 +14,13 @@ import numpy as np
 from opnormlab import (BoundednessQuery, KernelSpec, SpaceSpec,
                        SweepPlan, build_grid, check_boundedness,
                        envelope_indicator_image, fit_growth_exponent,
-                       largest_singular_value, majorant_integral,
-                       manufactured_case, matrix_pq_norm, integrate,
-                       powerlaw_weighted_norm, apply_operator,
+                       majorant_integral, manufactured_case, matrix_pq_norm,
+                       integrate, powerlaw_weighted_norm, apply_operator,
                        run_boundedness_sweep, sample, sample_spec,
-                       sharpness_probe, solve_corner, threshold_h,
-                       threshold_hps, threshold_hsp, verify_holder_step,
+                       sharpness_probe, solve_corner, verify_holder_step,
                        weighted_norm)
 from opnormlab.cli import run_cli
+from opnormlab.conditions import space_thresholds
 from opnormlab.corner import CornerSystem
 
 
@@ -40,9 +39,9 @@ def test_criterion_01_threshold_reduction_identities():
     for _ in range(1000):
         s1 = float(rng.uniform(-3.0, -1e-12))
         s2 = float(rng.uniform(-3.0, 3.0))
-        base = threshold_h(s1, s2)
-        for variant in (threshold_hsp, threshold_hps):
-            inner, outer = variant(s1, s2, 2.0, 2.0)
+        base = space_thresholds(SpaceSpec("h", s1, 2.0), SpaceSpec("h", s2, 2.0))
+        for family in ("hsp", "hps"):
+            inner, outer = space_thresholds(SpaceSpec(family, s1, 2.0), SpaceSpec(family, s2, 2.0))
             worst = max(worst, abs(inner - base[0]), abs(outer - base[1]))
     report(1, f"p=2 reduction identities (worst |diff| = {worst:.2e})",
            worst <= 1e-12, time.perf_counter() - started, 1.0)
@@ -55,15 +54,15 @@ def test_criterion_02_same_parameter_reduction_exact():
         q = p / (p - 1)
         for s in (Fraction(-2), Fraction(-1), Fraction(-1, 4)):
             # exact rational cross-check: the formulas are plain arithmetic
-            thr2 = max(threshold_hsp(s, s, p, p))
-            thr3 = max(threshold_hps(s, s, p, p))
+            hsp, hps = SpaceSpec("hsp", s, p), SpaceSpec("hps", s, p)
+            thr2 = max(space_thresholds(hsp, hsp))
+            thr3 = max(space_thresholds(hps, hps))
             ok = ok and thr2 == max(1 / q - s, Fraction(1))
             ok = ok and thr3 == max(1 / q - 2 * s / p, Fraction(1))
             # double precision lands within an ulp of the rational value
-            ok = ok and abs(max(threshold_hsp(float(s), float(s), float(p), float(p)))
-                            - float(thr2)) <= 1e-12
-            ok = ok and abs(max(threshold_hps(float(s), float(s), float(p), float(p)))
-                            - float(thr3)) <= 1e-12
+            hsp, hps = SpaceSpec("hsp", float(s), float(p)), SpaceSpec("hps", float(s), float(p))
+            ok = ok and abs(max(space_thresholds(hsp, hsp)) - float(thr2)) <= 1e-12
+            ok = ok and abs(max(space_thresholds(hps, hps)) - float(thr3)) <= 1e-12
     report(2, "same-parameter reduced thresholds, exact rationals", ok,
            time.perf_counter() - started, 1.0)
 
@@ -106,15 +105,17 @@ def test_criterion_04_nystrom_vs_closed_form():
 def test_criterion_05_norm_estimator_cross_validation():
     started = time.perf_counter()
     rng = np.random.default_rng(20240808)
-    worst_svd = worst_pq = worst_rank1 = 0.0
+    worst_svd = worst_transpose = worst_rank1 = 0.0
     for _ in range(20):
         shape = (int(rng.integers(20, 201)), int(rng.integers(20, 201)))
         matrix = rng.normal(size=shape)
-        power = largest_singular_value(matrix)
+        estimate = matrix_pq_norm(matrix, 2.0, 2.0)
+        assert estimate.converged
+        power = estimate.value
         dense = float(np.linalg.svd(matrix, compute_uv=False)[0])
         worst_svd = max(worst_svd, abs(power - dense) / dense)
-        pq = matrix_pq_norm(matrix, 2.0, 2.0).value
-        worst_pq = max(worst_pq, abs(pq - power) / power)
+        transposed = matrix_pq_norm(matrix.T, 2.0, 2.0).value
+        worst_transpose = max(worst_transpose, abs(transposed - power) / power)
     for p1, p2 in ((1.5, 3.0), (2.0, 2.0), (4.0, 1.5), (3.0, 3.0)):
         a = rng.uniform(0.1, 1.0, size=60)
         b = rng.uniform(0.1, 1.0, size=80)
@@ -123,8 +124,8 @@ def test_criterion_05_norm_estimator_cross_validation():
         estimate = matrix_pq_norm(np.outer(a, b), p1, p2)
         worst_rank1 = max(worst_rank1, abs(estimate.value - exact) / exact)
         assert estimate.certified
-    ok = worst_svd <= 1e-8 and worst_pq <= 1e-8 and worst_rank1 <= 1e-10
-    report(5, f"power iteration vs SVD ({worst_svd:.2e}), pq vs 22 ({worst_pq:.2e}), "
+    ok = worst_svd <= 1e-8 and worst_transpose <= 1e-8 and worst_rank1 <= 1e-10
+    report(5, f"power iteration vs SVD ({worst_svd:.2e}), A vs A^T ({worst_transpose:.2e}), "
               f"rank-one ({worst_rank1:.2e})", ok, time.perf_counter() - started, 30.0)
 
 
@@ -208,12 +209,10 @@ def test_criterion_08_holder_proof_step():
             s2 = float(rng.uniform(-2.0, 2.0))
             if family == "h":
                 p1 = p2 = 2.0
-                inner = threshold_h(s1, s2)[0]
             else:
                 p1 = float(rng.uniform(1.2, 4.0))
                 p2 = float(rng.uniform(1.2, 4.0))
-                fn = threshold_hsp if family == "hsp" else threshold_hps
-                inner = fn(s1, s2, p1, p2)[0]
+            inner = space_thresholds(SpaceSpec(family, s1, p1), SpaceSpec(family, s2, p2))[0]
             kappa = inner + float(rng.uniform(0.05, 2.0))
             query = BoundednessQuery(family, s1, s2, kappa, p1, p2)
             center = float(rng.uniform(-20.0, 20.0))

@@ -292,7 +292,7 @@ def test_help_exits_zero(capsys):
         assert "usage" in capsys.readouterr().out
 
 
-def test_runconfig_defaults_match_library(capsys):
+def test_default_grid_and_provenance_match_library(capsys):
     # the default grid is the library's grid policy at R = 10000 with 40 panels
     grid = parse_grid(DEFAULT_GRID)
     want = build_grid(10000, 40, GridPolicy.grading, GridPolicy.panel_order)
@@ -353,7 +353,7 @@ def test_every_json_report_echoes_the_default_config(tmp_path, argv):
     assert json.loads(out.read_text())["provenance"] == library_provenance()
 
 
-def test_runconfig_round_trip(capsys):
+def test_grid_flag_changes_provenance_in_its_grid_alone(capsys):
     # --grid changes the provenance of a report in its grid alone
     _, default = run_json(capsys, JSON_COMMANDS["check"])
     _, flagged = run_json(capsys, OPNORM)
@@ -474,7 +474,7 @@ def test_corner_condition_estimate_is_reproducible(monkeypatch, tmp_path):
     assert json.loads(outputs[0])["condition_estimate"] == 47.0461
 
 
-def test_sweep_flags_set_runconfig_fields(tmp_path):
+def test_sweep_flags_set_grid_policy_fields(tmp_path):
     # each grid flag is named after the GridPolicy field it sets, and an unset
     # flag leaves the library's default
     settable = {f.name for f in fields(GridPolicy)} | {"r_schedule"}

@@ -8,20 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opnormlab import (BoundednessQuery, DomainError, NumericalError, SpaceSpec,
-                       check_boundedness, family_from_index, index_from_family,
-                       majorant_exponent, query_spaces, threshold_h, threshold_hps,
-                       threshold_hsp)
+                       check_boundedness, family_from_index, majorant_exponent,
+                       query_spaces)
 from opnormlab.conditions import space_thresholds
 
 
 def test_threshold_h_values():
-    assert threshold_h(-0.25, -0.25) == (0.75, 1.0)
-    assert threshold_h(-1.0, -1.0) == (1.5, 1.0)
-    assert threshold_h(-0.5, 0.5) == (1.0, 2.0)
+    assert space_thresholds(SpaceSpec.h(-0.25), SpaceSpec.h(-0.25)) == (0.75, 1.0)
+    assert space_thresholds(SpaceSpec.h(-1.0), SpaceSpec.h(-1.0)) == (1.5, 1.0)
+    assert space_thresholds(SpaceSpec.h(-0.5), SpaceSpec.h(0.5)) == (1.0, 2.0)
 
 
 def test_threshold_hsp_values():
-    inner, outer = threshold_hsp(-0.5, -0.5, 4.0, 4.0)
+    inner, outer = space_thresholds(SpaceSpec.hsp(-0.5, 4.0), SpaceSpec.hsp(-0.5, 4.0))
     assert inner == pytest.approx(1.25, rel=1e-15)
     assert outer == pytest.approx(1.0, rel=1e-15)
     # same-parameter reduced form: max{1/q - s, 1}
@@ -29,7 +28,7 @@ def test_threshold_hsp_values():
 
 
 def test_threshold_hps_values():
-    inner, outer = threshold_hps(-1.0, -1.0, 4.0, 2.0)
+    inner, outer = space_thresholds(SpaceSpec.hps(4.0, -1.0), SpaceSpec.hps(2.0, -1.0))
     assert inner == pytest.approx(1.25, rel=1e-15)
     assert outer == pytest.approx(0.75, rel=1e-15)
 
@@ -39,9 +38,9 @@ def test_reduction_to_classic_at_p2():
     for _ in range(1000):
         s1 = float(rng.uniform(-3.0, 0.0))
         s2 = float(rng.uniform(-3.0, 3.0))
-        base = threshold_h(s1, s2)
-        for variant in (threshold_hsp, threshold_hps):
-            inner, outer = variant(s1, s2, 2.0, 2.0)
+        base = space_thresholds(SpaceSpec.h(s1), SpaceSpec.h(s2))
+        for family in ("hsp", "hps"):
+            inner, outer = space_thresholds(SpaceSpec(family, s1, 2.0), SpaceSpec(family, s2, 2.0))
             assert inner == pytest.approx(base[0], abs=1e-12)
             assert outer == pytest.approx(base[1], abs=1e-12)
 
@@ -51,10 +50,12 @@ def test_reduction_to_classic_at_p2():
 def test_same_parameter_reduction_exact_rationals(p, s):
     # the formulas are plain arithmetic, so rational inputs stay rational
     q = p / (p - 1)
-    inner, outer = threshold_hsp(s, s, p, p)
+    space = SpaceSpec("hsp", s, p)
+    inner, outer = space_thresholds(space, space)
     assert outer == 1
     assert max(inner, outer) == max(1 / q - s, Fraction(1))
-    inner, outer = threshold_hps(s, s, p, p)
+    space = SpaceSpec("hps", s, p)
+    inner, outer = space_thresholds(space, space)
     assert outer == 1
     assert max(inner, outer) == max(1 / q - 2 * s / p, Fraction(1))
 
@@ -63,17 +64,13 @@ def test_monotone_in_s1():
     # a unit step down in s1 raises classic/scaled thresholds by 1,
     # fixed-weight thresholds by 2/p1
     for s1, s2 in ((-0.5, 0.3), (-2.0, -1.0)):
-        for fn, bump in ((threshold_h, 1.0), (threshold_hsp, 1.0)):
-            args = (s1, s2) if fn is threshold_h else (s1, s2, 3.0, 2.0)
-            args_down = (s1 - 1.0, s2) if fn is threshold_h else (s1 - 1.0, s2, 3.0, 2.0)
-            hi = fn(*args_down)
-            lo = fn(*args)
+        for family, p1, p2, bump in (("h", 2.0, 2.0, 1.0), ("hsp", 3.0, 2.0, 1.0),
+                                     ("hps", 3.0, 2.0, 2.0 / 3.0)):
+            target = SpaceSpec(family, s2, p2)
+            hi = space_thresholds(SpaceSpec(family, s1 - 1.0, p1), target)
+            lo = space_thresholds(SpaceSpec(family, s1, p1), target)
             assert hi[0] - lo[0] == pytest.approx(bump, rel=1e-12)
             assert hi[1] - lo[1] == pytest.approx(bump, rel=1e-12)
-        hi = threshold_hps(s1 - 1.0, s2, 3.0, 2.0)
-        lo = threshold_hps(s1, s2, 3.0, 2.0)
-        assert hi[0] - lo[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert hi[1] - lo[1] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_check_boundedness_satisfied():
@@ -137,13 +134,14 @@ def test_query_rejects_a_non_finite_kappa(kappa):
 
 def test_family_index_round_trip():
     for index in (1, 2, 3):
-        assert index_from_family(family_from_index(index)) == index
+        query = BoundednessQuery(family_from_index(index), -0.5, -0.5, 2.0)
+        assert check_boundedness(query).to_dict()["variant_index"] == index
         assert family_from_index(str(index)) == family_from_index(index)  # a CLI string
     for bad in (0, 4, -1, "x", None, 2.9, 2.0, True):
         with pytest.raises(DomainError):
             family_from_index(bad)
     with pytest.raises(DomainError):
-        index_from_family("nope")
+        BoundednessQuery("nope", -0.5, -0.5, 2.0)
 
 
 def test_query_spaces():
@@ -191,13 +189,14 @@ RATIONAL_P = st.fractions(Fraction(61, 60), 20, max_denominator=60)
 @PROPERTY
 @given(SMOOTHNESS, SMOOTHNESS)
 def test_one_formula_is_the_classic_formula_bitwise(s1, s2):
-    assert threshold_h(s1, s2) == _h_formula(s1, s2)
+    assert space_thresholds(SpaceSpec.h(s1), SpaceSpec.h(s2)) == _h_formula(s1, s2)
 
 
 @PROPERTY
 @given(SMOOTHNESS, SMOOTHNESS, EXPONENT, EXPONENT)
 def test_one_formula_is_the_fixed_weight_formula_bitwise(s1, s2, p1, p2):
-    assert threshold_hps(s1, s2, p1, p2) == _hps_formula(s1, s2, p1, p2)
+    thresholds = space_thresholds(SpaceSpec.hps(p1, s1), SpaceSpec.hps(p2, s2))
+    assert thresholds == _hps_formula(s1, s2, p1, p2)
 
 
 @PROPERTY
@@ -205,15 +204,18 @@ def test_one_formula_is_the_fixed_weight_formula_bitwise(s1, s2, p1, p2):
 def test_one_formula_is_the_scaled_weight_formula_to_a_few_ulps(s1, s2, p1, p2):
     # (p*s)/p stands in for s, which may move the last bit of each term
     scale = math.ulp(2.0 + abs(s1) + abs(s2))
-    for got, want in zip(threshold_hsp(s1, s2, p1, p2), _hsp_formula(s1, s2, p1, p2)):
+    thresholds = space_thresholds(SpaceSpec.hsp(s1, p1), SpaceSpec.hsp(s2, p2))
+    for got, want in zip(thresholds, _hsp_formula(s1, s2, p1, p2)):
         assert abs(got - want) <= 8 * scale
 
 
 @PROPERTY
 @given(RATIONAL_S, RATIONAL_S, RATIONAL_P, RATIONAL_P)
 def test_one_formula_is_exact_on_rationals(s1, s2, p1, p2):
-    assert threshold_hsp(s1, s2, p1, p2) == _hsp_formula(s1, s2, p1, p2)
-    assert threshold_hps(s1, s2, p1, p2) == _hps_formula(s1, s2, p1, p2)
+    # the direct constructor keeps Fraction inputs exact
+    for family, formula in (("hsp", _hsp_formula), ("hps", _hps_formula)):
+        thresholds = space_thresholds(SpaceSpec(family, s1, p1), SpaceSpec(family, s2, p2))
+        assert thresholds == formula(s1, s2, p1, p2)
 
 
 @PROPERTY

@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import opnormlab
-from opnormlab import (ConvergenceError, DiscretizedOperator, DomainError, Grid,
-                       KernelSpec, NumericalError, SampledFunction, SpaceSpec,
-                       apply_operator, assemble, build_grid, empirical_ratio,
-                       envelope_indicator_image, kernel_eval,
-                       largest_singular_value, matrix_pq_norm, nested_grids,
-                       operator_norm_pq, sample, sample_spec, weighted_norm)
+from opnormlab import (DiscretizedOperator, DomainError, Grid, KernelSpec,
+                       NumericalError, SampledFunction, SpaceSpec, apply_operator,
+                       assemble, build_grid, empirical_ratio, envelope_indicator_image,
+                       kernel_eval, matrix_pq_norm, nested_grids, operator_norm_pq,
+                       sample, sample_spec, weighted_norm)
 from opnormlab.conditions import BoundednessQuery, query_spaces
 from opnormlab.operators import (_BLOCK_ENTRIES, _STRIP_ROWS, POWER_MAX_ITER, POWER_TOL,
                                  PqNormEstimate, _apply, _power_method)
@@ -355,34 +354,33 @@ def test_apply_requires_matching_grid():
 # --- largest singular value --------------------------------------------------
 
 def test_singular_value_scalar_and_diagonal():
-    assert largest_singular_value(np.array([[-3.0]])) == pytest.approx(3.0, rel=1e-12)
-    assert largest_singular_value(np.diag([1.0, 2.0])) == pytest.approx(2.0, rel=1e-10)
+    assert matrix_pq_norm(np.array([[-3.0]]), 2.0, 2.0).value == pytest.approx(3.0, rel=1e-12)
+    assert matrix_pq_norm(np.diag([1.0, 2.0]), 2.0, 2.0).value == pytest.approx(2.0, rel=1e-10)
 
 
 def test_singular_value_zero_matrix():
-    assert largest_singular_value(np.zeros((3, 4))) == 0.0
+    assert matrix_pq_norm(np.zeros((3, 4)), 2.0, 2.0).value == 0.0
 
 
 def test_singular_value_matches_dense_svd():
     rng = np.random.default_rng(123)
     for _ in range(5):
         matrix = rng.normal(size=(50, 50))
-        got = largest_singular_value(matrix)
+        got = matrix_pq_norm(matrix, 2.0, 2.0).value
         expected = float(np.linalg.svd(matrix, compute_uv=False)[0])
         assert got == pytest.approx(expected, rel=1e-8)
 
 
-def test_singular_value_nonconvergence_raises(monkeypatch):
-    # a small matrix raises too: no dense decomposition absorbs it
+def test_singular_value_nonconvergence_is_reported(monkeypatch):
+    # a small matrix is reported too: no dense decomposition absorbs it
     for seed, shape, max_iter in ((5, (501, 502), 1), (5, (501, 502), 3), (6, (40, 40), 1)):
         matrix = np.random.default_rng(seed).normal(size=shape)
         monkeypatch.setattr(opnormlab.operators, "POWER_MAX_ITER", max_iter)
-        with pytest.raises(ConvergenceError) as info:
-            largest_singular_value(matrix)
-        error = info.value
-        assert error.iterations == max_iter
+        estimate = matrix_pq_norm(matrix, 2.0, 2.0)
+        assert not estimate.converged
+        assert estimate.iterations == max_iter
         # the change that failed the stop test
-        assert error.last_delta > POWER_TOL * max(1.0, error.last_value)
+        assert estimate.last_change > POWER_TOL * max(1.0, estimate.value)
 
 
 # --- p -> q norms ------------------------------------------------------------
@@ -400,7 +398,8 @@ def test_pq_norm_matches_p2():
         matrix = rng.uniform(0.0, 1.0, size=(30, 40))
         estimate = matrix_pq_norm(matrix, 2.0, 2.0)
         assert estimate.certified
-        assert estimate.value == pytest.approx(largest_singular_value(matrix), rel=1e-8)
+        expected = float(np.linalg.svd(matrix, compute_uv=False)[0])
+        assert estimate.value == pytest.approx(expected, rel=1e-8)
 
 
 def test_pq_norm_rank_one_holder_equality():
@@ -423,7 +422,7 @@ def test_pq_norm_zero_matrix():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: matrix_pq_norm(np.ones(3), 2.0, 2.0), "need a non-empty 2-d matrix"),
-    (lambda: largest_singular_value(np.zeros((0, 2))), "need a non-empty 2-d matrix"),
+    (lambda: matrix_pq_norm(np.zeros((0, 2)), 2.0, 2.0), "need a non-empty 2-d matrix"),
     (lambda: matrix_pq_norm(np.eye(2), 1.0, 2.0), "matrix norm exponents must lie in (1, inf)"),
 ], ids=["one-d", "empty", "p1-one"])
 def test_matrix_norms_name_bad_input(call, message):
@@ -660,8 +659,10 @@ def test_monotone_truncation_nested_grids():
 def test_transpose_duality_at_p2():
     grid = build_grid(20.0, 8, 1.3, 8)
     op = assemble(KernelSpec(kappa=2.0), SpaceSpec.h(-1.0), SpaceSpec.h(-0.5), grid)
-    assert largest_singular_value(full_matrix(op).T) == pytest.approx(
-        largest_singular_value(full_matrix(op)), abs=1e-10)
+    matrix = full_matrix(op)
+    expected = float(np.linalg.svd(matrix, compute_uv=False)[0])
+    for m in (matrix, matrix.T):
+        assert matrix_pq_norm(m, 2.0, 2.0).value == pytest.approx(expected, abs=1e-10)
 
 
 # --- empirical ratios --------------------------------------------------------
